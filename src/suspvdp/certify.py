@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .fields import VectorField, lie_bracket
-from .lifts import (BaseField, SpanningFamily, lift, spanning_family)
+from .lifts import BaseField, SpanningFamily, lift, spanning_plan
 from .linalg import ExactMatrix, exact_rank, solve_columns
 from .poly import Poly, PolyRing
 from .scalars import GaussianRational, ONE, ZERO
@@ -479,32 +479,37 @@ def _point_text(point: SurfacePoint) -> str:
 
 
 def _certificate_search(pair: LiftedPair, ctx: SuspensionContext,
-                        degree_bound: int) -> dict:
+                        degree_bound: int) -> tuple[dict, bool]:
     """Certificate at the requested bound, plus the smallest bound that
     also succeeds.  The claim made is the one at the requested bound;
     success at a smaller bound is weaker, not stronger (degree growth can
     turn success into failure, e.g. a unit ideal is always reached at
-    degree 0), so the search never settles for an early success."""
+    degree 0), so the search never settles for an early success.
+
+    Returns the report entry and whether every reported certificate
+    re-expanded (`SemiCompatCertificate.re_verify`) to its witnesses."""
     cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
                                   pair.ideal, degree_bound, ctx=ctx,
                                   mode="auto")
+    verified = cert.re_verify(ctx)
     if not cert.success:
         return {"orientation": pair.orientation, "success": False,
                 "degree": degree_bound, "mode": cert.mode,
                 "products": len(cert.products),
                 "targets": len(cert.targets),
-                "unreachable": cert.unreachable[:8]}
+                "unreachable": cert.unreachable[:8]}, verified
     smallest = degree_bound
     for d in range(degree_bound):
         small = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
                                        pair.ideal, d, ctx=ctx, mode="auto")
         if small.success:
             smallest = d
+            verified = verified and small.re_verify(ctx)
             break
     return {"orientation": pair.orientation, "success": True,
             "degree": degree_bound, "smallest_success_degree": smallest,
             "mode": cert.mode, "products": len(cert.products),
-            "targets": len(cert.targets), "unreachable": []}
+            "targets": len(cert.targets), "unreachable": []}, verified
 
 
 def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
@@ -563,9 +568,13 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
                 problems.append(
                     f"pair {k} ({orientation}): lifted fields fail the "
                     "divergence check")
-            cert = _certificate_search(lifted, ctx, degree_bound)
+            cert, verified = _certificate_search(lifted, ctx, degree_bound)
             cert["lifted_divergence_free"] = lifted_div_ok
             certs.append(cert)
+            if not verified:
+                problems.append(
+                    f"pair {k} ({orientation}): certificate re-expansion "
+                    "does not reproduce its witnesses")
             if not cert["success"]:
                 problems.append(
                     f"pair {k} ({orientation}): no certificate up to degree "
@@ -601,8 +610,9 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
             sampling_report["error"] = str(err)
 
     ranks: list[dict] = []
+    plan = spanning_plan(triples, ctx) if points else None
     for point in points:
-        family = spanning_family(triples, ctx, point)
+        family = plan.at(point)
         report = spanning_rank(family, ctx)
         ranks.append({"point": _point_text(point), "rank": report.rank,
                       "full": report.full})

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 from .fields import VectorField
 from .poly import Poly, PolyRing
-from .scalars import GaussianRational, gr
+from .scalars import ZERO, GaussianRational, gr
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
                       surface_point, tangent_field)
 
@@ -284,6 +284,41 @@ def rk4_flow(eval_fn: Callable[[Sequence[complex]], Sequence[complex]],
 # pullback along kernel-scaled shears
 
 
+@dataclass(frozen=True)
+class ShearPullback:
+    """Pullback of `mu` under the inverse time-1 flow of (g - c)*theta,
+    prepared once for every constant c: a constant shift changes neither
+    the kernel condition theta(g) = 0 nor mu(g), so only the evaluation at
+    a point remains, mu(p) + mu(g)(p) * theta(p), where g - c vanishes."""
+
+    mu: VectorField
+    theta: VectorField
+    g: Poly
+    mu_g: Poly
+
+    @staticmethod
+    def prepare(mu, theta, g: Poly) -> "ShearPullback":
+        """Accepts plain ambient fields or tangent wrappers; checks that g
+        lies in the kernel of theta."""
+        mu = getattr(mu, "ambient", mu)
+        theta = getattr(theta, "ambient", theta)
+        if not theta.apply(g).is_zero:
+            raise LiftError("the shear function must lie in the kernel of the field")
+        return ShearPullback(mu, theta, g, mu.apply(g))
+
+    def at(self, point: SurfacePoint,
+           shift: GaussianRational = ZERO) -> list[GaussianRational]:
+        """Value at `point` for the shear function g - shift."""
+        if not point.exact:
+            raise LiftError("pullback evaluation needs an exact point")
+        coords = point.coords
+        if self.g.evaluate_exact(coords) != shift:
+            raise LiftError("the shear function must vanish at the point")
+        factor = self.mu_g.evaluate_exact(coords)
+        return [m + factor * th for m, th in zip(
+            self.mu.evaluate_exact(coords), self.theta.evaluate_exact(coords))]
+
+
 def shear_pullback(mu, theta, g: Poly,
                    point: SurfacePoint) -> list[GaussianRational]:
     """Value at `point` of the pullback of `mu` under the inverse time-1
@@ -294,18 +329,7 @@ def shear_pullback(mu, theta, g: Poly,
     g*theta is the caller's responsibility; it holds for the kernel-scaled
     complete fields this package constructs.
     """
-    mu = getattr(mu, "ambient", mu)
-    theta = getattr(theta, "ambient", theta)
-    if not theta.apply(g).is_zero:
-        raise LiftError("the shear function must lie in the kernel of the field")
-    if not point.exact:
-        raise LiftError("pullback evaluation needs an exact point")
-    if not g.evaluate_exact(point.coords).is_zero:
-        raise LiftError("the shear function must vanish at the point")
-    mu_p = mu.evaluate_exact(point.coords)
-    factor = mu.apply(g).evaluate_exact(point.coords)
-    theta_p = theta.evaluate_exact(point.coords)
-    return [m + factor * th for m, th in zip(mu_p, theta_p)]
+    return ShearPullback.prepare(mu, theta, g).at(point)
 
 
 def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
@@ -382,6 +406,12 @@ class SpanningFamily:
 def validate_basepoint(ctx: SuspensionContext, point: SurfacePoint,
                        ideals: Sequence[Sequence[Poly]] = ()) -> list[str]:
     """Conditions the spanning construction needs; empty list when fine."""
+    partials = [ctx.f_base.derivative(j) for j in range(ctx.n)]
+    return _basepoint_failures(point, partials, ideals)
+
+
+def _basepoint_failures(point: SurfacePoint, partials: Sequence[Poly],
+                        ideals: Sequence[Sequence[Poly]]) -> list[str]:
     failures = []
     if not point.exact:
         return ["basepoint must be exact"]
@@ -390,13 +420,170 @@ def validate_basepoint(ctx: SuspensionContext, point: SurfacePoint,
     if point.v.is_zero:
         failures.append("v vanishes at the basepoint")
     z = point.z
-    if all(ctx.f_base.derivative(j).evaluate_exact(z).is_zero
-           for j in range(ctx.n)):
+    if all(p.evaluate_exact(z).is_zero for p in partials):
         failures.append("df vanishes at the basepoint")
     for k, gens in enumerate(ideals):
         if gens and all(g.evaluate_exact(z).is_zero for g in gens):
             failures.append(f"ideal {k} vanishes at the basepoint")
     return failures
+
+
+@dataclass(frozen=True)
+class _Candidate:
+    """One source pair with its fields in one slot order (first, second),
+    prepared for both pullbacks.  `twist` maps each base index j with a
+    nonzero first-field coefficient to the pullbacks along z_j; with a
+    given twist function its pullbacks sit under the key None."""
+
+    idx: int
+    swapped: bool
+    gens: tuple[Poly, ...]
+    first: BaseField
+    first_f: Poly                  # first(f), base ring
+    second_f: Poly                 # second(f), base ring
+    shear: tuple[ShearPullback, ShearPullback]
+    twist: dict[int | None, tuple[ShearPullback, ShearPullback]]
+    twist_moves: Poly | None       # first(g_twist) when g_twist is given
+
+
+@dataclass(frozen=True)
+class SpanningPlan:
+    """The symbolic half of `spanning_family`, built once per list of
+    source pairs and evaluated at each basepoint: the four lifts of every
+    pair, alpha(f) and beta(f), and the shear pullbacks.  The shear
+    functions u - u0 and z_j - c differ between basepoints only by a
+    constant, which changes neither the kernel check nor mu(g)."""
+
+    ctx: SuspensionContext
+    partials: tuple[Poly, ...]
+    ideals: tuple[tuple[Poly, ...], ...]
+    lifted: tuple[tuple[SuspensionField, ...], ...]   # alpha_u, alpha_v, beta_u, beta_v
+    candidates: tuple[_Candidate, ...]
+    g_twist: Poly | None
+
+    def at(self, point: SurfacePoint) -> SpanningFamily:
+        """The evaluated spanning family at an admissible basepoint."""
+        failures = _basepoint_failures(point, self.partials, self.ideals)
+        if failures:
+            raise BasepointError(failures)
+        ctx = self.ctx
+        family: list[SpanningPair] = []
+        notes: dict = {"twist": None, "shear": None}
+        z = point.z
+
+        def ideal_value_at(gens: Sequence[Poly]) -> GaussianRational:
+            for g in gens:
+                val = g.evaluate_exact(z)
+                if not val.is_zero:
+                    return val
+            raise BasepointError(["ideal vanishes at the basepoint"])
+
+        for idx, (gens, (alpha_u, alpha_v, beta_u, beta_v)) in enumerate(
+                zip(self.ideals, self.lifted)):
+            value = ideal_value_at(gens)
+            family.append(SpanningPair(
+                f"pair{idx}:lift(u,v)",
+                tuple(alpha_u.evaluate_exact(point)),
+                tuple(beta_v.evaluate_exact(point)), value))
+            family.append(SpanningPair(
+                f"pair{idx}:lift(v,u)",
+                tuple(alpha_v.evaluate_exact(point)),
+                tuple(beta_u.evaluate_exact(point)), value))
+
+        # shear pullback: needs the first-slot field to move f at the basepoint
+        for cand in self.candidates:
+            if cand.first_f.evaluate_exact(z).is_zero:
+                continue
+            shear_a, shear_b = cand.shear
+            family.append(SpanningPair(
+                f"pair{cand.idx}:shear-pullback" + (":swapped" if cand.swapped else ""),
+                tuple(shear_a.at(point, point.u)),
+                tuple(shear_b.at(point, point.u)), ideal_value_at(cand.gens)))
+            notes["shear"] = {"pair": cand.idx, "swapped": cand.swapped}
+            break
+        else:
+            notes["shear"] = "no source pair moves f at the basepoint"
+
+        # twist pullback: needs alpha(f) = 0 but beta(f) != 0 and alpha != 0
+        for cand in self.candidates:
+            if not cand.first_f.evaluate_exact(z).is_zero:
+                continue
+            if cand.second_f.evaluate_exact(z).is_zero:
+                continue
+            alpha_at = cand.first.evaluate_exact(z)
+            if all(c.is_zero for c in alpha_at):
+                continue
+            if self.g_twist is not None:
+                h = self.g_twist
+                if not h.evaluate_exact(z).is_zero:
+                    raise BasepointError(["the twist function must vanish at the basepoint"])
+                if cand.twist_moves.evaluate_exact(z).is_zero:
+                    raise BasepointError(
+                        ["the twist function must move along the first lifted field"])
+                twist_a, twist_b = cand.twist[None]
+                shift = ZERO
+            else:
+                j = next(j for j, c in enumerate(alpha_at) if not c.is_zero)
+                h = ctx.base_ring.var(j) - ctx.base_ring.const(z[j])
+                twist_a, twist_b = cand.twist[j]
+                shift = z[j]
+            family.append(SpanningPair(
+                f"pair{cand.idx}:twist-pullback" + (":swapped" if cand.swapped else ""),
+                tuple(twist_a.at(point, shift)), tuple(twist_b.at(point, shift)),
+                ideal_value_at(cand.gens)))
+            notes["twist"] = {"pair": cand.idx, "swapped": cand.swapped,
+                              "twist_function": str(h)}
+            break
+        else:
+            notes["twist"] = "no source pair is stationary for f at the basepoint"
+
+        return SpanningFamily(basepoint=point, pairs=family, notes=notes)
+
+
+def spanning_plan(pairs: Sequence[tuple[BaseField, BaseField, Sequence[Poly]]],
+                  ctx: SuspensionContext,
+                  g_twist: Poly | None = None) -> SpanningPlan:
+    """Lift every source pair and prepare its pullbacks, once; see
+    `spanning_family` for what the plan evaluates at a basepoint."""
+    ring = ctx.ring
+    u = ring.var("u")
+    radial = VectorField(ring, (
+        ring.var("u"), -ring.var("v"), *[ring.zero()] * ctx.n))
+    lifted = []
+    candidates = []
+    for idx, (alpha, beta, gens) in enumerate(pairs):
+        alpha_u, alpha_v = lift(alpha, ctx, "u"), lift(alpha, ctx, "v")
+        beta_u, beta_v = lift(beta, ctx, "u"), lift(beta, ctx, "v")
+        lifted.append((alpha_u, alpha_v, beta_u, beta_v))
+        alpha_f, beta_f = alpha.apply(ctx.f_base), beta.apply(ctx.f_base)
+        for swapped, (first, first_u, first_v, first_f, second_v, second_f) in (
+                (False, (alpha, alpha_u, alpha_v, alpha_f, beta_v, beta_f)),
+                (True, (beta, beta_u, beta_v, beta_f, alpha_v, alpha_f))):
+            if g_twist is not None:
+                h_amb = g_twist.extend_to(ring)
+                twist = {None: (ShearPullback.prepare(first_u, radial, h_amb),
+                                ShearPullback.prepare(second_v, radial, h_amb))}
+                twist_moves = first.apply(g_twist)
+            else:
+                twist = {}
+                for j, c in enumerate(first.coeffs):
+                    if c.is_zero:
+                        continue
+                    z_j = ring.var(ctx.base_ring.variables[j])
+                    twist[j] = (ShearPullback.prepare(first_u, radial, z_j),
+                                ShearPullback.prepare(second_v, radial, z_j))
+                twist_moves = None
+            candidates.append(_Candidate(
+                idx=idx, swapped=swapped, gens=tuple(gens), first=first,
+                first_f=first_f, second_f=second_f,
+                shear=(ShearPullback.prepare(first_u, first_v, u),
+                       ShearPullback.prepare(second_v, first_v, u)),
+                twist=twist, twist_moves=twist_moves))
+    return SpanningPlan(
+        ctx=ctx,
+        partials=tuple(ctx.f_base.derivative(j) for j in range(ctx.n)),
+        ideals=tuple(tuple(gens) for _, _, gens in pairs),
+        lifted=tuple(lifted), candidates=tuple(candidates), g_twist=g_twist)
 
 
 def spanning_family(pairs: Sequence[tuple[BaseField, BaseField, Sequence[Poly]]],
@@ -412,86 +599,7 @@ def spanning_family(pairs: Sequence[tuple[BaseField, BaseField, Sequence[Poly]]]
 
     Source pairs come with their proposed ideal generators (base ring);
     every wedge is weighted by a nonvanishing ideal value at the point.
+    Evaluating many basepoints?  Build `spanning_plan` once and call its
+    `at` per point instead.
     """
-    failures = validate_basepoint(ctx, point, [gens for _, _, gens in pairs])
-    if failures:
-        raise BasepointError(failures)
-    family: list[SpanningPair] = []
-    notes: dict = {"twist": None, "shear": None}
-    z = point.z
-
-    def ideal_value_at(gens: Sequence[Poly]) -> GaussianRational:
-        for g in gens:
-            val = g.evaluate_exact(z)
-            if not val.is_zero:
-                return val
-        raise BasepointError(["ideal vanishes at the basepoint"])
-
-    lifted = []
-    for idx, (alpha, beta, gens) in enumerate(pairs):
-        alpha_u, alpha_v = lift(alpha, ctx, "u"), lift(alpha, ctx, "v")
-        beta_u, beta_v = lift(beta, ctx, "u"), lift(beta, ctx, "v")
-        lifted.append((alpha, beta, alpha_u, alpha_v, beta_u, beta_v, gens))
-        value = ideal_value_at(gens)
-        family.append(SpanningPair(
-            f"pair{idx}:lift(u,v)",
-            tuple(alpha_u.evaluate_exact(point)),
-            tuple(beta_v.evaluate_exact(point)), value))
-        family.append(SpanningPair(
-            f"pair{idx}:lift(v,u)",
-            tuple(alpha_v.evaluate_exact(point)),
-            tuple(beta_u.evaluate_exact(point)), value))
-
-    def ordered_candidates():
-        for idx, (alpha, beta, alpha_u, alpha_v, beta_u, beta_v, gens) in enumerate(lifted):
-            yield idx, alpha, beta, alpha_u, alpha_v, beta_u, beta_v, gens, False
-            yield idx, beta, alpha, beta_u, beta_v, alpha_u, alpha_v, gens, True
-
-    # shear pullback: needs the first-slot field to move f at the basepoint
-    for idx, alpha, beta, alpha_u, alpha_v, beta_u, beta_v, gens, swapped in ordered_candidates():
-        if alpha.apply(ctx.f_base).evaluate_exact(z).is_zero:
-            continue
-        g = ctx.ring.var("u") - ctx.ring.const(point.u)
-        a_vec = shear_pullback(alpha_u.ambient, alpha_v.ambient, g, point)
-        b_vec = shear_pullback(beta_v.ambient, alpha_v.ambient, g, point)
-        family.append(SpanningPair(
-            f"pair{idx}:shear-pullback" + (":swapped" if swapped else ""),
-            tuple(a_vec), tuple(b_vec), ideal_value_at(gens)))
-        notes["shear"] = {"pair": idx, "swapped": swapped}
-        break
-    else:
-        notes["shear"] = "no source pair moves f at the basepoint"
-
-    # twist pullback: needs alpha(f) = 0 but beta(f) != 0 and alpha != 0
-    for idx, alpha, beta, alpha_u, alpha_v, beta_u, beta_v, gens, swapped in ordered_candidates():
-        if not alpha.apply(ctx.f_base).evaluate_exact(z).is_zero:
-            continue
-        if beta.apply(ctx.f_base).evaluate_exact(z).is_zero:
-            continue
-        alpha_at = alpha.evaluate_exact(z)
-        if all(c.is_zero for c in alpha_at):
-            continue
-        if g_twist is not None:
-            h = g_twist
-            if not h.evaluate_exact(z).is_zero:
-                raise BasepointError(["the twist function must vanish at the basepoint"])
-            if alpha.apply(h).evaluate_exact(z).is_zero:
-                raise BasepointError(
-                    ["the twist function must move along the first lifted field"])
-        else:
-            j = next(j for j, c in enumerate(alpha_at) if not c.is_zero)
-            h = ctx.base_ring.var(j) - ctx.base_ring.const(z[j])
-        h_amb = h.extend_to(ctx.ring)
-        radial = VectorField(ctx.ring, (
-            ctx.ring.var("u"), -ctx.ring.var("v"), *[ctx.ring.zero()] * ctx.n))
-        a_vec = shear_pullback(alpha_u.ambient, radial, h_amb, point)
-        b_vec = shear_pullback(beta_v.ambient, radial, h_amb, point)
-        family.append(SpanningPair(
-            f"pair{idx}:twist-pullback" + (":swapped" if swapped else ""),
-            tuple(a_vec), tuple(b_vec), ideal_value_at(gens)))
-        notes["twist"] = {"pair": idx, "swapped": swapped, "twist_function": str(h)}
-        break
-    else:
-        notes["twist"] = "no source pair is stationary for f at the basepoint"
-
-    return SpanningFamily(basepoint=point, pairs=family, notes=notes)
+    return spanning_plan(pairs, ctx, g_twist).at(point)

@@ -1,7 +1,9 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Plain Gaussian elimination with the leftmost-nonzero pivot rule.  There are
-no numerical heuristics anywhere: rank, solving and nullspace computations
+Exact Gauss-Jordan elimination over Q(i) with the leftmost-nonzero pivot
+rule; row operations touch only the nonzero columns of the pivot row, so
+sparse systems cost little more than their nonzeros.  There are no
+numerical heuristics anywhere: rank, solving and nullspace computations
 are exact, which is what makes the downstream certificates trustworthy.
 """
 
@@ -57,12 +59,17 @@ def _eliminate(m: ExactMatrix, pivot_cols: int) -> list[tuple[int, int]]:
         if pivot_row is None:
             continue
         e[r], e[pivot_row] = e[pivot_row], e[r]
-        inv = ONE / e[r][c]
-        e[r] = [x * inv for x in e[r]]
+        row = e[r]
+        inv = ONE / row[c]
+        support = [j for j, x in enumerate(row) if not x.is_zero]
+        for j in support:
+            row[j] = row[j] * inv
         for i in range(rows):
             if i != r and not e[i][c].is_zero:
-                factor = e[i][c]
-                e[i] = [a - factor * b for a, b in zip(e[i], e[r])]
+                other = e[i]
+                factor = other[c]
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
         pivots.append((r, c))
         r += 1
         if r == rows:

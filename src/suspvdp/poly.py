@@ -244,15 +244,18 @@ class Poly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise PolyError("polynomial powers take a nonnegative integer")
-        result = self.ring.one()
+        if exponent == 0:
+            return self.ring.one()
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def scale(self, c) -> "Poly":
         c = _as_scalar(c)
@@ -289,14 +292,13 @@ class Poly:
     def evaluate_exact(self, values: Sequence[GaussianRational]) -> GaussianRational:
         if len(values) != self.ring.nvars:
             raise PolyError("wrong number of coordinates")
+        values = [_as_scalar(x) for x in values]
         cache: dict[tuple[int, int], GaussianRational] = {}
 
         def power(i: int, k: int) -> GaussianRational:
-            if k == 0:
-                return ONE
             got = cache.get((i, k))
             if got is None:
-                got = _as_scalar(values[i]) ** k
+                got = values[i] ** k
                 cache[(i, k)] = got
             return got
 
@@ -304,7 +306,9 @@ class Poly:
         for e, c in self.terms.items():
             term = c
             for i, k in enumerate(e):
-                if k:
+                if k == 1:
+                    term = term * values[i]
+                elif k:
                     term = term * power(i, k)
             total = total + term
         return total

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fields import VectorField, VolumeForm, divergence
 from .linalg import ExactMatrix, nullspace, solve_columns
@@ -403,11 +403,12 @@ class SmoothnessReport:
         return not self.singular_points
 
 
-def smoothness_witness(ctx: SuspensionContext, z_samples: Sequence,
+def smoothness_witness(ctx: SuspensionContext, z_samples: Iterable,
                        certificate_degree: int | None = None) -> SmoothnessReport:
     """Check d f != 0 at every sampled zero of f; optionally search for an
     exact combination  g0*f + sum_j gj*df/dzj = 1  up to a degree bound,
     which certifies smoothness everywhere rather than just on samples."""
+    z_samples = list(z_samples)
     partials = [ctx.f_base.derivative(j) for j in range(ctx.n)]
     singular = []
     zero_count = 0
@@ -420,7 +421,7 @@ def smoothness_witness(ctx: SuspensionContext, z_samples: Sequence,
     cert = None
     if certificate_degree is not None:
         cert = smoothness_certificate(ctx, certificate_degree)
-    return SmoothnessReport(checked=len(list(z_samples)), zero_fiber=zero_count,
+    return SmoothnessReport(checked=len(z_samples), zero_fiber=zero_count,
                             singular_points=singular, certificate=cert)
 
 

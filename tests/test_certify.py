@@ -309,3 +309,59 @@ def test_run_vdp_criterion_deterministic():
     b = run_vdp_criterion(ctx, *args, degree_bound=2)
     assert json.dumps(a.to_json_dict(), sort_keys=True) == \
         json.dumps(b.to_json_dict(), sort_keys=True)
+
+
+def test_run_vdp_criterion_reports_failed_re_expansion(monkeypatch):
+    import suspvdp.certify as certify_mod
+
+    real = certify_mod._span_solve
+    corrupted = []
+
+    def corrupt_first_witness(products, targets):
+        witnesses = real(products, targets)
+        if not corrupted:
+            k = next(k for k, w in enumerate(witnesses) if w is not None)
+            witnesses[k] = [witnesses[k][0] + 1] + witnesses[k][1:]
+            corrupted.append(k)
+        return witnesses
+
+    monkeypatch.setattr(certify_mod, "_span_solve", corrupt_first_witness)
+    ctx, spec = criterion_setup()
+    report = run_vdp_criterion(ctx, [spec], Assumptions(cohomology=True),
+                               SamplingSpec(count=3, seed=5), degree_bound=2)
+    assert corrupted
+    assert report.problems == [
+        "pair 0 (uv): certificate re-expansion does not reproduce its "
+        "witnesses"]
+    assert report.verdict == "failed"
+    # the solver's own verdict on the pair is untouched
+    assert all(c["success"] for c in report.pairs[0]["certificates"])
+
+
+def test_run_vdp_criterion_lifts_once_per_run(monkeypatch):
+    import suspvdp.certify as certify_mod
+    import suspvdp.lifts as lifts_mod
+    from suspvdp.scenario import load_scenario
+
+    real = lifts_mod.lift
+    calls = []
+
+    def counting_lift(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs["side"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifts_mod, "lift", counting_lift)
+    monkeypatch.setattr(certify_mod, "lift", counting_lift)
+    scenario = load_scenario("plane")
+    ctx = scenario.context()
+    counts = []
+    for samples in (5, 50):
+        calls.clear()
+        report = run_vdp_criterion(
+            ctx, scenario.pair_specs(ctx), Assumptions(cohomology=True),
+            scenario.sampling_spec(count=samples),
+            degree_bound=scenario.degree_bound)
+        assert report.verdict == "certified-at-samples"
+        assert len(report.ranks) == samples
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 8

@@ -205,6 +205,15 @@ def test_smoothness_witness_and_certificate():
     assert rebuilt == ctx.base_ring.one()
 
 
+def test_smoothness_witness_counts_generator_input():
+    ctx = make_suspension(2, "z1^2 + z2^2 - 1")
+    zs = [(gr(1), gr(0)), (gr(2), gr(0)), (gr(0), gr(1))]
+    report = smoothness_witness(ctx, (z for z in zs))
+    assert report.checked == 3
+    assert report.zero_fiber == 2
+    assert report.ok
+
+
 def test_smoothness_detects_singular_sample():
     ctx = make_suspension(1, "z1^2")
     report = smoothness_witness(ctx, [(gr(0),)])
