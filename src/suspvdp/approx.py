@@ -32,6 +32,7 @@ import numpy
 from .certify import LiftedPair, monomial_closure
 from .fields import lie_bracket
 from .lifts import rk4_flow, twist_field
+from .poly import compile_complex, compile_complex_sum
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
                       divergence_on_suspension, tangent_field)
 
@@ -176,18 +177,22 @@ def fit_field(target: SuspensionField, dictionary: Dictionary,
     if not divergence_on_suspension(target, ctx).is_zero:
         raise ApproxError("the target is not volume preserving")
 
+    # one evaluator for the whole dictionary; each entry's m values are
+    # consecutive in its output
+    m = ctx.ring.nvars
+    evaluate_all = compile_complex(ctx.ring, [
+        c for e in dictionary.entries for c in e.field.ambient.coeffs])
     blocks = []
     rhs_blocks = []
     for p in samples:
         coords = p.complex_coords()
-        frame = tangent_frame(ctx.defining_gradient_complex(coords))
-        cols = []
-        for entry in dictionary.entries:
-            vec = numpy.array(entry.field.ambient.evaluate_complex(coords))
-            cols.append(frame.conj().T @ vec)
+        frame_h = tangent_frame(ctx.defining_gradient_complex(coords)).conj().T
+        values = evaluate_all(coords)
+        cols = [frame_h @ numpy.array(values[k:k + m])
+                for k in range(0, len(values), m)]
         blocks.append(numpy.column_stack(cols))
         tvec = numpy.array(target.ambient.evaluate_complex(coords))
-        rhs_blocks.append(frame.conj().T @ tvec)
+        rhs_blocks.append(frame_h @ tvec)
 
     a = numpy.vstack(blocks)
     b = numpy.concatenate(rhs_blocks)
@@ -207,11 +212,16 @@ def residual_curve(target: SuspensionField, ctx: SuspensionContext,
                    pairs: Sequence[LiftedPair],
                    samples: Sequence[SurfacePoint],
                    degrees: Sequence[int],
-                   include_twists: bool = True) -> list[dict]:
-    """sup-residual of the best fit as the dictionary degree grows.
+                   include_twists: bool = True
+                   ) -> tuple[list[dict], Dictionary, FitResult]:
+    """sup-residual of the best fit as the dictionary degree grows, with
+    the dictionary and fit of the top degree, max(degrees).
 
     Dictionaries are nested in the degree, so the curve is non-increasing
     up to solver noise."""
+    if not degrees:
+        raise ApproxError("no curve degrees were given")
+    top_degree = max(degrees)
     out = []
     for d in degrees:
         dictionary = build_dictionary(ctx, pairs, d,
@@ -219,7 +229,9 @@ def residual_curve(target: SuspensionField, ctx: SuspensionContext,
         fit = fit_field(target, dictionary, samples)
         out.append({"degree": d, "entries": len(dictionary),
                     "sup_residual": fit.sup_residual})
-    return out
+        if d == top_degree:
+            top = dictionary, fit
+    return out, *top
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +239,13 @@ def residual_curve(target: SuspensionField, ctx: SuspensionContext,
 
 
 def fitted_evaluator(dictionary: Dictionary, coeffs: Sequence[complex]):
-    """Pointwise evaluator of the coefficient combination of the entries."""
-    entries = [(c, e.field.ambient) for c, e in
-               zip(coeffs, dictionary.entries) if abs(c) > 0]
-
-    def evaluate(coords):
-        out = [0j] * dictionary.ctx.ring.nvars
-        for c, amb in entries:
-            vec = amb.evaluate_complex(coords)
-            for i, v in enumerate(vec):
-                out[i] += c * v
-        return out
-
-    return evaluate
+    """Pointwise evaluator of the coefficient combination of the entries,
+    compiled into one function; entries with zero coefficient are left
+    out."""
+    kept = [(c, e.field.ambient.coeffs) for c, e in
+            zip(coeffs, dictionary.entries) if abs(c) > 0]
+    return compile_complex_sum(dictionary.ctx.ring, [c for c, _ in kept],
+                               [row for _, row in kept])
 
 
 def flow_deviation_audit(target: SuspensionField, dictionary: Dictionary,
@@ -308,11 +314,14 @@ def volume_audit(sf: SuspensionField, ctx: SuspensionContext,
         for i in range(m):
             jac[i, j] = (plus[i] - minus[i]) / (2 * h)
     det = complex(numpy.linalg.det(jac))
-    end = rk4_flow(sf.ambient.evaluate_complex, list(coords0), t, steps)
-    weighted = det * coords0[0] / end[0]
 
-    # Simpson integral of the divergence along the trajectory
+    # Simpson integral of the divergence along the trajectory, which needs
+    # an even number of steps.  With `steps` even the path takes the same
+    # steps h = t/steps as one full pass, so its last point is the flow's
+    # end point; otherwise the end point comes from its own pass.
+    end = None
     if steps % 2:
+        end = rk4_flow(sf.ambient.evaluate_complex, list(coords0), t, steps)
         steps += 1
     path = [list(coords0)]
     dt = t / steps
@@ -320,6 +329,9 @@ def volume_audit(sf: SuspensionField, ctx: SuspensionContext,
     for _ in range(steps):
         x = rk4_flow(sf.ambient.evaluate_complex, x, dt, 1)
         path.append(x)
+    if end is None:
+        end = path[-1]
+    weighted = det * coords0[0] / end[0]
     values = [div.evaluate_complex(c) for c in path]
     integral = 0j
     for k in range(0, steps, 2):

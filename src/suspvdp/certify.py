@@ -226,13 +226,13 @@ def _certificate_in_mode(kernel_nu, kernel_mu, ideal, degree_bound, ctx,
         # row, so its coefficient is forced to zero; dropping it is sound
         products = [t for t in products if t[2].total_degree() <= degree_bound]
 
-    quotient = mode == "quotient"
+    universe = _monomial_universe(ring, degree_bound, mode == "quotient")
     targets = []
     for h in ideal:
         h = reduce(h)
         if h.is_zero:
             continue
-        for m in _monomial_universe(ring, degree_bound, quotient):
+        for m in universe:
             t = reduce(h * m)
             if t.is_zero or t.total_degree() > degree_bound:
                 continue

@@ -24,8 +24,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .approx import (build_dictionary, fit_field, flow_deviation_audit,
-                     residual_curve, volume_audit)
+from .approx import flow_deviation_audit, residual_curve, volume_audit
 from .certify import Assumptions, lift_pair, run_vdp_criterion
 from .identities import run_checks
 from .lifts import BaseField, chart_jacobian_determinant, lift, lifted_flow, rk4_flow
@@ -296,9 +295,8 @@ def _cmd_approx(args) -> int:
     samples = sample_points(ctx, sampling)
 
     t0 = time.perf_counter()
-    curve = residual_curve(target, ctx, pairs, samples, degrees)
-    dictionary = build_dictionary(ctx, pairs, top_degree)
-    fit = fit_field(target, dictionary, samples)
+    curve, dictionary, fit = residual_curve(target, ctx, pairs, samples,
+                                            degrees)
     audits = flow_deviation_audit(target, dictionary, fit, samples[:5])
     elapsed = time.perf_counter() - t0
 

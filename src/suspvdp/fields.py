@@ -23,7 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import Poly, PolyError, PolyRing
+from .poly import (Poly, PolyError, PolyRing, compile_complex,
+                   evaluate_exact_all)
 from .scalars import GaussianRational, ONE, ZERO
 
 
@@ -96,10 +97,24 @@ class VectorField:
         return VectorField(self.ring, tuple(c.scale(h) for c in self.coeffs))
 
     def evaluate_exact(self, values) -> list[GaussianRational]:
-        return [c.evaluate_exact(values) for c in self.coeffs]
+        return evaluate_exact_all(self.coeffs, values)
 
     def evaluate_complex(self, values) -> list[complex]:
-        return [c.evaluate_complex(values) for c in self.coeffs]
+        """Complex coefficient values, through a straight-line evaluator
+        compiled on first use and kept with the field; bit-identical to
+        evaluating each coefficient with `Poly.evaluate_complex`."""
+        evaluate = self.__dict__.get("_compiled")
+        if evaluate is None:
+            evaluate = compile_complex(self.ring, self.coeffs)
+            object.__setattr__(self, "_compiled", evaluate)
+        return evaluate(values)
+
+    def __getstate__(self):
+        # the compiled evaluator is a cache: copies and pickles carry only
+        # the ring and the coefficients
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
 
     def _check(self, other: "VectorField"):
         if self.ring.variables != other.ring.variables:

@@ -17,6 +17,7 @@ Printing is canonical and `parse(str(p))` recovers `p` exactly.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -290,40 +291,31 @@ class Poly:
     # -- evaluation and substitution -----------------------------------------
 
     def evaluate_exact(self, values: Sequence[GaussianRational]) -> GaussianRational:
-        if len(values) != self.ring.nvars:
-            raise PolyError("wrong number of coordinates")
-        values = [_as_scalar(x) for x in values]
-        cache: dict[tuple[int, int], GaussianRational] = {}
-
-        def power(i: int, k: int) -> GaussianRational:
-            got = cache.get((i, k))
-            if got is None:
-                got = values[i] ** k
-                cache[(i, k)] = got
-            return got
-
-        total = ZERO
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k == 1:
-                    term = term * values[i]
-                elif k:
-                    term = term * power(i, k)
-            total = total + term
-        return total
+        return evaluate_exact_all((self,), values)[0]
 
     def evaluate_complex(self, values: Sequence[complex]) -> complex:
+        """Interpreted evaluation with the coefficients converted to complex
+        once per polynomial; `compile_complex` is the straight-line form of
+        the same operations for polynomials evaluated many times."""
         if len(values) != self.ring.nvars:
             raise PolyError("wrong number of coordinates")
+        plan = self.__dict__.get("_complex_terms")
+        if plan is None:
+            plan = [(c.to_complex(), [(i, k) for i, k in enumerate(e) if k])
+                    for e, c in self.terms.items()]
+            object.__setattr__(self, "_complex_terms", plan)
         total = 0j
-        for e, c in self.terms.items():
-            term = c.to_complex()
-            for i, k in enumerate(e):
-                if k:
-                    term *= complex(values[i]) ** k
+        for term, factors in plan:
+            for i, k in factors:
+                term *= complex(values[i]) ** k
             total += term
         return total
+
+    def __getstate__(self):
+        # the float plan is a cache: copies and pickles carry only the terms
+        state = dict(self.__dict__)
+        state.pop("_complex_terms", None)
+        return state
 
     def substitute(self, target: PolyRing,
                    images: Mapping[str, "Poly"] | None = None) -> "Poly":
@@ -427,6 +419,142 @@ class Poly:
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
+
+
+def evaluate_exact_all(polys: Sequence[Poly], values: Sequence[GaussianRational]
+                       ) -> list[GaussianRational]:
+    """Exact values of polynomials of one ring at one point.  The
+    arguments are converted once and every power x_i^k is computed once
+    for all of them."""
+    for p in polys:
+        if len(values) != p.ring.nvars:
+            raise PolyError("wrong number of coordinates")
+    values = [_as_scalar(x) for x in values]
+    cache: dict[tuple[int, int], GaussianRational] = {}
+    out = []
+    for p in polys:
+        total = ZERO
+        for e, c in p.terms.items():
+            term = c
+            for i, k in enumerate(e):
+                if k == 1:
+                    term = term * values[i]
+                elif k:
+                    power = cache.get((i, k))
+                    if power is None:
+                        power = cache[(i, k)] = values[i] ** k
+                    term = term * power
+            total = total + term
+        out.append(total)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# compiled complex evaluation
+#
+# A compiled evaluator is one generated Python function of a coordinate
+# sequence.  It performs the floating-point operations of
+# `Poly.evaluate_complex`, in the same order, so its results are
+# bit-identical to the interpreted loop:
+#
+# * each used coordinate is converted with complex() and each power
+#   x_i ** k is computed once per call (the loop recomputes the same value
+#   for every term; x ** 1 is kept, since it differs from x: it raises
+#   OverflowError on an infinite part and can flip the sign of a zero);
+# * a polynomial's value is 0j + K*p*p + ..., terms in dictionary order,
+#   coefficient first, factors in variable order;
+# * a weighted sum of values is 0j + w1*v1 + w2*v2 + ...
+#
+# Coefficients and weights are converted to complex once and bound as
+# names in the function's namespace; the source holds only generated
+# identifiers, integer exponents and operators.
+
+_SUMMANDS_PER_LINE = 32      # keeps each generated expression shallow
+
+
+class _Source:
+    """Straight-line source of one evaluator, built output by output."""
+
+    def __init__(self, ring: PolyRing):
+        self.nvars = ring.nvars
+        self.namespace: dict = {"PolyError": PolyError}
+        self.coeffs: dict[GaussianRational, str] = {}
+        self.powers: dict[tuple[int, int], str] = {}
+        self.lines: list[str] = []
+
+    def bind(self, value: complex) -> str:
+        name = f"K{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def terms(self, p: Poly) -> list[str]:
+        """One product per term of p, coefficient first."""
+        out = []
+        for e, c in p.terms.items():
+            name = self.coeffs.get(c)
+            if name is None:
+                name = self.coeffs[c] = self.bind(c.to_complex())
+            factors = [name]
+            for i, k in enumerate(e):
+                if k:
+                    factors.append(self.powers.setdefault((i, k), f"p{i}_{k}"))
+            out.append("*".join(factors))
+        return out
+
+    def assign_sum(self, target: str, summands: list[str]) -> str:
+        """target = 0j + s1 + s2 + ..., added left to right; long sums
+        continue on further lines, which keeps the order."""
+        lead = "0j"
+        for i in range(0, max(len(summands), 1), _SUMMANDS_PER_LINE):
+            chunk = summands[i:i + _SUMMANDS_PER_LINE]
+            self.lines.append(f"{target} = " + " + ".join([lead, *chunk]))
+            lead = target
+        return target
+
+    def build(self, outputs: list[str]):
+        head = [f"if len(values) != {self.nvars}:",
+                "    raise PolyError('wrong number of coordinates')"]
+        head += [f"x{i} = complex(values[{i}])"
+                 for i in sorted({i for i, _ in self.powers})]
+        head += [f"{name} = x{i} ** {k}"
+                 for (i, k), name in sorted(self.powers.items())]
+        body = head + self.lines + [f"return [{', '.join(outputs)}]"]
+        source = "def evaluate(values):\n" + "".join(
+            f"    {line}\n" for line in body)
+        exec(compile(source, "<compiled polynomial evaluator>", "exec"),
+             self.namespace)
+        return self.namespace["evaluate"]
+
+
+def compile_complex(ring: PolyRing, polys: Sequence[Poly]):
+    """One function mapping coordinates to the list of complex values of
+    `polys`, bit-identical to `[p.evaluate_complex(x) for p in polys]`."""
+    src = _Source(ring)
+    outputs = [src.assign_sum(f"o{j}", src.terms(p))
+               for j, p in enumerate(polys)]
+    return src.build(outputs)
+
+
+def compile_complex_sum(ring: PolyRing, weights: Sequence[complex],
+                        rows: Sequence[Sequence[Poly]]):
+    """One function mapping coordinates to the weighted sum of the value
+    lists of `rows` (each one polynomial per variable of `ring`): output i
+    is 0j + w1*rows[0][i](x) + w2*rows[1][i](x) + ..., bit-identical to
+    accumulating the interpreted values in that order."""
+    src = _Source(ring)
+    names = [src.bind(complex(w)) for w in weights]
+    outputs = []
+    for i in range(ring.nvars):
+        summands = []
+        for w, name, row in zip(weights, names, rows):
+            if row[i].is_zero and cmath.isfinite(w):
+                # w*0j has zero parts, and adding a zero to a running sum
+                # that starts at 0j leaves it unchanged (the sum is never -0.0)
+                continue
+            value = src.assign_sum(f"t{len(src.lines)}", src.terms(row[i]))
+            summands.append(f"{name}*{value}")
+        outputs.append(src.assign_sum(f"o{i}", summands))
+    return src.build(outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,9 @@ def test_criterion_7_approx_recovery_and_residual_curves():
                            ideal_bound=sc.degree_bound)
                  for ps in sc.pair_specs(sctx)]
         pts = sample_points(sctx, sc.sampling_spec(count=10))
-        curve = residual_curve(sc.approx_target_field(sctx), sctx, pairs,
-                               pts, sorted(sc.approx.curve_degrees))
+        curve, _, _ = residual_curve(sc.approx_target_field(sctx), sctx,
+                                     pairs, pts,
+                                     sorted(sc.approx.curve_degrees))
         sups = [row["sup_residual"] for row in curve]
         for lo, hi in zip(sups, sups[1:]):
             # 1e-12 absorbs least-squares noise on exactly-solvable steps

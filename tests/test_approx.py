@@ -132,8 +132,8 @@ def test_fit_recovers_exact_combinations():
 def test_residual_curve_non_increasing():
     ctx = plane_ctx()
     samples = plane_samples(ctx)
-    curve = residual_curve(twist_target(ctx, "z2"), ctx, [plane_pair(ctx)],
-                           samples, degrees=(0, 1, 2))
+    curve, _, _ = residual_curve(twist_target(ctx, "z2"), ctx,
+                                 [plane_pair(ctx)], samples, degrees=(0, 1, 2))
     sups = [row["sup_residual"] for row in curve]
     assert sups[0] > 1e-3            # not reachable without degree-1 twists
     assert sups[1] <= 1e-10

@@ -1,0 +1,186 @@
+"""Compiled complex evaluators against the interpreted reference loop.
+
+The compiled functions promise the same floating-point operations in the
+same order as the loop below, so results are compared bit for bit (hex
+of both parts), and a loop that raises must raise the same error type.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from suspvdp.approx import Dictionary, DictionaryEntry, fitted_evaluator
+from suspvdp.fields import VectorField
+from suspvdp.lifts import rk4_flow
+from suspvdp.poly import (PolyError, PolyRing, compile_complex,
+                          compile_complex_sum)
+from suspvdp.scalars import gr
+from suspvdp.surface import SuspensionField, make_suspension
+
+R = PolyRing(("u", "v", "z1", "z2"))
+
+
+def reference_value(p, values) -> complex:
+    """The interpreted loop the compiled evaluators reproduce."""
+    if len(values) != p.ring.nvars:
+        raise PolyError("wrong number of coordinates")
+    total = 0j
+    for e, c in p.terms.items():
+        term = c.to_complex()
+        for i, k in enumerate(e):
+            if k:
+                term *= complex(values[i]) ** k
+        total += term
+    return total
+
+
+def reference_sum(weights, rows, values) -> list[complex]:
+    out = [0j] * R.nvars
+    for w, row in zip(weights, rows):
+        for i, p in enumerate(row):
+            out[i] += w * reference_value(p, values)
+    return out
+
+
+def bits(compute):
+    """Hex of every part of the results, or the type of the error raised."""
+    try:
+        return [(z.real.hex(), z.imag.hex()) for z in compute()]
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+SCALARS = st.builds(lambda a, b, d: gr(Fraction(a, d), Fraction(b, d)),
+                    st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 7))
+# exponents 0..3 cover constants, exponent 1 and real powers
+TERMS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * R.nvars), SCALARS,
+                        max_size=4)
+POLYS = TERMS.map(R.from_terms)               # includes the zero polynomial
+INF, NAN = float("inf"), float("nan")
+PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, INF, -INF, NAN]),
+                  st.floats(-4, 4), st.floats())
+COORDS = st.lists(st.builds(complex, PARTS, PARTS), min_size=R.nvars,
+                  max_size=R.nvars)
+WEIGHT_PARTS = st.one_of(st.floats(-3, 3), st.sampled_from([INF, -INF, NAN]))
+WEIGHTS = st.builds(complex, WEIGHT_PARTS, WEIGHT_PARTS)
+
+
+@settings(max_examples=150)
+@given(st.lists(POLYS, min_size=1, max_size=4), COORDS)
+# x ** 1 raises OverflowError for an infinite part where x itself would not
+@example([R.parse("u + 2*v")], [complex(INF, 0.0), 1, 1, 1])
+def test_compiled_polys_match_loop_bit_for_bit(polys, coords):
+    want = bits(lambda: [reference_value(p, coords) for p in polys])
+    assert bits(lambda: compile_complex(R, polys)(coords)) == want
+    assert bits(lambda: [p.evaluate_complex(coords) for p in polys]) == want
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(WEIGHTS, st.lists(POLYS, min_size=R.nvars,
+                                            max_size=R.nvars)),
+                max_size=4), COORDS)
+def test_compiled_weighted_sum_matches_loop_bit_for_bit(weighted, coords):
+    weights = [w for w, _ in weighted]
+    rows = [row for _, row in weighted]
+    want = bits(lambda: reference_sum(weights, rows, coords))
+    assert bits(lambda: compile_complex_sum(R, weights, rows)(coords)) == want
+
+
+@settings(max_examples=60)
+@given(st.lists(POLYS, min_size=R.nvars, max_size=R.nvars), COORDS)
+def test_field_evaluation_matches_loop_bit_for_bit(coeffs, coords):
+    theta = VectorField(R, tuple(coeffs))
+    want = bits(lambda: [reference_value(c, coords) for c in coeffs])
+    assert bits(lambda: theta.evaluate_complex(coords)) == want
+    assert bits(lambda: theta.evaluate_complex(coords)) == want   # cached
+
+
+def test_long_sums_split_across_lines_keep_their_order():
+    p = R.from_terms({(k, 0, 0, 0): gr(Fraction(1, k + 1), k % 3 - 1)
+                      for k in range(100)})
+    for x in (0.5 - 0.25j, -1.0 + 0.0j, complex(0.0, -0.0)):
+        coords = [x, 1, 2, 3]
+        assert bits(lambda: compile_complex(R, [p])(coords)) == \
+            bits(lambda: [reference_value(p, coords)])
+
+
+def test_fitted_evaluator_matches_loop_and_drops_zero_weights():
+    ctx = make_suspension(2, "z1")
+    fields = [VectorField(ctx.ring, tuple(ctx.parse(t) for t in texts))
+              for texts in (("u*z1", "-v*z1", "0", "1/2*z2^2"),
+                            ("0", "u^2 - 3i*z2", "v", "0"),
+                            ("z1*z2", "0", "u", "u*v"))]
+    dictionary = Dictionary(ctx, [
+        DictionaryEntry(SuspensionField(f, ctx.ring.zero()), f"e{k}", "test")
+        for k, f in enumerate(fields)])
+    coeffs = [0.5 - 2j, 0j, -1.25 + 0.5j]
+    fitted = fitted_evaluator(dictionary, coeffs)
+    kept = [(w, f.coeffs) for w, f in zip(coeffs, fields) if abs(w) > 0]
+    for coords in ([0.3 + 1j, -2, 0.0, 1.5j], [complex(0.0, -0.0)] * 4):
+        assert bits(lambda: fitted(coords)) == bits(lambda: reference_sum(
+            [w for w, _ in kept], [row for _, row in kept], coords))
+
+
+def test_wrong_coordinate_count_still_raises():
+    p = R.parse("u*v - z1")
+    theta = VectorField(R, (p, R.zero(), R.one(), p))
+    for bad in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(PolyError, match="wrong number of coordinates"):
+            p.evaluate_complex(bad)
+        with pytest.raises(PolyError, match="wrong number of coordinates"):
+            theta.evaluate_complex(bad)
+        with pytest.raises(PolyError, match="wrong number of coordinates"):
+            compile_complex_sum(R, [1j], [theta.coeffs])(bad)
+        with pytest.raises(PolyError, match="wrong number of coordinates"):
+            theta.evaluate_exact(bad)
+
+
+def test_cached_evaluators_leave_identity_copy_and_pickle_alone():
+    p = R.parse("(1/2 + i)*u^2*z1 - v + 3")
+    theta = VectorField(R, (p, -p, R.var("z2"), R.zero()))
+    fresh_p = R.parse(str(p))
+    fresh_theta = VectorField(R, theta.coeffs)
+    plain = pickle.dumps(theta), pickle.dumps(p)
+    coords = [1 + 1j, 2, -0.5j, 0.25]
+    p.evaluate_complex(coords)
+    theta.evaluate_complex(coords)
+    assert "_complex_terms" in vars(p) and "_compiled" in vars(theta)
+
+    assert p == fresh_p and hash(p) == hash(fresh_p)
+    assert theta == fresh_theta and hash(theta) == hash(fresh_theta)
+    assert (pickle.dumps(theta), pickle.dumps(p)) == plain
+    for clone in (copy.copy(theta), copy.deepcopy(theta),
+                  pickle.loads(pickle.dumps(theta))):
+        assert clone == theta and hash(clone) == hash(theta)
+        assert "_compiled" not in vars(clone)
+        assert clone.evaluate_complex(coords) == theta.evaluate_complex(coords)
+    for clone in (copy.copy(p), copy.deepcopy(p),
+                  pickle.loads(pickle.dumps(p))):
+        assert clone == p and "_complex_terms" not in vars(clone)
+
+
+def test_field_exact_evaluation_matches_each_coefficient():
+    theta = VectorField(R, tuple(R.parse(t) for t in (
+        "u^3*z1 - 2*v", "(1/3 - i)*z1^2*z2^2", "0", "u*v*z1*z2 + 5")))
+    point = (gr(2, 1), gr(Fraction(-1, 3)), gr(0, 2), gr(Fraction(5, 2), -1))
+    assert theta.evaluate_exact(point) == \
+        [c.evaluate_exact(point) for c in theta.coeffs]
+    assert theta.evaluate_exact([2, 0, 1, 3]) == \
+        [c.evaluate_exact([2, 0, 1, 3]) for c in theta.coeffs]
+
+
+def test_stepwise_integration_ends_where_one_pass_ends():
+    # volume_audit takes the end point of an even-step flow from its
+    # Simpson path: single steps of t/steps land on the full pass bit for bit
+    theta = VectorField(R, tuple(R.parse(t) for t in (
+        "u*z1", "-v*z1", "z2", "z1^2")))
+    start = [0.7 + 0.1j, -0.4 + 1j, 0.3j, 1.1]
+    t, steps = 0.25, 64
+    x = list(start)
+    for _ in range(steps):
+        x = rk4_flow(theta.evaluate_complex, x, t / steps, 1)
+    end = rk4_flow(theta.evaluate_complex, start, t, steps)
+    assert bits(lambda: x) == bits(lambda: end)

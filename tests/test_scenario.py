@@ -70,6 +70,14 @@ def test_pair_specs_adapter():
     assert s.sampling_spec().count == 50
 
 
+def test_kernel_lists_are_semicolon_separated():
+    s = parse_scenario(MINIMAL + "kernel_alpha = z2; z2^2\n")
+    assert s.pairs[0].kernel_alpha == ("z2", "z2^2")
+    with pytest.raises(ScenarioError,
+                       match="column 18: unexpected character ','"):
+        parse_scenario(MINIMAL + "kernel_alpha = z2, z2^2\n")
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ScenarioError) as err:
         parse_scenario("n = 2\nf = z1^\n")
