@@ -165,17 +165,46 @@ def _solve_scaled_lstsq(a: numpy.ndarray, b: numpy.ndarray) -> numpy.ndarray:
     return (sol[:k] + 1j * sol[k:]) / scales
 
 
-def fit_field(target: SuspensionField, dictionary: Dictionary,
-              samples: Sequence[SurfacePoint]) -> FitResult:
-    """Least-squares coefficients reproducing the target at the samples,
-    with errors measured inside the tangent space at each point."""
-    if not dictionary.entries:
-        raise ApproxError("the dictionary is empty")
+@dataclass(frozen=True)
+class TangentSample:
+    """One sample point prepared for fitting: its coordinates, the
+    conjugate transpose of its tangent frame, and the target's value in
+    that frame.  None of it depends on the dictionary."""
+
+    coords: tuple[complex, ...]
+    frame_h: numpy.ndarray
+    rhs: numpy.ndarray
+
+
+def tangent_samples(target: SuspensionField, ctx: SuspensionContext,
+                    samples: Sequence[SurfacePoint]) -> list[TangentSample]:
+    """Check the target and prepare every sample once, for any number of
+    fits of it (one per dictionary degree in `residual_curve`)."""
     if not samples:
         raise ApproxError("no sample points were given")
-    ctx = dictionary.ctx
     if not divergence_on_suspension(target, ctx).is_zero:
         raise ApproxError("the target is not volume preserving")
+    out = []
+    for p in samples:
+        coords = p.complex_coords()
+        frame_h = tangent_frame(ctx.defining_gradient_complex(coords)).conj().T
+        tvec = numpy.array(target.ambient.evaluate_complex(coords))
+        out.append(TangentSample(coords, frame_h, frame_h @ tvec))
+    return out
+
+
+def fit_field(target: SuspensionField, dictionary: Dictionary,
+              samples: Sequence[SurfacePoint],
+              prepared: Sequence[TangentSample] | None = None) -> FitResult:
+    """Least-squares coefficients reproducing the target at the samples,
+    with errors measured inside the tangent space at each point.
+    `prepared` is `tangent_samples(target, dictionary.ctx, samples)` when
+    the caller already has it."""
+    if not dictionary.entries:
+        raise ApproxError("the dictionary is empty")
+    ctx = dictionary.ctx
+    if prepared is None:
+        prepared = tangent_samples(target, ctx, samples)
 
     # one evaluator for the whole dictionary; each entry's m values are
     # consecutive in its output
@@ -183,16 +212,12 @@ def fit_field(target: SuspensionField, dictionary: Dictionary,
     evaluate_all = compile_complex(ctx.ring, [
         c for e in dictionary.entries for c in e.field.ambient.coeffs])
     blocks = []
-    rhs_blocks = []
-    for p in samples:
-        coords = p.complex_coords()
-        frame_h = tangent_frame(ctx.defining_gradient_complex(coords)).conj().T
-        values = evaluate_all(coords)
-        cols = [frame_h @ numpy.array(values[k:k + m])
+    for s in prepared:
+        values = evaluate_all(s.coords)
+        cols = [s.frame_h @ numpy.array(values[k:k + m])
                 for k in range(0, len(values), m)]
         blocks.append(numpy.column_stack(cols))
-        tvec = numpy.array(target.ambient.evaluate_complex(coords))
-        rhs_blocks.append(frame_h @ tvec)
+    rhs_blocks = [s.rhs for s in prepared]
 
     a = numpy.vstack(blocks)
     b = numpy.concatenate(rhs_blocks)
@@ -222,11 +247,12 @@ def residual_curve(target: SuspensionField, ctx: SuspensionContext,
     if not degrees:
         raise ApproxError("no curve degrees were given")
     top_degree = max(degrees)
+    prepared = tangent_samples(target, ctx, samples)
     out = []
     for d in degrees:
         dictionary = build_dictionary(ctx, pairs, d,
                                       include_twists=include_twists)
-        fit = fit_field(target, dictionary, samples)
+        fit = fit_field(target, dictionary, samples, prepared)
         out.append({"degree": d, "entries": len(dictionary),
                     "sup_residual": fit.sup_residual})
         if d == top_degree:

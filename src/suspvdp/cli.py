@@ -26,7 +26,6 @@ from pathlib import Path
 
 from .approx import flow_deviation_audit, residual_curve, volume_audit
 from .certify import Assumptions, lift_pair, run_vdp_criterion
-from .identities import run_checks
 from .lifts import BaseField, chart_jacobian_determinant, lift, lifted_flow, rk4_flow
 from .poly import ParseError
 from .report import (format_complex, render_curve_figure, render_flow_figure,
@@ -133,6 +132,10 @@ def _scenario_lift_checks(scenario: Scenario) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: the suites and their random generators are only for
+    # verify, and every other subcommand would pay for compiling them
+    from .identities import run_checks
+
     trials = 200 if args.samples is None else args.samples
     seed = 0 if args.seed is None else args.seed
     results = run_checks(trials=trials, seed=seed)

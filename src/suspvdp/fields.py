@@ -99,15 +99,19 @@ class VectorField:
     def evaluate_exact(self, values) -> list[GaussianRational]:
         return evaluate_exact_all(self.coeffs, values)
 
-    def evaluate_complex(self, values) -> list[complex]:
-        """Complex coefficient values, through a straight-line evaluator
-        compiled on first use and kept with the field; bit-identical to
-        evaluating each coefficient with `Poly.evaluate_complex`."""
+    def complex_evaluator(self):
+        """The `compile_complex` evaluator of the coefficients, compiled on
+        first use and kept with the field."""
         evaluate = self.__dict__.get("_compiled")
         if evaluate is None:
             evaluate = compile_complex(self.ring, self.coeffs)
             object.__setattr__(self, "_compiled", evaluate)
-        return evaluate(values)
+        return evaluate
+
+    def evaluate_complex(self, values) -> list[complex]:
+        """Complex coefficient values, bit-identical to evaluating each
+        coefficient with `Poly.evaluate_complex`."""
+        return self.complex_evaluator()(values)
 
     def __getstate__(self):
         # the compiled evaluator is a cache: copies and pickles carry only

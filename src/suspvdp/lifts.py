@@ -21,8 +21,10 @@ flagged accordingly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .fields import VectorField
@@ -223,15 +225,28 @@ class LiftedFlowMap:
                 t = gr(t)
             if point.exact and isinstance(t, GaussianRational):
                 values = point.coords + (t,)
-                coords = [c.evaluate_exact(values) for c in self.components]
-            else:
-                values = point.complex_coords() + (complex(t),)
-                coords = [c.evaluate_complex(values) for c in self.components]
-            return surface_point(self.ctx, coords, tol=1e-9)
-        start = list(point.complex_coords())
-        coords = rk4_flow(self.numeric_field.ambient.evaluate_complex,
-                          start, complex(t), self.steps)
-        return surface_point(self.ctx, coords, tol=1e-9)
+                return surface_point(self.ctx, [
+                    c.evaluate_exact(values) for c in self.components])
+            values = point.complex_coords() + (complex(t),)
+            coords = [c.evaluate_complex(values) for c in self.components]
+        else:
+            coords = rk4_flow(self.numeric_field.ambient.evaluate_complex,
+                              list(point.complex_coords()), complex(t),
+                              self.steps)
+        return surface_point(self.ctx, coords,
+                             tol=_end_point_tolerance(self.ctx, coords))
+
+
+def _end_point_tolerance(ctx: SuspensionContext,
+                         coords: Sequence[complex]) -> float:
+    """Surface-residual tolerance of a flowed float point: 1e-9 relative to
+    the size of the terms of u*v - f(z) there, sum |c_e| * |x|^e (at least
+    1).  That size bounds the rounding in the residual, and the effect on
+    the residual of an end point known to a relative accuracy."""
+    size = [abs(x) for x in coords]
+    terms = sum(abs(c.to_complex()) * math.prod(s ** k for s, k in zip(size, e))
+                for e, c in ctx.defining.terms.items())
+    return 1e-9 * max(1.0, terms)
 
 
 def lifted_flow(theta: BaseField, ctx: SuspensionContext, side: str) -> LiftedFlowMap:
@@ -263,21 +278,75 @@ def rk4_flow(eval_fn: Callable[[Sequence[complex]], Sequence[complex]],
              start: Sequence[complex], t_total: complex,
              steps: int = 2048) -> list[complex]:
     """Classical fourth-order integration along the straight time segment
-    from 0 to t_total (complex time is traversed linearly)."""
+    from 0 to t_total (complex time is traversed linearly).
+
+    A compiled evaluator (`poly.compile_complex`, `compile_complex_sum`,
+    or `VectorField.evaluate_complex`, which resolves to its field's) is
+    stepped by calling its `field` body on local complex variables; any
+    other callable gets each stage as a list and must return one value per
+    coordinate."""
+    if steps < 1:
+        raise LiftError(f"RK4 needs at least one step, not {steps}")
     x = [complex(c) for c in start]
     h = complex(t_total) / steps
+    return _rk4_loop(len(x))(_field_body(eval_fn, len(x)), h, steps, *x)
 
-    def scaled(vec):
-        return [h * c for c in vec]
 
-    for _ in range(steps):
-        k1 = scaled(eval_fn(x))
-        k2 = scaled(eval_fn([a + b / 2 for a, b in zip(x, k1)]))
-        k3 = scaled(eval_fn([a + b / 2 for a, b in zip(x, k2)]))
-        k4 = scaled(eval_fn([a + b for a, b in zip(x, k3)]))
-        x = [a + (p + 2 * q + 2 * r + s) / 6
-             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-    return x
+def _field_body(eval_fn, m: int):
+    """A function of m complex arguments returning the m field values."""
+    if getattr(eval_fn, "__func__", None) is VectorField.evaluate_complex:
+        eval_fn = eval_fn.__self__.complex_evaluator()
+    body = getattr(eval_fn, "field", None)
+    # with a start of the wrong length the evaluator itself raises below
+    if body is not None and body.__code__.co_argcount == m:
+        return body
+
+    def adapted(*x):
+        out = eval_fn(list(x))
+        if len(out) != m:
+            raise LiftError(f"the field returned {len(out)} values "
+                            f"at a point with {m} coordinates")
+        return out
+    return adapted
+
+
+@cache
+def _rk4_loop(m: int):
+    """The RK4 loop for m coordinates, generated once: the stages and the
+    update run on locals, with the float operations of the list form
+
+        k1 = [h * c for c in field(x)]
+        k2 = [h * c for c in field([a + b / 2 for a, b in zip(x, k1)])]
+        k3 = [h * c for c in field([a + b / 2 for a, b in zip(x, k2)])]
+        k4 = [h * c for c in field([a + b for a, b in zip(x, k3)])]
+        x = [a + (p + 2 * q + 2 * r + s) / 6 for ... in zip(x, k1, ..., k4)]
+
+    in the same order, so its results are bit-identical to it."""
+    idx = range(m)
+
+    def stage(name: str, args: str) -> list[str]:
+        return [f"[{', '.join(f'{name}{i}' for i in idx)}] = field({args})",
+                *(f"{name}{i} = h * {name}{i}" for i in idx)]
+
+    def shifted(name: str, half: bool) -> str:
+        return ", ".join(f"x{i} + {name}{i}" + (" / 2" if half else "")
+                         for i in idx)
+
+    body = [*stage("a", ", ".join(f"x{i}" for i in idx)),
+            *stage("b", shifted("a", True)),
+            *stage("c", shifted("b", True)),
+            *stage("d", shifted("c", False)),
+            *(f"x{i} = x{i} + (a{i} + 2 * b{i} + 2 * c{i} + d{i}) / 6"
+              for i in idx)]
+    params = ", ".join(["field", "h", "steps", *(f"x{i}" for i in idx)])
+    source = "".join([
+        f"def rk4({params}):\n",
+        "    for _ in range(steps):\n",
+        *(f"        {line}\n" for line in body),
+        f"    return [{', '.join(f'x{i}' for i in idx)}]\n"])
+    namespace: dict = {}
+    exec(compile(source, f"<rk4 loop, {m} coordinates>", "exec"), namespace)
+    return namespace["rk4"]
 
 
 # ---------------------------------------------------------------------------

@@ -462,8 +462,15 @@ def evaluate_exact_all(polys: Sequence[Poly], values: Sequence[GaussianRational]
 #   for every term; x ** 1 is kept, since it differs from x: it raises
 #   OverflowError on an infinite part and can flip the sign of a zero);
 # * a polynomial's value is 0j + K*p*p + ..., terms in dictionary order,
-#   coefficient first, factors in variable order;
+#   coefficient first, factors in variable order; a polynomial that occurs
+#   more than once, with its terms in the same order, is computed once;
 # * a weighted sum of values is 0j + w1*v1 + w2*v2 + ...
+#
+# The body is its own function `field(x0, ..., x{m-1})` of complex
+# arguments, exposed as the evaluator's `field` attribute; `evaluate`
+# checks the coordinate count, converts the used coordinates and calls
+# it.  Integrators call `field` directly on values that are already
+# complex (complex(z) is z for a complex z, so nothing changes).
 #
 # Coefficients and weights are converted to complex once and bound as
 # names in the function's namespace; the source holds only generated
@@ -480,6 +487,7 @@ class _Source:
         self.namespace: dict = {"PolyError": PolyError}
         self.coeffs: dict[GaussianRational, str] = {}
         self.powers: dict[tuple[int, int], str] = {}
+        self.values: dict[tuple, str] = {}
         self.lines: list[str] = []
 
     def bind(self, value: complex) -> str:
@@ -501,6 +509,16 @@ class _Source:
             out.append("*".join(factors))
         return out
 
+    def value(self, p: Poly) -> str:
+        """Name holding the value of p, assigned at its first use.  The key
+        keeps the term order, which fixes the order of the additions."""
+        key = tuple(p.terms.items())
+        name = self.values.get(key)
+        if name is None:
+            name = self.values[key] = self.assign_sum(
+                f"t{len(self.values)}", self.terms(p))
+        return name
+
     def assign_sum(self, target: str, summands: list[str]) -> str:
         """target = 0j + s1 + s2 + ..., added left to right; long sums
         continue on further lines, which keeps the order."""
@@ -512,27 +530,34 @@ class _Source:
         return target
 
     def build(self, outputs: list[str]):
-        head = [f"if len(values) != {self.nvars}:",
-                "    raise PolyError('wrong number of coordinates')"]
-        head += [f"x{i} = complex(values[{i}])"
-                 for i in sorted({i for i, _ in self.powers})]
-        head += [f"{name} = x{i} ** {k}"
-                 for (i, k), name in sorted(self.powers.items())]
-        body = head + self.lines + [f"return [{', '.join(outputs)}]"]
-        source = "def evaluate(values):\n" + "".join(
-            f"    {line}\n" for line in body)
+        used = {i for i, _ in self.powers}
+        body = [f"{name} = x{i} ** {k}"
+                for (i, k), name in sorted(self.powers.items())]
+        body += self.lines + [f"return [{', '.join(outputs)}]"]
+        params = ", ".join(f"x{i}" for i in range(self.nvars))
+        args = ", ".join(f"complex(values[{i}])" if i in used else "None"
+                         for i in range(self.nvars))
+        source = "".join([
+            f"def field({params}):\n",
+            *(f"    {line}\n" for line in body),
+            "def evaluate(values):\n",
+            f"    if len(values) != {self.nvars}:\n",
+            "        raise PolyError('wrong number of coordinates')\n",
+            f"    return field({args})\n"])
         exec(compile(source, "<compiled polynomial evaluator>", "exec"),
              self.namespace)
-        return self.namespace["evaluate"]
+        evaluate = self.namespace["evaluate"]
+        evaluate.field = self.namespace["field"]
+        return evaluate
 
 
 def compile_complex(ring: PolyRing, polys: Sequence[Poly]):
     """One function mapping coordinates to the list of complex values of
-    `polys`, bit-identical to `[p.evaluate_complex(x) for p in polys]`."""
+    `polys`, bit-identical to `[p.evaluate_complex(x) for p in polys]`.
+    Its `field` attribute is the same computation as a function of the
+    ring.nvars complex coordinates."""
     src = _Source(ring)
-    outputs = [src.assign_sum(f"o{j}", src.terms(p))
-               for j, p in enumerate(polys)]
-    return src.build(outputs)
+    return src.build([src.value(p) for p in polys])
 
 
 def compile_complex_sum(ring: PolyRing, weights: Sequence[complex],
@@ -540,7 +565,8 @@ def compile_complex_sum(ring: PolyRing, weights: Sequence[complex],
     """One function mapping coordinates to the weighted sum of the value
     lists of `rows` (each one polynomial per variable of `ring`): output i
     is 0j + w1*rows[0][i](x) + w2*rows[1][i](x) + ..., bit-identical to
-    accumulating the interpreted values in that order."""
+    accumulating the interpreted values in that order.  Its `field`
+    attribute is as for `compile_complex`."""
     src = _Source(ring)
     names = [src.bind(complex(w)) for w in weights]
     outputs = []
@@ -551,8 +577,7 @@ def compile_complex_sum(ring: PolyRing, weights: Sequence[complex],
                 # w*0j has zero parts, and adding a zero to a running sum
                 # that starts at 0j leaves it unchanged (the sum is never -0.0)
                 continue
-            value = src.assign_sum(f"t{len(src.lines)}", src.terms(row[i]))
-            summands.append(f"{name}*{value}")
+            summands.append(f"{name}*{src.value(row[i])}")
         outputs.append(src.assign_sum(f"o{i}", summands))
     return src.build(outputs)
 

@@ -1,7 +1,8 @@
-"""Compiled complex evaluators against the interpreted reference loop.
+"""Compiled complex evaluators and the generated RK4 loop against the
+interpreted reference loops.
 
 The compiled functions promise the same floating-point operations in the
-same order as the loop below, so results are compared bit for bit (hex
+same order as the loops below, so results are compared bit for bit (hex
 of both parts), and a loop that raises must raise the same error type.
 """
 
@@ -38,7 +39,7 @@ def reference_value(p, values) -> complex:
 
 
 def reference_sum(weights, rows, values) -> list[complex]:
-    out = [0j] * R.nvars
+    out = [0j] * len(values)
     for w, row in zip(weights, rows):
         for i, p in enumerate(row):
             out[i] += w * reference_value(p, values)
@@ -184,3 +185,88 @@ def test_stepwise_integration_ends_where_one_pass_ends():
         x = rk4_flow(theta.evaluate_complex, x, t / steps, 1)
     end = rk4_flow(theta.evaluate_complex, start, t, steps)
     assert bits(lambda: x) == bits(lambda: end)
+
+
+def test_repeated_polynomials_are_evaluated_once():
+    p = R.parse("u*z1 - 3*v + 1/2")
+    # equal to p, but summed in another order, so it keeps its own value
+    q = R.from_terms(dict(reversed(list(p.terms.items()))))
+    assert q == p and list(q.terms) != list(p.terms)
+    rows = [[p, q, p, R.zero()], [q, p, p, R.one()]]
+    weights = [0.5 - 1j, 2.0]
+    fn = compile_complex_sum(R, weights, rows)
+    values = {n for n in fn.field.__code__.co_varnames if n.startswith("t")}
+    assert len(values) == 3                     # p, q and the constant 1
+    for coords in ([0.3 + 1j, -2, 1e-3, 1.5j], [complex(0.0, -0.0)] * 4,
+                   [1e154, 1e154j, 1e-300, -7]):
+        assert bits(lambda: fn(coords)) == \
+            bits(lambda: reference_sum(weights, rows, coords))
+        assert bits(lambda: fn.field(*map(complex, coords))) == \
+            bits(lambda: fn(coords))
+
+
+def interpreted_rk4(eval_fn, start, t_total, steps):
+    """The list loop the generated RK4 loop replaced, kept as its oracle."""
+    x = [complex(c) for c in start]
+    h = complex(t_total) / steps
+
+    def scaled(vec):
+        return [h * c for c in vec]
+
+    for _ in range(steps):
+        k1 = scaled(eval_fn(x))
+        k2 = scaled(eval_fn([a + b / 2 for a, b in zip(x, k1)]))
+        k3 = scaled(eval_fn([a + b / 2 for a, b in zip(x, k2)]))
+        k4 = scaled(eval_fn([a + b for a, b in zip(x, k3)]))
+        x = [a + (p + 2 * q + 2 * r + s) / 6
+             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    return x
+
+
+@st.composite
+def flow_cases(draw):
+    """A ring of 1 to 5 variables, weighted rows of its polynomials drawn
+    from a short list (so rows repeat polynomials), a start point, a
+    complex time and 1 to 3 steps."""
+    m = draw(st.integers(1, 5))
+    ring = PolyRing(tuple(f"z{i + 1}" for i in range(m)))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * m), SCALARS,
+                            max_size=3)
+    polys = draw(st.lists(terms.map(ring.from_terms), min_size=1,
+                          max_size=3))
+    row = st.lists(st.sampled_from(polys), min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    weights = draw(st.lists(WEIGHTS, min_size=len(rows),
+                            max_size=len(rows)))
+    start = draw(st.lists(st.builds(complex, PARTS, PARTS), min_size=m,
+                          max_size=m))
+    t = draw(st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
+    return ring, rows, weights, start, t, draw(st.integers(1, 3))
+
+
+_RING3 = PolyRing(("z1", "z2", "z3"))
+_ROW3 = [_RING3.parse("z2*z3 - 1"), _RING3.parse("-z1"), _RING3.parse("z1^2")]
+
+
+@settings(max_examples=120, deadline=None)
+@given(flow_cases())
+@example((_RING3, [_ROW3, _ROW3, [_ROW3[1]] * 3], [1j, 0.5, -2 + 0j],
+          [complex(0.0, -0.0), complex(-0.0, 0.0), 1 + 1j], 0.25 - 0.5j, 1))
+def test_generated_rk4_loop_matches_list_loop_bit_for_bit(case):
+    ring, rows, weights, start, t, steps = case
+    theta = VectorField(ring, tuple(rows[0]))
+
+    def field_ref(x):
+        return [reference_value(p, x) for p in rows[0]]
+
+    want = bits(lambda: interpreted_rk4(field_ref, start, t, steps))
+    assert bits(lambda: rk4_flow(theta.evaluate_complex, start, t,
+                                 steps)) == want
+    assert bits(lambda: rk4_flow(compile_complex(ring, rows[0]), start, t,
+                                 steps)) == want
+    assert bits(lambda: rk4_flow(field_ref, start, t, steps)) == want
+
+    summed = compile_complex_sum(ring, weights, rows)
+    assert bits(lambda: rk4_flow(summed, start, t, steps)) == bits(
+        lambda: interpreted_rk4(lambda x: reference_sum(weights, rows, x),
+                                start, t, steps))

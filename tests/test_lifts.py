@@ -11,12 +11,13 @@ from suspvdp.lifts import (BaseField, BasepointError, LiftError, LiftedFlowMap,
                            rk4_flow, shear_pullback, spanning_family,
                            symbolic_flow, twist_field, validate_basepoint)
 from suspvdp.linalg import ExactMatrix, exact_rank, solve_columns
-from suspvdp.poly import PolyRing
+from suspvdp.poly import PolyError, PolyRing
 from suspvdp.randgen import rand_divergence_free_field, rand_poly
 from suspvdp.scalars import ONE, ZERO, gr
-from suspvdp.surface import (SamplingSpec, divergence_on_suspension,
-                             make_suspension, sample_points, surface_point,
-                             tangent_basis, tangent_field)
+from suspvdp.surface import (SamplingSpec, SuspensionError,
+                             divergence_on_suspension, make_suspension,
+                             sample_points, surface_point, tangent_basis,
+                             tangent_field)
 
 
 def base_field(ctx, *texts):
@@ -245,6 +246,42 @@ def test_numeric_fallback_for_generic_field():
     assert abs(got[0] - p.complex_coords()[0]) < 1e-9
     assert abs(got[1] - p.complex_coords()[1]) < 1e-9
     assert abs(got[2] - want[0]) < 1e-9 and abs(got[3] - want[1]) < 1e-9
+
+
+def test_numeric_fallback_at_large_coordinates():
+    # the terms of u*v - f are about 2.5e9 here, so the float residual of
+    # an accurate end point is about 1e-6: the surface check must be
+    # relative to that size, not an absolute 1e-9
+    ctx = make_suspension(2, "z1^2 + z2^2 - 1")
+    fl = lifted_flow(base_field(ctx, "z2", "-z1"), ctx, "u")
+    p = surface_point(ctx, [gr(2499999999), gr(1), gr(30000), gr(40000)])
+    got = fl.apply(p, 0.25).complex_coords()
+    want = (30000 * cmath.cos(0.25) + 40000 * cmath.sin(0.25),
+            -30000 * cmath.sin(0.25) + 40000 * cmath.cos(0.25))
+    assert got[:2] == (2499999999, 1)
+    assert abs(got[2] - want[0]) < 1e-9 * 5e4
+    assert abs(got[3] - want[1]) < 1e-9 * 5e4
+    # an end point off the surface by more than that is still refused
+    far = LiftedFlowMap(ctx, "u", symbolic=False,
+                        numeric_field=fl.numeric_field, steps=1)
+    with pytest.raises(SuspensionError, match="residual"):
+        far.apply(p, 0.25)
+
+
+def test_rk4_flow_rejects_bad_steps_and_field_lengths():
+    ctx = make_suspension(1, "z1")
+    theta = VectorField(ctx.ring, tuple(ctx.parse(t) for t in ("u", "-v", "1")))
+    start = [1.0, 2.0, 2.0]
+    for steps in (0, -3):
+        with pytest.raises(LiftError, match="at least one step"):
+            rk4_flow(theta.evaluate_complex, start, 0.5, steps)
+    for out in ([1j, 2j], [1j, 2j, 3j, 4j]):
+        with pytest.raises(LiftError, match="returned"):
+            rk4_flow(lambda x, out=out: out, start, 0.5, 4)
+    # a start of the wrong length is refused by the field's own evaluator
+    with pytest.raises(PolyError, match="wrong number of coordinates"):
+        rk4_flow(theta.evaluate_complex, start[:2], 0.5, 4)
+    assert rk4_flow(lambda x: [0j] * 3, start, 0.5, 1) == [1, 2, 2]
 
 
 def test_chart_jacobian_is_one():
