@@ -14,13 +14,14 @@ __version__ = "0.1.0"
 
 from .certify import (Assumptions, CriterionReport, PairSpec,
                       run_vdp_criterion, semicompat_certificate)
-from .lifts import BaseField, lift, lifted_flow, spanning_family
+from .fields import VectorField
+from .lifts import lift, lifted_flow, spanning_family
 from .surface import (SamplingSpec, SuspensionContext, make_suspension,
                       sample_points, surface_point)
 
 __all__ = [
-    "Assumptions", "BaseField", "CriterionReport", "PairSpec",
-    "SamplingSpec", "SuspensionContext", "__version__", "lift",
+    "Assumptions", "CriterionReport", "PairSpec", "SamplingSpec",
+    "SuspensionContext", "VectorField", "__version__", "lift",
     "lifted_flow", "make_suspension", "run_vdp_criterion", "sample_points",
     "semicompat_certificate", "spanning_family", "surface_point",
 ]

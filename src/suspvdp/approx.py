@@ -15,9 +15,10 @@ through the real doubling embedding with column scaling, and the
 minimum-norm solution is taken on rank deficiency, which keeps results
 deterministic for redundant dictionaries.
 
-Non-polynomial f is supported on a parallel numeric-only path driven by
-user callbacks for f and its gradient; brackets are unavailable there
-(they would need derivatives the callbacks do not provide).
+Non-polynomial f is supported on a numeric-only path driven by user
+callbacks for f and its gradient; it builds its own samples and dictionary
+but shares the least-squares core.  Brackets are unavailable there (they
+would need derivatives the callbacks do not provide).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy
 
 from .certify import LiftedPair, monomial_closure
 from .fields import lie_bracket
-from .lifts import rk4_flow, twist_field
+from .lifts import central_difference_determinant, rk4_flow, twist_field
 from .poly import compile_complex, compile_complex_sum
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
                       divergence_on_suspension, tangent_field)
@@ -148,9 +149,6 @@ class FitResult:
     residuals: list[float]           # one l2 norm per sample point
     sup_residual: float
 
-    def coefficient_map(self) -> dict:
-        return dict(zip(self.labels, self.coefficients))
-
 
 def _solve_scaled_lstsq(a: numpy.ndarray, b: numpy.ndarray) -> numpy.ndarray:
     scales = numpy.linalg.norm(a, axis=0)
@@ -208,12 +206,21 @@ def fit_field(target: SuspensionField, dictionary: Dictionary,
 
     # one evaluator for the whole dictionary; each entry's m values are
     # consecutive in its output
-    m = ctx.ring.nvars
     evaluate_all = compile_complex(ctx.ring, [
         c for e in dictionary.entries for c in e.field.ambient.coeffs])
+    return _fit(prepared, evaluate_all, ctx.ring.nvars, dictionary.labels())
+
+
+def _fit(prepared: Sequence[TangentSample], evaluate_all: Callable,
+         m: int, labels: list[str]) -> FitResult:
+    """The fit shared by both paths: `evaluate_all` returns the m
+    ambient values of every entry, consecutively, at one sample."""
     blocks = []
     for s in prepared:
         values = evaluate_all(s.coords)
+        if len(values) != m * len(labels):
+            raise ApproxError(f"{len(values)} field values for {len(labels)} "
+                              f"entries of {m} coordinates")
         cols = [s.frame_h @ numpy.array(values[k:k + m])
                 for k in range(0, len(values), m)]
         blocks.append(numpy.column_stack(cols))
@@ -227,7 +234,7 @@ def fit_field(target: SuspensionField, dictionary: Dictionary,
     for block, rblock in zip(blocks, rhs_blocks):
         r = block @ coeffs - rblock
         residuals.append(float(numpy.linalg.norm(r)))
-    return FitResult(labels=dictionary.labels(),
+    return FitResult(labels=labels,
                      coefficients=[complex(c) for c in coeffs],
                      residuals=residuals,
                      sup_residual=max(residuals))
@@ -328,18 +335,7 @@ def volume_audit(sf: SuspensionField, ctx: SuspensionContext,
         moved = rk4_flow(sf.ambient.evaluate_complex, embed(chart), t, steps)
         return project(moved)
 
-    chart0 = project(coords0)
-    m = len(chart0)
-    jac = numpy.zeros((m, m), dtype=complex)
-    for j in range(m):
-        bumped = list(chart0)
-        bumped[j] += h
-        plus = flow_chart(bumped)
-        bumped[j] -= 2 * h
-        minus = flow_chart(bumped)
-        for i in range(m):
-            jac[i, j] = (plus[i] - minus[i]) / (2 * h)
-    det = complex(numpy.linalg.det(jac))
+    det = central_difference_determinant(flow_chart, project(coords0), h)
 
     # Simpson integral of the divergence along the trajectory, which needs
     # an even number of steps.  With `steps` even the path takes the same
@@ -467,23 +463,18 @@ def numeric_lift_entries(surface: NumericSurface,
 def numeric_fit(target: Callable, entries: Sequence[NumericEntry],
                 surface: NumericSurface,
                 points: Sequence[Sequence[complex]]) -> FitResult:
-    """The callback twin of fit_field; same embedding, same scaling."""
+    """The callback twin of fit_field, on the same least-squares core."""
     if not entries:
         raise ApproxError("the dictionary is empty")
     if not points:
         raise ApproxError("no sample points were given")
-    blocks, rhs_blocks = [], []
+    prepared = []
     for coords in points:
-        frame = tangent_frame(surface.gradient(coords))
-        cols = [frame.conj().T @ numpy.array(e.evaluate(list(coords)))
-                for e in entries]
-        blocks.append(numpy.column_stack(cols))
-        rhs_blocks.append(frame.conj().T @ numpy.array(target(list(coords))))
-    a = numpy.vstack(blocks)
-    b = numpy.concatenate(rhs_blocks)
-    coeffs = _solve_scaled_lstsq(a, b)
-    residuals = [float(numpy.linalg.norm(block @ coeffs - r))
-                 for block, r in zip(blocks, rhs_blocks)]
-    return FitResult(labels=[e.label for e in entries],
-                     coefficients=[complex(c) for c in coeffs],
-                     residuals=residuals, sup_residual=max(residuals))
+        frame_h = tangent_frame(surface.gradient(coords)).conj().T
+        rhs = frame_h @ numpy.array(target(list(coords)))
+        prepared.append(TangentSample(tuple(coords), frame_h, rhs))
+
+    def evaluate_all(coords):
+        return [x for e in entries for x in e.evaluate(list(coords))]
+    return _fit(prepared, evaluate_all, surface.n + 2,
+                [e.label for e in entries])

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
-from .fields import VectorField, lie_bracket
-from .lifts import BaseField, SpanningFamily, lift, spanning_plan
+from .fields import VectorField, divergence
+from .lifts import SpanningFamily, lift, spanning_plan
 from .linalg import ExactMatrix, exact_rank, solve_columns
 from .poly import Poly, PolyRing
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ZERO
 from .surface import (NotTangentError, SamplingError, SamplingSpec,
                       SurfacePoint, SuspensionContext, basepoint_search,
                       divergence_on_suspension, sample_zero_fiber,
@@ -276,8 +276,8 @@ def lift_ideal(ideal: Sequence[Poly], ctx: SuspensionContext,
 class LiftedPair:
     """Opposite-side lifts of a base pair with their kernels and ideal."""
 
-    alpha: BaseField
-    beta: BaseField
+    alpha: VectorField
+    beta: VectorField
     orientation: str               # "uv": (alpha_u, beta_v); "vu": mirrored
     nu: object                     # SuspensionField
     mu: object
@@ -286,7 +286,7 @@ class LiftedPair:
     ideal: tuple[Poly, ...]
 
 
-def lift_pair(alpha: BaseField, beta: BaseField,
+def lift_pair(alpha: VectorField, beta: VectorField,
               kernel_alpha: Sequence[Poly], kernel_beta: Sequence[Poly],
               ideal: Sequence[Poly], ctx: SuspensionContext,
               orientation: str = "uv",
@@ -363,68 +363,6 @@ def spanning_rank(family: SpanningFamily, ctx: SuspensionContext) -> RankReport:
     return RankReport(exact_rank(ExactMatrix.from_rows(rows)), full, len(rows))
 
 
-def base_spanning_rank(pairs: Sequence[tuple[BaseField, BaseField, Sequence[Poly]]],
-                       z0: Sequence[GaussianRational]) -> RankReport:
-    """Rank of the scaled base wedges at a base point, in the second
-    exterior power of the base tangent space."""
-    triples = []
-    for alpha, beta, gens in pairs:
-        value = ZERO
-        for g in gens:
-            val = g.evaluate_exact(z0)
-            if not val.is_zero:
-                value = val
-                break
-        triples.append((alpha.evaluate_exact(z0), beta.evaluate_exact(z0),
-                        value))
-    if not triples:
-        return RankReport(0, 0, 0)
-    n = len(triples[0][0])
-    rows = _wedge_rows(triples, n)
-    full = math.comb(n, 2)
-    if full == 0:
-        return RankReport(0, 0, len(rows))
-    return RankReport(exact_rank(ExactMatrix.from_rows(rows)), full, len(rows))
-
-
-# ---------------------------------------------------------------------------
-# bracket compatibility
-
-
-@dataclass(frozen=True)
-class BracketCheck:
-    preconditions: dict
-    identity_holds: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.identity_holds and all(self.preconditions.values())
-
-
-def compatible_bracket_check(nu: VectorField, mu: VectorField, h: Poly,
-                             f: Poly, g: Poly) -> BracketCheck:
-    """Check the bracket identity expressing a scaled field as a
-    difference of brackets:
-
-        f*g*nu(h) * mu  ==  [f*nu, g*h*mu] - [f*h*nu, g*mu]
-
-    with the membership preconditions reported individually.
-    """
-    nu = getattr(nu, "ambient", nu)
-    mu = getattr(mu, "ambient", mu)
-    pre = {
-        "nu(h) in Ker nu": nu.apply(nu.apply(h)).is_zero,
-        "h in Ker mu": mu.apply(h).is_zero,
-        "f in Ker nu": nu.apply(f).is_zero,
-        "g in Ker mu": mu.apply(g).is_zero,
-    }
-    lhs = mu.scale(f * g * nu.apply(h))
-    rhs = lie_bracket(nu.scale(f), mu.scale(g * h)) - \
-        lie_bracket(nu.scale(f * h), mu.scale(g))
-    return BracketCheck(preconditions=pre,
-                        identity_holds=(lhs - rhs).is_zero)
-
-
 # ---------------------------------------------------------------------------
 # the assembled runner
 
@@ -433,8 +371,8 @@ def compatible_bracket_check(nu: VectorField, mu: VectorField, h: Poly,
 class PairSpec:
     """A user-proposed base pair with kernels and an ideal proposal."""
 
-    alpha: BaseField
-    beta: BaseField
+    alpha: VectorField
+    beta: VectorField
     kernel_alpha: tuple[Poly, ...] = ()
     kernel_beta: tuple[Poly, ...] = ()
     ideal: tuple[Poly, ...] = ()
@@ -536,16 +474,14 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
         entry: dict = {"index": k,
                        "alpha": [str(c) for c in spec.alpha.coeffs],
                        "beta": [str(c) for c in spec.beta.coeffs]}
-        div_ok = spec.alpha.divergence().is_zero and \
-            spec.beta.divergence().is_zero
+        div_ok = divergence(spec.alpha, ctx.base_volume).is_zero and \
+            divergence(spec.beta, ctx.base_volume).is_zero
         entry["divergence_free"] = div_ok
         if not div_ok:
             problems.append(f"pair {k}: base fields are not volume preserving")
         try:
-            alpha_vf = VectorField(ctx.base_ring, spec.alpha.coeffs)
-            beta_vf = VectorField(ctx.base_ring, spec.beta.coeffs)
-            verify_kernel(alpha_vf, spec.kernel_alpha)
-            verify_kernel(beta_vf, spec.kernel_beta)
+            verify_kernel(spec.alpha, spec.kernel_alpha)
+            verify_kernel(spec.beta, spec.kernel_beta)
             entry["kernels_verified"] = True
         except CertifyError as err:
             entry["kernels_verified"] = False
@@ -586,11 +522,7 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
 
     # exact points are forced: rank claims are only made in exact arithmetic
     t1 = time.perf_counter()
-    exact_spec = SamplingSpec(count=sampling.count, seed=sampling.seed,
-                              region=sampling.region, exactness="exact",
-                              denominator_bound=sampling.denominator_bound,
-                              imaginary=sampling.imaginary,
-                              max_attempts=sampling.max_attempts)
+    exact_spec = replace(sampling, exactness="exact")
     triples = [(spec.alpha, spec.beta, spec.ideal_or_unit(ctx.base_ring))
                for spec in pairs]
     points: list[SurfacePoint] = []

@@ -26,7 +26,8 @@ from pathlib import Path
 
 from .approx import flow_deviation_audit, residual_curve, volume_audit
 from .certify import Assumptions, lift_pair, run_vdp_criterion
-from .lifts import BaseField, chart_jacobian_determinant, lift, lifted_flow, rk4_flow
+from .fields import VectorField, divergence
+from .lifts import chart_jacobian_determinant, lift, lifted_flow, rk4_flow
 from .poly import ParseError
 from .report import (format_complex, render_curve_figure, render_flow_figure,
                      render_rank_figure, write_delimited, write_json)
@@ -116,7 +117,7 @@ def _scenario_lift_checks(scenario: Scenario) -> list[dict]:
     for k, spec in enumerate(scenario.pair_specs(ctx)):
         failures = []
         for label, base in (("alpha", spec.alpha), ("beta", spec.beta)):
-            if not base.divergence().is_zero:
+            if not divergence(base, ctx.base_volume).is_zero:
                 failures.append(f"{label} is not volume preserving")
         for side in ("u", "v"):
             for label, base in (("alpha", spec.alpha), ("beta", spec.beta)):
@@ -206,7 +207,7 @@ def _cmd_flow(args) -> int:
     scenario = _scenario(args)
     ctx = scenario.context()
     fs = scenario.flow_scenario()
-    theta = BaseField.from_texts(ctx.base_ring, fs.field)
+    theta = VectorField.from_texts(ctx.base_ring, fs.field)
     t = Fraction(fs.time)
     flow_map = lifted_flow(theta, ctx, fs.side)
     tol = FLOW_TOL if args.tol is None else args.tol

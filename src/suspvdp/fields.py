@@ -23,9 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import (Poly, PolyError, PolyRing, compile_complex,
-                   evaluate_exact_all)
-from .scalars import GaussianRational, ONE, ZERO
+from .poly import Poly, PolyRing, compile_complex, evaluate_exact_all
+from .scalars import GaussianRational
 
 
 class FieldError(ValueError):
@@ -55,8 +54,9 @@ class VectorField:
         return VectorField(ring, tuple(ring.zero() for _ in range(ring.nvars)))
 
     @staticmethod
-    def from_coeffs(ring: PolyRing, coeffs: Sequence[Poly]) -> "VectorField":
-        return VectorField(ring, tuple(coeffs))
+    def from_texts(ring: PolyRing, texts: Sequence[str]) -> "VectorField":
+        """Parse one coefficient per variable of `ring`."""
+        return VectorField(ring, tuple(ring.parse(t) for t in texts))
 
     @staticmethod
     def coordinate(ring: PolyRing, var: int | str) -> "VectorField":
@@ -179,22 +179,6 @@ class DiffForm:
         if p.is_zero:
             return DiffForm(p.ring, 0, {})
         return DiffForm(p.ring, 0, {(): p})
-
-    @staticmethod
-    def from_coeffs(ring: PolyRing, degree: int, coeffs) -> "DiffForm":
-        out = {}
-        for key, c in coeffs.items():
-            skey, sign = sort_with_sign(key)
-            if sign == 0 or c.is_zero:
-                continue
-            c = c if sign == 1 else -c
-            prev = out.get(skey)
-            acc = c if prev is None else prev + c
-            if acc.is_zero:
-                out.pop(skey, None)
-            else:
-                out[skey] = acc
-        return DiffForm(ring, degree, out)
 
     @property
     def is_zero(self) -> bool:
@@ -409,15 +393,6 @@ def divergence(theta: VectorField, volume: VolumeForm) -> Poly:
     if quot is None:
         raise FieldError("divergence is not polynomial for this volume form")
     return quot
-
-
-def field_to_closed_form(theta: VectorField, volume: VolumeForm) -> DiffForm:
-    """Contract a divergence-free field into the volume form.  The result
-    is d-closed; nonzero divergence is rejected."""
-    div = divergence(theta, volume)
-    if not div.is_zero:
-        raise FieldError(f"field has nonzero divergence: {div}")
-    return interior_product(theta, volume.form)
 
 
 def pair_to_form(nu: VectorField, mu: VectorField, volume: VolumeForm) -> DiffForm:

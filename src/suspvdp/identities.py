@@ -17,8 +17,8 @@ from .fields import (VectorField, VolumeForm, divergence,
                      exterior_derivative, interior_product, lie_bracket,
                      lie_derivative, lie_derivative_direct, pair_to_form,
                      wedge)
-from .lifts import BaseField, lift, twist_field
-from .poly import PolyRing
+from .lifts import lift, twist_field
+from .poly import Poly, PolyRing
 from .randgen import (rand_divergence_free_field, rand_field, rand_form,
                       rand_poly)
 from .scalars import gr
@@ -165,8 +165,7 @@ def check_lift_divergence(rng: random.Random,
 
     def body(rng):
         ctx = rng.choice(contexts)
-        raw = rand_divergence_free_field(ctx.base_ring, rng, max_degree=3)
-        theta = BaseField(ctx.base_ring, raw.coeffs)
+        theta = rand_divergence_free_field(ctx.base_ring, rng, max_degree=3)
         for side in ("u", "v"):
             lifted = lift(theta, ctx, side)
             if not lifted.multiplier.is_zero:
@@ -203,10 +202,8 @@ def check_wedge_decomposition(rng: random.Random,
         if f.is_constant():
             return None                       # suspension needs nonconstant f
         ctx = make_suspension(2, f)
-        alpha = BaseField(ctx.base_ring, rand_field(ctx.base_ring, rng,
-                                                    max_degree=3).coeffs)
-        beta = BaseField(ctx.base_ring, rand_field(ctx.base_ring, rng,
-                                                   max_degree=3).coeffs)
+        alpha = rand_field(ctx.base_ring, rng, max_degree=3)
+        beta = rand_field(ctx.base_ring, rng, max_degree=3)
         lifted_a = lift(alpha, ctx, "u").ambient.coeffs
         lifted_b = lift(beta, ctx, "v").ambient.coeffs
         nvars = ctx.ring.nvars
@@ -238,6 +235,51 @@ def check_wedge_decomposition(rng: random.Random,
     return _suite("wedge-decomposition", rng, trials, body)
 
 
+def compatible_bracket_failure(nu: VectorField, mu: VectorField, h: Poly,
+                               f: Poly, g: Poly) -> str | None:
+    """Check the bracket identity expressing a scaled field as a
+    difference of brackets,
+
+        f*g*nu(h) * mu  ==  [f*nu, g*h*mu] - [f*h*nu, g*mu],
+
+    which holds when nu(h) and f lie in Ker nu and h and g in Ker mu.
+    Returns the first failed precondition or the failed identity, or None
+    when everything holds."""
+    preconditions = (("nu(h) in Ker nu", nu.apply(nu.apply(h))),
+                     ("h in Ker mu", mu.apply(h)),
+                     ("f in Ker nu", nu.apply(f)),
+                     ("g in Ker mu", mu.apply(g)))
+    for label, value in preconditions:
+        if not value.is_zero:
+            return f"precondition {label} fails"
+    lhs = mu.scale(f * g * nu.apply(h))
+    rhs = lie_bracket(nu.scale(f), mu.scale(g * h)) - \
+        lie_bracket(nu.scale(f * h), mu.scale(g))
+    if not (lhs - rhs).is_zero:
+        return "f*g*nu(h)*mu != [f*nu, g*h*mu] - [f*h*nu, g*mu]"
+    return None
+
+
+def check_compatible_bracket(rng: random.Random,
+                             trials: int = 200) -> SuiteResult:
+    """The bracket identity on coordinate fields nu = d_xi, mu = d_xj with
+    h, f, g drawn to meet its kernel preconditions by construction."""
+    ring = GENERIC_RING
+
+    def body(rng):
+        i, j = rng.sample(range(3), 2)
+        k = 3 - i - j
+        nu = VectorField.coordinate(ring, i)
+        mu = VectorField.coordinate(ring, j)
+        h = rand_poly(ring, rng, max_degree=2, indices=[k]) * ring.var(i) + \
+            rand_poly(ring, rng, max_degree=3, indices=[k])
+        f = rand_poly(ring, rng, max_degree=3, indices=[j, k])
+        g = rand_poly(ring, rng, max_degree=3, indices=[i, k])
+        return compatible_bracket_failure(nu, mu, h, f, g)
+
+    return _suite("compatible-bracket", rng, trials, body)
+
+
 ALL_CHECKS = {
     "cartan": check_cartan,
     "dd-zero": check_dd_zero,
@@ -247,6 +289,7 @@ ALL_CHECKS = {
     "bracket-form": check_bracket_form,
     "lift-divergence": check_lift_divergence,
     "wedge-decomposition": check_wedge_decomposition,
+    "compatible-bracket": check_compatible_bracket,
 }
 
 

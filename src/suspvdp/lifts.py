@@ -1,8 +1,8 @@
 """Lifting base fields to the suspension and flowing along the lifts.
 
-A base field on C^n extends trivially to the ambient space (zero
-coefficients on u and v).  Each divergence-free base field then admits two
-distinguished tangent lifts,
+A base field on C^n, a `VectorField` on the base ring, extends trivially
+to the ambient space (zero coefficients on u and v).  Each divergence-free
+base field then admits two distinguished tangent lifts,
 
     side u:  v * (trivial extension) + (field applied to f) * d_u
     side v:  u * (trivial extension) + (field applied to f) * d_v
@@ -49,58 +49,10 @@ class BasepointError(LiftError):
 
 
 # ---------------------------------------------------------------------------
-# base fields
+# shear chains
 
 
-@dataclass(frozen=True)
-class BaseField:
-    """A polynomial field on the base C^n, in the z-variables only."""
-
-    ring: PolyRing
-    coeffs: tuple[Poly, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.ring.nvars:
-            raise LiftError("one coefficient per base variable is required")
-
-    @staticmethod
-    def from_texts(ring: PolyRing, texts: Sequence[str]) -> "BaseField":
-        return BaseField(ring, tuple(ring.parse(t) for t in texts))
-
-    @staticmethod
-    def coordinate(ring: PolyRing, var: int | str) -> "BaseField":
-        i = var if isinstance(var, int) else ring.index(var)
-        coeffs = [ring.zero()] * ring.nvars
-        coeffs[i] = ring.one()
-        return BaseField(ring, tuple(coeffs))
-
-    def apply(self, p: Poly) -> Poly:
-        out = self.ring.zero()
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                out = out + c * p.derivative(i)
-        return out
-
-    def divergence(self) -> Poly:
-        out = self.ring.zero()
-        for i, c in enumerate(self.coeffs):
-            out = out + c.derivative(i)
-        return out
-
-    def evaluate_exact(self, z) -> list[GaussianRational]:
-        return [c.evaluate_exact(z) for c in self.coeffs]
-
-    @property
-    def flow_kind(self) -> str:
-        return "shear_chain" if _shear_order(self) is not None else "generic"
-
-    def __str__(self) -> str:
-        parts = [f"({c})*d_{name}" for name, c in zip(self.ring.variables, self.coeffs)
-                 if not c.is_zero]
-        return " + ".join(parts) if parts else "0"
-
-
-def _shear_order(theta: BaseField) -> list[int] | None:
+def _shear_order(theta: VectorField) -> list[int] | None:
     """Topological order in which the flow integrates one variable at a
     time, or None when no such order exists (self-dependence or a cycle)."""
     support = [i for i, c in enumerate(theta.coeffs) if not c.is_zero]
@@ -124,14 +76,14 @@ def _shear_order(theta: BaseField) -> list[int] | None:
 # extension and lifts
 
 
-def extend_trivially(theta: BaseField, ctx: SuspensionContext) -> VectorField:
+def extend_trivially(theta: VectorField, ctx: SuspensionContext) -> VectorField:
     """The ambient field with the same z-coefficients and zero on u, v."""
     coeffs = [ctx.ring.zero(), ctx.ring.zero()]
     coeffs += [c.extend_to(ctx.ring) for c in theta.coeffs]
     return VectorField(ctx.ring, tuple(coeffs))
 
 
-def lift(theta: BaseField, ctx: SuspensionContext, side: str) -> SuspensionField:
+def lift(theta: VectorField, ctx: SuspensionContext, side: str) -> SuspensionField:
     """The tangent lift on the requested side ("u" or "v")."""
     if side not in ("u", "v"):
         raise LiftError(f"side must be 'u' or 'v', not {side!r}")
@@ -154,13 +106,13 @@ class FlowRemainder:
     base ring with a trailing time variable, `solutions` are the flowed
     coordinates, and f(flow(x,t)) = f(x) + t * remainder."""
 
-    base_field: BaseField
+    base_field: VectorField
     flow_ring: PolyRing
     solutions: tuple[Poly, ...]
     remainder: Poly
 
 
-def symbolic_flow(theta: BaseField) -> tuple[PolyRing, tuple[Poly, ...]] | None:
+def symbolic_flow(theta: VectorField) -> tuple[PolyRing, tuple[Poly, ...]] | None:
     """Integrate a shear-chain field coordinate by coordinate; the result
     is polynomial in the time variable t appended to the base ring."""
     order = _shear_order(theta)
@@ -187,7 +139,7 @@ def symbolic_flow(theta: BaseField) -> tuple[PolyRing, tuple[Poly, ...]] | None:
     return flow_ring, tuple(sols)
 
 
-def flow_remainder(theta: BaseField, ctx: SuspensionContext) -> FlowRemainder:
+def flow_remainder(theta: VectorField, ctx: SuspensionContext) -> FlowRemainder:
     """The polynomial g with f(flow(x,t)) = f(x) + t*g(x,t); raises
     ShearChainError for fields without a symbolic flow."""
     got = symbolic_flow(theta)
@@ -249,7 +201,7 @@ def _end_point_tolerance(ctx: SuspensionContext,
     return 1e-9 * max(1.0, terms)
 
 
-def lifted_flow(theta: BaseField, ctx: SuspensionContext, side: str) -> LiftedFlowMap:
+def lifted_flow(theta: VectorField, ctx: SuspensionContext, side: str) -> LiftedFlowMap:
     """Closed-form flow of the side lift when the base flow is symbolic,
     numeric fallback otherwise (flagged on the result)."""
     if side not in ("u", "v"):
@@ -407,8 +359,6 @@ def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
     side: a side-u flow keeps v fixed and is audited in coordinates (v, z)
     on v != 0, a side-v flow in (u, z) on u != 0.  Volume preservation
     makes this exactly 1; finite differencing reports it numerically."""
-    import numpy
-
     ctx = flow_map.ctx
     fiber = 1 if flow_map.side == "u" else 0
     other = 1 - fiber
@@ -426,6 +376,15 @@ def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
         moved = flow_map.apply(surface_point(ctx, ambient, tol=1e-6), t)
         out = moved.complex_coords()
         return [out[fiber]] + list(out[2:])
+
+    return central_difference_determinant(chart_map, chart0, h)
+
+
+def central_difference_determinant(chart_map: Callable, chart0: Sequence[complex],
+                                   h: float) -> complex:
+    """Determinant of the Jacobian of `chart_map` at `chart0`, each column
+    by a central difference with step h."""
+    import numpy
 
     m = len(chart0)
     jac = numpy.zeros((m, m), dtype=complex)
@@ -507,7 +466,7 @@ class _Candidate:
     idx: int
     swapped: bool
     gens: tuple[Poly, ...]
-    first: BaseField
+    first: VectorField
     first_f: Poly                  # first(f), base ring
     second_f: Poly                 # second(f), base ring
     shear: tuple[ShearPullback, ShearPullback]
@@ -609,7 +568,7 @@ class SpanningPlan:
         return SpanningFamily(basepoint=point, pairs=family, notes=notes)
 
 
-def spanning_plan(pairs: Sequence[tuple[BaseField, BaseField, Sequence[Poly]]],
+def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]]],
                   ctx: SuspensionContext,
                   g_twist: Poly | None = None) -> SpanningPlan:
     """Lift every source pair and prepare its pullbacks, once; see
@@ -655,7 +614,7 @@ def spanning_plan(pairs: Sequence[tuple[BaseField, BaseField, Sequence[Poly]]],
         lifted=tuple(lifted), candidates=tuple(candidates), g_twist=g_twist)
 
 
-def spanning_family(pairs: Sequence[tuple[BaseField, BaseField, Sequence[Poly]]],
+def spanning_family(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]]],
                     ctx: SuspensionContext, point: SurfacePoint,
                     g_twist: Poly | None = None) -> SpanningFamily:
     """Evaluate at an admissible basepoint the family whose wedges are

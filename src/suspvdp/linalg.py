@@ -77,12 +77,6 @@ def _eliminate(m: ExactMatrix, pivot_cols: int) -> list[tuple[int, int]]:
     return pivots
 
 
-def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    out = m.copy()
-    pivots = _eliminate(out, out.ncols)
-    return out, [c for _, c in pivots]
-
-
 def exact_rank(m: ExactMatrix) -> int:
     out = m.copy()
     return len(_eliminate(out, out.ncols))
@@ -90,9 +84,9 @@ def exact_rank(m: ExactMatrix) -> int:
 
 def nullspace(m: ExactMatrix) -> list[Vector]:
     """Basis of the right kernel, one vector per free column."""
-    reduced, pivot_cols = rref(m)
+    reduced = m.copy()
     cols = m.ncols
-    pivot_of_col = {c: r for r, c in enumerate(pivot_cols)}
+    pivot_of_col = {c: r for r, c in _eliminate(reduced, cols)}
     basis = []
     for free in range(cols):
         if free in pivot_of_col:
@@ -134,15 +128,3 @@ def solve_columns(a: ExactMatrix, targets: list[Vector]) -> list[Vector | None]:
             x[c] = aug.entries[r][col]
         out.append(x)
     return out
-
-
-def express_in_span(basis: list[Vector], vector: Vector) -> Vector | None:
-    """Coefficients writing `vector` over `basis` (columns), or None."""
-    if not basis:
-        return [] if all(x.is_zero for x in vector) else None
-    cols = len(basis)
-    rows = len(vector)
-    if any(len(b) != rows for b in basis):
-        raise ValueError("basis vectors must match the target length")
-    a = ExactMatrix([[basis[j][i] for j in range(cols)] for i in range(rows)])
-    return solve_columns(a, [vector])[0]

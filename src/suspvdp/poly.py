@@ -18,7 +18,6 @@ Printing is canonical and `parse(str(p))` recovers `p` exactly.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -148,24 +147,11 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> GaussianRational:
-        if self.is_zero:
-            return ZERO
-        if not self.is_constant():
-            raise PolyError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
-
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, var: int | str) -> int:
-        i = var if isinstance(var, int) else self.ring.index(var)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
 
     def uses_variable(self, var: int | str) -> bool:
         i = var if isinstance(var, int) else self.ring.index(var)

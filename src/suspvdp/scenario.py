@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .certify import PairSpec
 from .fields import VectorField
-from .lifts import BaseField, twist_field
+from .lifts import twist_field
 from .poly import ParseError
 from .surface import (NotTangentError, SamplingSpec, SuspensionContext,
                       SuspensionError, divergence_on_suspension,
@@ -85,8 +85,8 @@ class Scenario:
         out = []
         for p in self.pairs:
             out.append(PairSpec(
-                alpha=BaseField.from_texts(ctx.base_ring, p.alpha),
-                beta=BaseField.from_texts(ctx.base_ring, p.beta),
+                alpha=VectorField.from_texts(ctx.base_ring, p.alpha),
+                beta=VectorField.from_texts(ctx.base_ring, p.beta),
                 kernel_alpha=tuple(ctx.parse_base(t) for t in p.kernel_alpha),
                 kernel_beta=tuple(ctx.parse_base(t) for t in p.kernel_beta),
                 ideal=tuple(ctx.parse_base(t) for t in p.ideal)))

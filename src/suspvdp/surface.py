@@ -91,40 +91,15 @@ class SuspensionContext:
     def reduce(self, p: Poly) -> tuple[Poly, Poly]:
         """Normal form together with the cofactor: p = q*(uv - f) + nf(p).
 
-        Single-step rewriting; each pass trades one uv for one f, so the
-        loop terminates and the cofactor is exact.
+        p - nf(p) lies in the ideal, so dividing it by uv - f is exact.
         """
-        if p.ring.variables != self.ring.variables:
-            raise SuspensionError("polynomial lives in the wrong ring")
-        quotient = self.ring.zero()
-        current = p
-        while True:
-            step = self.ring.zero()
-            rest = self.ring.zero()
-            for e, c in current.terms.items():
-                if e[U] >= 1 and e[V] >= 1:
-                    d = list(e)
-                    d[U] -= 1
-                    d[V] -= 1
-                    step = step + self.ring.monomial(d, c)
-                else:
-                    rest = rest + self.ring.monomial(e, c)
-            if step.is_zero:
-                return current, quotient
-            quotient = quotient + step
-            current = rest + step * self.f
+        nf = self.normal_form(p)
+        return nf, (p - nf).divide_exact(self.defining)
 
     def in_surface_ideal(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero
 
-    # -- conversions -------------------------------------------------------
-
-    def from_base(self, p: Poly) -> Poly:
-        """Trivial extension of a base-ring polynomial to the ambient ring."""
-        return p.extend_to(self.ring)
-
-    def to_base(self, p: Poly) -> Poly:
-        return p.restrict_to(self.base_ring)
+    # -- parsing -----------------------------------------------------------
 
     def parse(self, text: str) -> Poly:
         return self.ring.parse(text)
@@ -135,7 +110,6 @@ class SuspensionContext:
     # -- pointwise data ----------------------------------------------------
 
     def defining_gradient_exact(self, coords) -> list[GaussianRational]:
-        z = list(coords[2:])
         grad = [coords[V], coords[U]]
         for j in self.z_indices:
             grad.append(-self.f.derivative(j).evaluate_exact(coords))
@@ -269,7 +243,7 @@ def surface_point(ctx: SuspensionContext, coords: Sequence,
         return SurfacePoint(coords, True)
     cc = tuple(complex(c) for c in coords)
     residual = abs(ctx.defining.evaluate_complex(cc))
-    if residual > tol:
+    if not residual <= tol:                      # a NaN residual fails too
         raise SuspensionError(
             f"float point residual {residual:.3e} exceeds {tol:.1e}")
     return SurfacePoint(cc, False)

@@ -16,9 +16,8 @@ from suspvdp.certify import (Assumptions, PairSpec, lift_pair,
 from suspvdp.cli import main as cli_main
 from suspvdp.fields import VectorField
 from suspvdp.identities import run_checks
-from suspvdp.lifts import (BaseField, chart_jacobian_determinant, lift,
-                           lifted_flow, rk4_flow, shear_pullback,
-                           spanning_family)
+from suspvdp.lifts import (chart_jacobian_determinant, lift, lifted_flow,
+                           rk4_flow, shear_pullback, spanning_family)
 from suspvdp.linalg import ExactMatrix, exact_rank, solve_columns
 from suspvdp.poly import PolyRing
 from suspvdp.randgen import rand_divergence_free_field
@@ -37,8 +36,8 @@ def announce(num, text):
 
 
 def coordinate_pair(ctx):
-    alpha = BaseField.from_texts(ctx.base_ring, ["1", "0"])
-    beta = BaseField.from_texts(ctx.base_ring, ["0", "1"])
+    alpha = VectorField.from_texts(ctx.base_ring, ["1", "0"])
+    beta = VectorField.from_texts(ctx.base_ring, ["0", "1"])
     return alpha, beta
 
 
@@ -65,7 +64,7 @@ def test_criterion_2_lifts_of_divergence_free_fields():
     for f_text in ("z1", "z1^2", "z1*z2 - 1"):
         ctx = make_suspension(2, f_text)
         for raw in fields:
-            theta = BaseField.from_texts(ctx.base_ring,
+            theta = VectorField.from_texts(ctx.base_ring,
                                          [str(c) for c in raw.coeffs])
             div = ctx.base_ring.zero()
             for i, c in enumerate(theta.coeffs):
@@ -82,7 +81,7 @@ def test_criterion_2_lifts_of_divergence_free_fields():
 
 def test_criterion_3_closed_form_flow_vs_rk4():
     ctx = make_suspension(2, "z1*z2 - 1")
-    theta = BaseField.from_texts(ctx.base_ring, ["1", "z1"])
+    theta = VectorField.from_texts(ctx.base_ring, ["1", "z1"])
     flow_map = lifted_flow(theta, ctx, "u")
     assert flow_map.symbolic
     nu = lift(theta, ctx, "u")

@@ -14,7 +14,7 @@ from suspvdp.approx import (ApproxError, Dictionary, NumericSurface,
                             residual_curve, volume_audit)
 from suspvdp.certify import lift_pair
 from suspvdp.fields import VectorField
-from suspvdp.lifts import BaseField, twist_field
+from suspvdp.lifts import twist_field
 from suspvdp.scalars import gr
 from suspvdp.surface import (SamplingSpec, make_suspension, sample_points,
                              surface_point, tangent_field)
@@ -25,8 +25,8 @@ def plane_ctx():
 
 
 def plane_pair(ctx):
-    alpha = BaseField.coordinate(ctx.base_ring, "z1")
-    beta = BaseField.coordinate(ctx.base_ring, "z2")
+    alpha = VectorField.coordinate(ctx.base_ring, "z1")
+    beta = VectorField.coordinate(ctx.base_ring, "z2")
     return lift_pair(alpha, beta, (ctx.parse_base("z2"),),
                      (ctx.parse_base("z1"),), (ctx.base_ring.one(),), ctx)
 

@@ -1,18 +1,15 @@
 import json
-import random
 
 import pytest
 
-from suspvdp.certify import (Assumptions, BracketCheck, CertifyError,
-                             KernelFamily, PairSpec, RankReport,
-                             base_spanning_rank, compatible_bracket_check,
-                             lift_ideal, lift_pair, monomial_closure,
-                             run_vdp_criterion, semicompat_certificate,
-                             spanning_rank, verify_kernel)
+from suspvdp.certify import (Assumptions, CertifyError, KernelFamily,
+                             PairSpec, RankReport, lift_ideal, lift_pair,
+                             monomial_closure, run_vdp_criterion,
+                             semicompat_certificate, spanning_rank,
+                             verify_kernel)
 from suspvdp.fields import VectorField
-from suspvdp.lifts import BaseField, SpanningPair, lift, spanning_family
+from suspvdp.lifts import SpanningPair, lift, spanning_family
 from suspvdp.poly import PolyRing
-from suspvdp.randgen import rand_poly
 from suspvdp.scalars import ZERO, gr
 from suspvdp.surface import (NotTangentError, SamplingSpec, make_suspension,
                              surface_point)
@@ -33,7 +30,7 @@ def test_verify_kernel():
 
 def test_verify_kernel_on_lift():
     ctx = make_suspension(2, "z1")
-    nu = lift(BaseField.from_texts(ctx.base_ring, ["1", "0"]), ctx, "u")
+    nu = lift(VectorField.from_texts(ctx.base_ring, ["1", "0"]), ctx, "u")
     verify_kernel(nu, [ctx.parse("v"), ctx.parse("z2"), ctx.parse("v^2*z2")])
 
 
@@ -115,8 +112,8 @@ def test_semicompat_monotone_in_kernel_enlargement():
 
 def test_semicompat_lifted_pair_plain():
     ctx = make_suspension(2, "z1")
-    pair = lift_pair(BaseField.from_texts(ctx.base_ring, ["1", "0"]),
-                     BaseField.from_texts(ctx.base_ring, ["0", "1"]),
+    pair = lift_pair(VectorField.from_texts(ctx.base_ring, ["1", "0"]),
+                     VectorField.from_texts(ctx.base_ring, ["0", "1"]),
                      [ctx.base_ring.parse("z2")],
                      [ctx.base_ring.parse("z1")],
                      [ctx.base_ring.one()], ctx, "uv", ideal_bound=3)
@@ -131,7 +128,7 @@ def test_semicompat_quotient_fallback():
     # are generated by v and u alone, so plain polynomial identities miss
     # z1 and the certificate must pass to the quotient
     ctx = make_suspension(1, "z1")
-    alpha = BaseField.from_texts(ctx.base_ring, ["1"])
+    alpha = VectorField.from_texts(ctx.base_ring, ["1"])
     pair = lift_pair(alpha, alpha, [], [], [ctx.base_ring.one()], ctx,
                      "uv", ideal_bound=2)
     cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu, pair.ideal,
@@ -163,8 +160,8 @@ def test_lift_ideal():
 
 def criterion_setup():
     ctx = make_suspension(2, "z1")
-    alpha = BaseField.from_texts(ctx.base_ring, ["1", "0"])
-    beta = BaseField.from_texts(ctx.base_ring, ["0", "1"])
+    alpha = VectorField.from_texts(ctx.base_ring, ["1", "0"])
+    beta = VectorField.from_texts(ctx.base_ring, ["0", "1"])
     spec = PairSpec(alpha, beta,
                     (ctx.base_ring.parse("z2"),),
                     (ctx.base_ring.parse("z1"),))
@@ -210,54 +207,6 @@ def test_spanning_rank_rejects_non_tangent():
         spanning_rank(fam, ctx)
 
 
-def test_base_spanning_rank():
-    ring = PolyRing(("z1", "z2"))
-    alpha = BaseField.from_texts(ring, ["1", "0"])
-    beta = BaseField.from_texts(ring, ["0", "1"])
-    z0 = (gr(1), gr(0))
-    report = base_spanning_rank([(alpha, beta, [ring.one()])], z0)
-    assert report.rank == 1 and report.full_rank == 1 and report.full
-    # a vanishing ideal value contributes nothing
-    report0 = base_spanning_rank([(alpha, beta, [ring.parse("z2")])], z0)
-    assert report0.rank == 0
-
-
-def test_compatible_bracket_identity():
-    ring = PolyRing(("z1", "z2"))
-    nu, mu = coord_field(ring, "z1"), coord_field(ring, "z2")
-    check = compatible_bracket_check(nu, mu, ring.parse("z1"),
-                                     ring.parse("z2"), ring.parse("z1"))
-    assert check.ok and all(check.preconditions.values())
-    simple = compatible_bracket_check(nu, mu, ring.parse("z1"),
-                                      ring.one(), ring.one())
-    assert simple.ok
-
-
-def test_compatible_bracket_reports_precondition():
-    ring = PolyRing(("z1", "z2"))
-    nu, mu = coord_field(ring, "z1"), coord_field(ring, "z2")
-    check = compatible_bracket_check(nu, mu, ring.parse("z2"),
-                                     ring.one(), ring.one())
-    assert not check.preconditions["h in Ker mu"]
-    assert not check.ok
-
-
-def test_compatible_bracket_random_tuples():
-    ring = PolyRing(("z1", "z2", "z3"))
-    rng = random.Random(17)
-    for _ in range(50):
-        i, j = rng.sample(range(3), 2)
-        k = 3 - i - j
-        nu, mu = coord_field(ring, f"z{i+1}"), coord_field(ring, f"z{j+1}")
-        h = rand_poly(ring, rng, max_degree=2, indices=[k]) * ring.var(i) + \
-            rand_poly(ring, rng, max_degree=3, indices=[k])
-        f = rand_poly(ring, rng, max_degree=3, indices=[j, k])
-        g = rand_poly(ring, rng, max_degree=3, indices=[i, k])
-        check = compatible_bracket_check(nu, mu, h, f, g)
-        assert all(check.preconditions.values())
-        assert check.identity_holds
-
-
 def test_run_vdp_criterion_certified():
     ctx, spec = criterion_setup()
     report = run_vdp_criterion(ctx, [spec], Assumptions(cohomology=True),
@@ -290,7 +239,7 @@ def test_run_vdp_criterion_empty_pairs_fails():
 
 def test_run_vdp_criterion_danielewski():
     ctx = make_suspension(1, "z1")
-    alpha = BaseField.from_texts(ctx.base_ring, ["1"])
+    alpha = VectorField.from_texts(ctx.base_ring, ["1"])
     spec = PairSpec(alpha, alpha)
     report = run_vdp_criterion(ctx, [spec], Assumptions(cohomology=True),
                                SamplingSpec(count=5, seed=2), degree_bound=2)

@@ -4,8 +4,7 @@ import pytest
 
 from suspvdp.fields import (DiffForm, FieldError, VectorField, VolumeForm,
                             divergence, exterior_derivative,
-                            field_to_closed_form, interior_product,
-                            lie_bracket, lie_derivative,
+                            interior_product, lie_bracket, lie_derivative,
                             lie_derivative_direct, pair_to_form,
                             sort_with_sign, wedge)
 from suspvdp.poly import PolyRing
@@ -171,22 +170,17 @@ def test_field_to_closed_form_example_and_closedness():
     ring2 = PolyRing(("u", "v"))
     vol2 = VolumeForm.standard(ring2)
     theta = VectorField(ring2, (ring2.parse("u"), ring2.parse("-v")))
-    got = field_to_closed_form(theta, vol2)
+    assert divergence(theta, vol2).is_zero
+    got = interior_product(theta, vol2.form)
     assert got == DiffForm(ring2, 1, {(0,): ring2.parse("v"), (1,): ring2.parse("u")})
     assert exterior_derivative(got).is_zero
-
-
-def test_field_to_closed_form_rejects_divergence():
-    theta = field("u", "0", "0", "0")
-    with pytest.raises(FieldError):
-        field_to_closed_form(theta, VOL)
 
 
 def test_field_to_closed_form_closed_fuzz():
     rng = random.Random(31)
     for _ in range(30):
         theta = rand_divergence_free_field(R, rng, max_degree=3)
-        assert exterior_derivative(field_to_closed_form(theta, VOL)).is_zero
+        assert exterior_derivative(interior_product(theta, VOL.form)).is_zero
 
 
 def test_pair_to_form_example():

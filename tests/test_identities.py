@@ -2,7 +2,10 @@
 
 import pytest
 
-from suspvdp.identities import ALL_CHECKS, SuiteResult, run_checks
+from suspvdp.fields import VectorField
+from suspvdp.identities import (ALL_CHECKS, SuiteResult,
+                                compatible_bracket_failure, run_checks)
+from suspvdp.poly import PolyRing
 
 
 def test_all_suites_pass_at_full_trial_count():
@@ -33,3 +36,28 @@ def test_result_lines():
     bad = SuiteResult("demo", 10, ["trial 3: boom"], 0.0)
     assert not bad.ok
     assert "FAIL" in bad.line() and "boom" in bad.line()
+
+
+def test_compatible_bracket_identity():
+    ring = PolyRing(("z1", "z2"))
+    nu = VectorField.coordinate(ring, "z1")
+    mu = VectorField.coordinate(ring, "z2")
+    z1, z2 = ring.parse("z1"), ring.parse("z2")
+    assert compatible_bracket_failure(nu, mu, z1, z2, z1) is None
+    assert compatible_bracket_failure(nu, mu, z1, ring.one(), ring.one()) is None
+
+
+def test_compatible_bracket_reports_precondition():
+    ring = PolyRing(("z1", "z2"))
+    nu = VectorField.coordinate(ring, "z1")
+    mu = VectorField.coordinate(ring, "z2")
+    got = compatible_bracket_failure(nu, mu, ring.parse("z2"), ring.one(),
+                                     ring.one())
+    assert got == "precondition h in Ker mu fails"
+
+
+def test_compatible_bracket_random_tuples():
+    # the suite draws h, f, g inside the kernels; every trial must pass
+    (result,) = run_checks(names=["compatible-bracket"], trials=50, seed=17)
+    assert result.ok, result.line()
+    assert result.trials == 50

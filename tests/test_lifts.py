@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from suspvdp.fields import VectorField, VolumeForm, divergence
-from suspvdp.lifts import (BaseField, BasepointError, LiftError, LiftedFlowMap,
+from suspvdp.lifts import (BasepointError, LiftError, LiftedFlowMap,
                            ShearChainError, chart_jacobian_determinant,
                            extend_trivially, flow_remainder, lift, lifted_flow,
                            rk4_flow, shear_pullback, spanning_family,
@@ -21,7 +21,7 @@ from suspvdp.surface import (SamplingSpec, SuspensionError,
 
 
 def base_field(ctx, *texts):
-    return BaseField.from_texts(ctx.base_ring, texts)
+    return VectorField.from_texts(ctx.base_ring, texts)
 
 
 def test_extend_trivially():
@@ -41,9 +41,10 @@ def test_extension_preserves_divergence():
     for _ in range(20):
         coeffs = tuple(rand_poly(ctx.base_ring, rng, max_degree=3)
                        for _ in range(2))
-        theta = BaseField(ctx.base_ring, coeffs)
+        theta = VectorField(ctx.base_ring, coeffs)
         ext = extend_trivially(theta, ctx)
-        assert divergence(ext, vol) == theta.divergence().extend_to(ctx.ring)
+        assert divergence(ext, vol) == \
+            divergence(theta, ctx.base_volume).extend_to(ctx.ring)
 
 
 def test_lift_examples():
@@ -56,7 +57,7 @@ def test_lift_examples():
     assert [str(c) for c in down.ambient.coeffs] == ["0", "0", "0", "u"]
 
     ctx2 = make_suspension(1, "z1^2")
-    up2 = lift(BaseField.from_texts(ctx2.base_ring, ["1"]), ctx2, "u")
+    up2 = lift(VectorField.from_texts(ctx2.base_ring, ["1"]), ctx2, "u")
     assert [str(c) for c in up2.ambient.coeffs] == ["2*z1", "0", "v"]
 
 
@@ -65,9 +66,8 @@ def test_lift_divergence_zero():
     for f in ("z1", "z1^2", "z1*z2 - 1"):
         ctx = make_suspension(2, f)
         for _ in range(20):
-            vf = rand_divergence_free_field(ctx.base_ring, rng, max_degree=3)
-            theta = BaseField(ctx.base_ring, vf.coeffs)
-            assert theta.divergence().is_zero
+            theta = rand_divergence_free_field(ctx.base_ring, rng, max_degree=3)
+            assert divergence(theta, ctx.base_volume).is_zero
             for side in ("u", "v"):
                 lifted = lift(theta, ctx, side)
                 assert lifted.multiplier.is_zero
@@ -85,39 +85,39 @@ def test_lift_divergence_transfers_scaled():
 
 
 def test_flow_kind():
+    # shear chains have a symbolic flow, generic fields have none
     ring = PolyRing(("z1", "z2"))
-    assert BaseField.from_texts(ring, ["1", "0"]).flow_kind == "shear_chain"
-    assert BaseField.from_texts(ring, ["z2", "0"]).flow_kind == "shear_chain"
-    assert BaseField.from_texts(ring, ["1", "z1"]).flow_kind == "shear_chain"
-    assert BaseField.from_texts(ring, ["z1", "0"]).flow_kind == "generic"
-    assert BaseField.from_texts(ring, ["z2", "-z1"]).flow_kind == "generic"
+    for texts in (["1", "0"], ["z2", "0"], ["1", "z1"]):
+        assert symbolic_flow(VectorField.from_texts(ring, texts)) is not None
+    for texts in (["z1", "0"], ["z2", "-z1"]):
+        assert symbolic_flow(VectorField.from_texts(ring, texts)) is None
 
 
 def test_symbolic_flow_oracles():
     ring = PolyRing(("z1", "z2"))
-    flow_ring, sols = symbolic_flow(BaseField.from_texts(ring, ["z2", "0"]))
+    flow_ring, sols = symbolic_flow(VectorField.from_texts(ring, ["z2", "0"]))
     assert sols[0] == flow_ring.parse("z1 + t*z2")
     assert sols[1] == flow_ring.parse("z2")
 
     # chained dependency integrates in topological order
-    flow_ring, sols = symbolic_flow(BaseField.from_texts(ring, ["1", "z1"]))
+    flow_ring, sols = symbolic_flow(VectorField.from_texts(ring, ["1", "z1"]))
     assert sols[0] == flow_ring.parse("z1 + t")
     assert sols[1] == flow_ring.parse("z2 + z1*t + 1/2*t^2")
 
-    assert symbolic_flow(BaseField.from_texts(ring, ["z2", "-z1"])) is None
+    assert symbolic_flow(VectorField.from_texts(ring, ["z2", "-z1"])) is None
 
 
 def test_flow_remainder_oracles():
     ctx = make_suspension(1, "z1")
-    rem = flow_remainder(BaseField.from_texts(ctx.base_ring, ["1"]), ctx)
+    rem = flow_remainder(VectorField.from_texts(ctx.base_ring, ["1"]), ctx)
     assert rem.remainder == rem.flow_ring.one()
 
     ctx = make_suspension(1, "z1^2")
-    rem = flow_remainder(BaseField.from_texts(ctx.base_ring, ["1"]), ctx)
+    rem = flow_remainder(VectorField.from_texts(ctx.base_ring, ["1"]), ctx)
     assert rem.remainder == rem.flow_ring.parse("2*z1 + t")
 
     ctx = make_suspension(2, "z1*z2")
-    rem = flow_remainder(BaseField.from_texts(ctx.base_ring, ["z2", "0"]), ctx)
+    rem = flow_remainder(VectorField.from_texts(ctx.base_ring, ["z2", "0"]), ctx)
     assert rem.remainder == rem.flow_ring.parse("z2^2")
 
 
@@ -128,7 +128,7 @@ def test_flow_remainder_at_time_zero():
     for _ in range(20):
         c1 = rand_poly(ctx.base_ring, rng, max_degree=3, indices=[1])
         c2 = ctx.base_ring.const(gr(rng.randint(-2, 2)))
-        theta = BaseField(ctx.base_ring, (c1, c2))
+        theta = VectorField(ctx.base_ring, (c1, c2))
         rem = flow_remainder(theta, ctx)
         at_zero = rem.remainder.substitute(rem.flow_ring,
                                            {"t": rem.flow_ring.zero()})
@@ -143,7 +143,7 @@ def test_flow_remainder_rejects_generic():
 
 def test_lifted_flow_closed_form():
     ctx = make_suspension(1, "z1")
-    theta = BaseField.from_texts(ctx.base_ring, ["1"])
+    theta = VectorField.from_texts(ctx.base_ring, ["1"])
     up = lifted_flow(theta, ctx, "u")
     assert up.symbolic
     ring = up.components[0].ring
@@ -156,7 +156,7 @@ def test_lifted_flow_closed_form():
 
 def test_lifted_flow_identity_at_time_zero():
     ctx = make_suspension(1, "z1^2")
-    fl = lifted_flow(BaseField.from_texts(ctx.base_ring, ["1"]), ctx, "u")
+    fl = lifted_flow(VectorField.from_texts(ctx.base_ring, ["1"]), ctx, "u")
     ring = fl.components[0].ring
     frozen = {"t": ring.zero()}
     stills = [c.substitute(ring, frozen) for c in fl.components]
@@ -184,7 +184,7 @@ def test_flow_ode_identity():
         (make_suspension(2, "z1*z2 - 1"), ["z2^2 + 1", "0"]),
     ]
     for ctx, texts in cases:
-        theta = BaseField.from_texts(ctx.base_ring, texts)
+        theta = VectorField.from_texts(ctx.base_ring, texts)
         for side in ("u", "v"):
             assert all(r.is_zero for r in flow_ode_residuals(ctx, theta, side))
 
@@ -206,7 +206,7 @@ def test_time_derivative_of_remainder_term():
 
 def test_flow_group_law_exact_points():
     ctx = make_suspension(1, "z1^2")
-    fl = lifted_flow(BaseField.from_texts(ctx.base_ring, ["1"]), ctx, "u")
+    fl = lifted_flow(VectorField.from_texts(ctx.base_ring, ["1"]), ctx, "u")
     points = sample_points(ctx, SamplingSpec(count=5, seed=21))
     s, t = gr(Fraction(1, 2)), gr(Fraction(-1, 3))
     for p in points:

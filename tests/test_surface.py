@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from suspvdp.fields import VectorField
 from suspvdp.poly import PolyRing
 from suspvdp.randgen import rand_poly
 from suspvdp.scalars import gr, ZERO
+from suspvdp.scenario import load_scenario
 from suspvdp.surface import (NotTangentError, SamplingError, SamplingSpec,
                              SuspensionError, basepoint_search,
                              divergence_on_suspension, is_tangent,
@@ -68,7 +70,9 @@ def test_normal_form_agrees_on_surface_points():
 
 def test_reduce_reconstructs_exactly():
     rng = random.Random(47)
-    for f_text in ("z1", "z1^2 + z2", "z1*z2 - 1"):
+    # the last f outranks uv in graded order, so the division by uv - f
+    # eliminates the leading term of f first
+    for f_text in ("z1", "z1^2 + z2", "z1*z2 - 1", "z1^3 + z2"):
         ctx = make_suspension(2, f_text)
         for _ in range(40):
             p = rand_poly(ctx.ring, rng, max_degree=6, max_terms=5)
@@ -137,6 +141,14 @@ def test_surface_point_validation():
     assert not q.exact
     with pytest.raises(SuspensionError):
         surface_point(ctx, (1.0 + 0j, 2.0 + 1e-6j, 2.0 + 0j, 0.5 + 0j))
+
+
+def test_surface_point_rejects_nan_residual():
+    # NaN compares false with any tolerance; such a point is not on the
+    # surface (an RK4 end point that overflowed looks like this)
+    ctx = load_scenario("circle").context()
+    with pytest.raises(SuspensionError):
+        surface_point(ctx, [complex(math.nan, 0), 1, 0.5, 0.5], tol=1e-9)
 
 
 def test_tangent_basis_example():
