@@ -1,7 +1,8 @@
 import itertools
 import random
 
-from suspvdp.linalg import ExactMatrix, exact_rank, nullspace, solve_columns
+from suspvdp.linalg import (ExactMatrix, _eliminate, exact_rank, nullspace,
+                            solve_columns)
 from suspvdp.scalars import GaussianRational, gr, I, ONE, ZERO
 
 
@@ -62,16 +63,24 @@ def test_rank_invariant_under_row_permutation_and_scaling():
         assert exact_rank(ExactMatrix(rows)) == r
 
 
-def test_nullspace_spans_kernel():
-    # pivots are leftmost (columns 0 and 1), so column 2 is the free one,
-    # and the pivot rows are normalized: rows (1, 0, 1) and (0, 1, 2)
+def test_rref_pivots_are_leftmost():
     m = ExactMatrix.from_rows([
         [ZERO, ONE, gr(2)],
         [ZERO, gr(2), gr(4)],
         [ONE, ZERO, ONE],
     ])
+    reduced = m.copy()
+    pivots = _eliminate(reduced, reduced.ncols)
+    assert [c for _, c in pivots] == [0, 1]
+    # pivot entries normalized to one, columns cleared
+    assert reduced.entries[0] == [ONE, ZERO, ONE]
+    assert reduced.entries[1] == [ZERO, ONE, gr(2)]
+    assert reduced.entries[2] == [ZERO, ZERO, ZERO]
+    # column 2 is the free one, read off the normalized pivot rows
     assert nullspace(m) == [[-ONE, gr(-2), ONE]]
 
+
+def test_nullspace_spans_kernel():
     rng = random.Random(5)
     pool = [ZERO, ONE, -ONE, I, gr(2)]
     for _ in range(40):
