@@ -29,9 +29,9 @@ from typing import Sequence
 
 from .fields import VectorField, divergence
 from .lifts import SpanningFamily, lift, spanning_plan
-from .linalg import ExactMatrix, exact_rank, solve_columns
+from .linalg import ExactMatrix, exact_rank, solve_columns, span_solve
 from .poly import Poly, PolyRing
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational
 from .surface import (NotTangentError, SamplingError, SamplingSpec,
                       SurfacePoint, SuspensionContext, basepoint_search,
                       divergence_on_suspension, sample_zero_fiber,
@@ -147,51 +147,25 @@ def _monomial_universe(ring: PolyRing, max_degree: int,
     return sorted(out, key=lambda p: (p.total_degree(), p.key()))
 
 
-def _span_solve(products: list[tuple[Poly, Poly, Poly]],
-                targets: list[Poly]):
-    support = sorted({e for _, _, p in products for e in p.terms} |
-                     {e for t in targets for e in t.terms})
-    row_of = {e: i for i, e in enumerate(support)}
-    matrix = ExactMatrix([[ZERO] * len(products) for _ in support])
-    for j, (_, _, prod) in enumerate(products):
-        for e, c in prod.terms.items():
-            matrix.entries[row_of[e]][j] = c
-    columns = []
-    for t in targets:
-        col = [ZERO] * len(support)
-        for e, c in t.terms.items():
-            col[row_of[e]] = c
-        columns.append(col)
-    return solve_columns(matrix, columns)
-
-
 def semicompat_certificate(kernel_nu: KernelFamily, kernel_mu: KernelFamily,
                            ideal: Sequence[Poly], degree_bound: int,
-                           ctx: SuspensionContext | None = None,
-                           mode: str = "auto") -> SemiCompatCertificate:
+                           ctx: SuspensionContext | None = None
+                           ) -> SemiCompatCertificate:
     """Certify that, up to the degree bound, the span of kernel products
     contains every ideal generator times every monomial.
 
     Infeasibility is a certificate failure with the unreachable targets
-    listed, not an exception.  mode "auto" tries the plain polynomial ring
-    first and falls back to the quotient when a context is available.
+    listed, not an exception.  The plain polynomial ring is tried first;
+    the quotient is the fallback when a context is available.
     """
     ideal = tuple(ideal)
     if not ideal or all(h.is_zero for h in ideal):
         raise CertifyError("the proposed ideal has no nonzero generator")
-    if mode not in ("auto", "plain", "quotient"):
-        raise CertifyError(f"unknown certificate mode {mode!r}")
     ring = next(h for h in ideal if not h.is_zero).ring
     ambient = ctx is not None and ring.variables == ctx.ring.variables
-    if mode == "quotient":
-        if not ambient:
-            raise CertifyError("quotient mode needs ambient generators and "
-                               "a suspension context")
-        return _certificate_in_mode(kernel_nu, kernel_mu, ideal,
-                                    degree_bound, ctx, "quotient")
     plain = _certificate_in_mode(kernel_nu, kernel_mu, ideal, degree_bound,
                                  ctx, "plain")
-    if plain.success or mode == "plain" or not ambient:
+    if plain.success or not ambient:
         return plain
     quotient = _certificate_in_mode(kernel_nu, kernel_mu, ideal, degree_bound,
                                     ctx, "quotient")
@@ -201,11 +175,7 @@ def semicompat_certificate(kernel_nu: KernelFamily, kernel_mu: KernelFamily,
 def _certificate_in_mode(kernel_nu, kernel_mu, ideal, degree_bound, ctx,
                          mode) -> SemiCompatCertificate:
     ring = next(h for h in ideal if not h.is_zero).ring
-    reducer = None
-    if mode == "quotient":
-        if ring.variables != ctx.ring.variables:
-            raise CertifyError("quotient certificates need ambient generators")
-        reducer = ctx.normal_form
+    reducer = ctx.normal_form if mode == "quotient" else None
     reduce = reducer if reducer is not None else (lambda p: p)
 
     closure_nu = monomial_closure(kernel_nu.generators, ring, degree_bound,
@@ -242,7 +212,7 @@ def _certificate_in_mode(kernel_nu, kernel_mu, ideal, degree_bound, ctx,
         dedup.setdefault(t.key(), t)
     targets = sorted(dedup.values(), key=lambda p: (p.total_degree(), p.key()))
 
-    witnesses = _span_solve(products, targets)
+    witnesses = span_solve([prod for _, _, prod in products], targets)
     unreachable = [str(t) for t, w in zip(targets, witnesses) if w is None]
     return SemiCompatCertificate(
         kernel_nu=kernel_nu, kernel_mu=kernel_mu, ideal=ideal,
@@ -427,8 +397,7 @@ def _certificate_search(pair: LiftedPair, ctx: SuspensionContext,
     Returns the report entry and whether every reported certificate
     re-expanded (`SemiCompatCertificate.re_verify`) to its witnesses."""
     cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
-                                  pair.ideal, degree_bound, ctx=ctx,
-                                  mode="auto")
+                                  pair.ideal, degree_bound, ctx=ctx)
     verified = cert.re_verify(ctx)
     if not cert.success:
         return {"orientation": pair.orientation, "success": False,
@@ -439,7 +408,7 @@ def _certificate_search(pair: LiftedPair, ctx: SuspensionContext,
     smallest = degree_bound
     for d in range(degree_bound):
         small = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
-                                       pair.ideal, d, ctx=ctx, mode="auto")
+                                       pair.ideal, d, ctx=ctx)
         if small.success:
             smallest = d
             verified = verified and small.re_verify(ctx)
@@ -532,8 +501,7 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
         try:
             points, rejections = basepoint_search(
                 ctx, exact_spec,
-                ideals=[spec.ideal_or_unit(ctx.base_ring) for spec in pairs],
-                count=exact_spec.count)
+                ideals=[spec.ideal_or_unit(ctx.base_ring) for spec in pairs])
             sampling_report["attempts"] = rejections.attempts
             sampling_report["rejected"] = dict(sorted(
                 rejections.rejected.items()))

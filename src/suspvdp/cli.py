@@ -7,7 +7,9 @@ against the bracket dictionary and draws the residual curve.
 
 Exit codes: 0 when every sub-check succeeded (for `criterion`, verdict
 certified-at-samples), 1 when a sub-check failed or stayed inconclusive,
-2 for scenario parse errors and internal faults.
+2 for scenario parse errors, input the subcommand cannot work on (no
+sample can be drawn, a kernel generator is not annihilated, a dictionary
+entry is not volume preserving) and internal faults.
 
 Every run writes a JSON document and delimiter-separated tables into the
 output directory; those files and the PNG figures are byte-identical for
@@ -24,15 +26,16 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .approx import flow_deviation_audit, residual_curve, volume_audit
-from .certify import Assumptions, lift_pair, run_vdp_criterion
+from .approx import (ApproxError, flow_deviation_audit, residual_curve,
+                     volume_audit)
+from .certify import Assumptions, CertifyError, lift_pair, run_vdp_criterion
 from .fields import VectorField, divergence
 from .lifts import chart_jacobian_determinant, lift, lifted_flow, rk4_flow
 from .poly import ParseError
 from .report import (format_complex, render_curve_figure, render_flow_figure,
                      render_rank_figure, write_delimited, write_json)
 from .scenario import Scenario, ScenarioError, load_scenario
-from .surface import divergence_on_suspension, sample_points
+from .surface import SamplingError, divergence_on_suspension, sample_points
 
 FLOW_TOL = 1e-9
 DET_TOL_SYMBOLIC = 1e-8
@@ -86,7 +89,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ScenarioError, ParseError) as exc:
+    except (ScenarioError, ParseError, SamplingError, CertifyError,
+            ApproxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:                      # internal fault
@@ -314,7 +318,7 @@ def _cmd_approx(args) -> int:
     volume = None
     volume_ok = True
     if chart_point is not None:
-        volume = volume_audit(target, ctx, chart_point, t=0.25)
+        volume = volume_audit(target, ctx, chart_point)
         volume_ok = volume["error"] <= volume_tol
 
     ok = curve_ok and audit_ok and volume_ok

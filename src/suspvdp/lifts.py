@@ -31,7 +31,7 @@ from .fields import VectorField
 from .poly import Poly, PolyRing
 from .scalars import ZERO, GaussianRational, gr
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
-                      surface_point, tangent_field)
+                      basepoint_failures, surface_point, tangent_field)
 
 
 class LiftError(ValueError):
@@ -354,11 +354,12 @@ def shear_pullback(mu, theta, g: Poly,
 
 
 def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
-                               t, h: float = 1e-6) -> complex:
+                               t) -> complex:
     """Determinant of the time-t map in the chart adapted to the flow's
     side: a side-u flow keeps v fixed and is audited in coordinates (v, z)
     on v != 0, a side-v flow in (u, z) on u != 0.  Volume preservation
-    makes this exactly 1; finite differencing reports it numerically."""
+    makes this exactly 1; central differences of step 1e-6 report it
+    numerically."""
     ctx = flow_map.ctx
     fiber = 1 if flow_map.side == "u" else 0
     other = 1 - fiber
@@ -377,7 +378,7 @@ def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
         out = moved.complex_coords()
         return [out[fiber]] + list(out[2:])
 
-    return central_difference_determinant(chart_map, chart0, h)
+    return central_difference_determinant(chart_map, chart0, 1e-6)
 
 
 def central_difference_determinant(chart_map: Callable, chart0: Sequence[complex],
@@ -431,37 +432,11 @@ class SpanningFamily:
     notes: dict = field(default_factory=dict)
 
 
-def validate_basepoint(ctx: SuspensionContext, point: SurfacePoint,
-                       ideals: Sequence[Sequence[Poly]] = ()) -> list[str]:
-    """Conditions the spanning construction needs; empty list when fine."""
-    partials = [ctx.f_base.derivative(j) for j in range(ctx.n)]
-    return _basepoint_failures(point, partials, ideals)
-
-
-def _basepoint_failures(point: SurfacePoint, partials: Sequence[Poly],
-                        ideals: Sequence[Sequence[Poly]]) -> list[str]:
-    failures = []
-    if not point.exact:
-        return ["basepoint must be exact"]
-    if point.u.is_zero:
-        failures.append("u vanishes at the basepoint")
-    if point.v.is_zero:
-        failures.append("v vanishes at the basepoint")
-    z = point.z
-    if all(p.evaluate_exact(z).is_zero for p in partials):
-        failures.append("df vanishes at the basepoint")
-    for k, gens in enumerate(ideals):
-        if gens and all(g.evaluate_exact(z).is_zero for g in gens):
-            failures.append(f"ideal {k} vanishes at the basepoint")
-    return failures
-
-
 @dataclass(frozen=True)
 class _Candidate:
     """One source pair with its fields in one slot order (first, second),
     prepared for both pullbacks.  `twist` maps each base index j with a
-    nonzero first-field coefficient to the pullbacks along z_j; with a
-    given twist function its pullbacks sit under the key None."""
+    nonzero first-field coefficient to the pullbacks along z_j."""
 
     idx: int
     swapped: bool
@@ -470,8 +445,7 @@ class _Candidate:
     first_f: Poly                  # first(f), base ring
     second_f: Poly                 # second(f), base ring
     shear: tuple[ShearPullback, ShearPullback]
-    twist: dict[int | None, tuple[ShearPullback, ShearPullback]]
-    twist_moves: Poly | None       # first(g_twist) when g_twist is given
+    twist: dict[int, tuple[ShearPullback, ShearPullback]]
 
 
 @dataclass(frozen=True)
@@ -483,15 +457,13 @@ class SpanningPlan:
     constant, which changes neither the kernel check nor mu(g)."""
 
     ctx: SuspensionContext
-    partials: tuple[Poly, ...]
     ideals: tuple[tuple[Poly, ...], ...]
     lifted: tuple[tuple[SuspensionField, ...], ...]   # alpha_u, alpha_v, beta_u, beta_v
     candidates: tuple[_Candidate, ...]
-    g_twist: Poly | None
 
     def at(self, point: SurfacePoint) -> SpanningFamily:
         """The evaluated spanning family at an admissible basepoint."""
-        failures = _basepoint_failures(point, self.partials, self.ideals)
+        failures = basepoint_failures(self.ctx, point, self.ideals)
         if failures:
             raise BasepointError(failures)
         ctx = self.ctx
@@ -541,23 +513,12 @@ class SpanningPlan:
             alpha_at = cand.first.evaluate_exact(z)
             if all(c.is_zero for c in alpha_at):
                 continue
-            if self.g_twist is not None:
-                h = self.g_twist
-                if not h.evaluate_exact(z).is_zero:
-                    raise BasepointError(["the twist function must vanish at the basepoint"])
-                if cand.twist_moves.evaluate_exact(z).is_zero:
-                    raise BasepointError(
-                        ["the twist function must move along the first lifted field"])
-                twist_a, twist_b = cand.twist[None]
-                shift = ZERO
-            else:
-                j = next(j for j, c in enumerate(alpha_at) if not c.is_zero)
-                h = ctx.base_ring.var(j) - ctx.base_ring.const(z[j])
-                twist_a, twist_b = cand.twist[j]
-                shift = z[j]
+            j = next(j for j, c in enumerate(alpha_at) if not c.is_zero)
+            h = ctx.base_ring.var(j) - ctx.base_ring.const(z[j])
+            twist_a, twist_b = cand.twist[j]
             family.append(SpanningPair(
                 f"pair{cand.idx}:twist-pullback" + (":swapped" if cand.swapped else ""),
-                tuple(twist_a.at(point, shift)), tuple(twist_b.at(point, shift)),
+                tuple(twist_a.at(point, z[j])), tuple(twist_b.at(point, z[j])),
                 ideal_value_at(cand.gens)))
             notes["twist"] = {"pair": cand.idx, "swapped": cand.swapped,
                               "twist_function": str(h)}
@@ -569,8 +530,7 @@ class SpanningPlan:
 
 
 def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]]],
-                  ctx: SuspensionContext,
-                  g_twist: Poly | None = None) -> SpanningPlan:
+                  ctx: SuspensionContext) -> SpanningPlan:
     """Lift every source pair and prepare its pullbacks, once; see
     `spanning_family` for what the plan evaluates at a basepoint."""
     ring = ctx.ring
@@ -587,47 +547,38 @@ def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]
         for swapped, (first, first_u, first_v, first_f, second_v, second_f) in (
                 (False, (alpha, alpha_u, alpha_v, alpha_f, beta_v, beta_f)),
                 (True, (beta, beta_u, beta_v, beta_f, alpha_v, alpha_f))):
-            if g_twist is not None:
-                h_amb = g_twist.extend_to(ring)
-                twist = {None: (ShearPullback.prepare(first_u, radial, h_amb),
-                                ShearPullback.prepare(second_v, radial, h_amb))}
-                twist_moves = first.apply(g_twist)
-            else:
-                twist = {}
-                for j, c in enumerate(first.coeffs):
-                    if c.is_zero:
-                        continue
-                    z_j = ring.var(ctx.base_ring.variables[j])
-                    twist[j] = (ShearPullback.prepare(first_u, radial, z_j),
-                                ShearPullback.prepare(second_v, radial, z_j))
-                twist_moves = None
+            twist = {}
+            for j, c in enumerate(first.coeffs):
+                if c.is_zero:
+                    continue
+                z_j = ring.var(ctx.base_ring.variables[j])
+                twist[j] = (ShearPullback.prepare(first_u, radial, z_j),
+                            ShearPullback.prepare(second_v, radial, z_j))
             candidates.append(_Candidate(
                 idx=idx, swapped=swapped, gens=tuple(gens), first=first,
                 first_f=first_f, second_f=second_f,
                 shear=(ShearPullback.prepare(first_u, first_v, u),
                        ShearPullback.prepare(second_v, first_v, u)),
-                twist=twist, twist_moves=twist_moves))
+                twist=twist))
     return SpanningPlan(
-        ctx=ctx,
-        partials=tuple(ctx.f_base.derivative(j) for j in range(ctx.n)),
-        ideals=tuple(tuple(gens) for _, _, gens in pairs),
-        lifted=tuple(lifted), candidates=tuple(candidates), g_twist=g_twist)
+        ctx=ctx, ideals=tuple(tuple(gens) for _, _, gens in pairs),
+        lifted=tuple(lifted), candidates=tuple(candidates))
 
 
 def spanning_family(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]]],
-                    ctx: SuspensionContext, point: SurfacePoint,
-                    g_twist: Poly | None = None) -> SpanningFamily:
+                    ctx: SuspensionContext, point: SurfacePoint) -> SpanningFamily:
     """Evaluate at an admissible basepoint the family whose wedges are
     expected to span the second exterior power of the tangent space:
 
     * both opposite-side lifted pairs of every source pair, and
     * up to two pullback pairs, one along a shear by (u - u0) times a
-      side-v lift, one along a twist by a base function vanishing at the
-      basepoint (see the notes for which source pairs fed them).
+      side-v lift, one along a twist by z_j - z_j(p), for the first base
+      index j where the first-slot field is nonzero at the basepoint p
+      (see the notes for which source pairs fed them).
 
     Source pairs come with their proposed ideal generators (base ring);
     every wedge is weighted by a nonvanishing ideal value at the point.
     Evaluating many basepoints?  Build `spanning_plan` once and call its
     `at` per point instead.
     """
-    return spanning_plan(pairs, ctx, g_twist).at(point)
+    return spanning_plan(pairs, ctx).at(point)

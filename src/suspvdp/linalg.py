@@ -128,3 +128,23 @@ def solve_columns(a: ExactMatrix, targets: list[Vector]) -> list[Vector | None]:
             x[c] = aug.entries[r][col]
         out.append(x)
     return out
+
+
+def span_solve(columns, targets) -> list[Vector | None]:
+    """Write each target polynomial as a combination of the column
+    polynomials: one row per monomial of their joint support, in sorted
+    order, then `solve_columns`.  Returns one coefficient vector per target
+    (None where the target is outside the span)."""
+    support = sorted({e for p in (*columns, *targets) for e in p.terms})
+    row_of = {e: i for i, e in enumerate(support)}
+    matrix = ExactMatrix([[ZERO] * len(columns) for _ in support])
+    for j, p in enumerate(columns):
+        for e, c in p.terms.items():
+            matrix.entries[row_of[e]][j] = c
+    vectors = []
+    for t in targets:
+        vec = [ZERO] * len(support)
+        for e, c in t.terms.items():
+            vec[row_of[e]] = c
+        vectors.append(vec)
+    return solve_columns(matrix, vectors)

@@ -86,15 +86,6 @@ class PolyRing:
             return Poly(self, {})
         return Poly(self, {e: c})
 
-    def from_terms(self, terms: Mapping[tuple[int, ...], GaussianRational]) -> "Poly":
-        out = {}
-        for e, c in terms.items():
-            if len(e) != self.nvars:
-                raise PolyError("exponent tuple length mismatch")
-            if not c.is_zero:
-                out[tuple(e)] = c
-        return Poly(self, out)
-
     def parse(self, text: str) -> "Poly":
         return _parse(self, text)
 

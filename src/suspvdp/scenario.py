@@ -11,6 +11,7 @@ canonical text and parsing that text gives back an equal Scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -301,6 +302,9 @@ def _build_region(raw: str, line: int) -> tuple[str, str]:
         raise ScenarioError("region bounds must be rational numbers", line)
     if lo >= hi:
         raise ScenarioError("region must satisfy lo < hi", line)
+    if math.ceil(lo) > math.floor(hi):
+        # a denominator-1 draw would have no value to take
+        raise ScenarioError("region must contain an integer", line)
     return (str(lo), str(hi))
 
 

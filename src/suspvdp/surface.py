@@ -17,15 +17,16 @@ canonical representative.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import VectorField, VolumeForm, divergence
-from .linalg import ExactMatrix, nullspace, solve_columns
+from .linalg import ExactMatrix, nullspace, span_solve
 from .poly import Poly, PolyRing
-from .scalars import GaussianRational, gr, ONE, ZERO
+from .scalars import GaussianRational, gr, ZERO
 
 
 class SuspensionError(ValueError):
@@ -55,13 +56,10 @@ class SuspensionContext:
     f: Poly            # in the ambient ring, z variables only
     f_base: Poly       # the same polynomial in the base ring
     defining: Poly     # uv - f
+    partials: tuple[Poly, ...]   # df/dz_j in the base ring
     volume: VolumeForm
     base_volume: VolumeForm
     _f_powers: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def z_indices(self) -> tuple[int, ...]:
-        return tuple(range(2, self.n + 2))
 
     def f_power(self, k: int) -> Poly:
         got = self._f_powers.get(k)
@@ -96,9 +94,6 @@ class SuspensionContext:
         nf = self.normal_form(p)
         return nf, (p - nf).divide_exact(self.defining)
 
-    def in_surface_ideal(self, p: Poly) -> bool:
-        return self.normal_form(p).is_zero
-
     # -- parsing -----------------------------------------------------------
 
     def parse(self, text: str) -> Poly:
@@ -110,16 +105,14 @@ class SuspensionContext:
     # -- pointwise data ----------------------------------------------------
 
     def defining_gradient_exact(self, coords) -> list[GaussianRational]:
-        grad = [coords[V], coords[U]]
-        for j in self.z_indices:
-            grad.append(-self.f.derivative(j).evaluate_exact(coords))
-        return grad
+        z = coords[2:]
+        return [coords[V], coords[U],
+                *(-p.evaluate_exact(z) for p in self.partials)]
 
     def defining_gradient_complex(self, coords) -> list[complex]:
-        grad = [complex(coords[V]), complex(coords[U])]
-        for j in self.z_indices:
-            grad.append(-self.f.derivative(j).evaluate_complex(coords))
-        return grad
+        z = coords[2:]
+        return [complex(coords[V]), complex(coords[U]),
+                *(-p.evaluate_complex(z) for p in self.partials)]
 
 
 def make_suspension(n: int, f) -> SuspensionContext:
@@ -141,7 +134,9 @@ def make_suspension(n: int, f) -> SuspensionContext:
     defining = ring.var("u") * ring.var("v") - f_amb
     return SuspensionContext(
         n=n, ring=ring, base_ring=base_ring, f=f_amb, f_base=f_base,
-        defining=defining, volume=VolumeForm.standard(ring),
+        defining=defining,
+        partials=tuple(f_base.derivative(j) for j in range(n)),
+        volume=VolumeForm.standard(ring),
         base_volume=VolumeForm.standard(base_ring))
 
 
@@ -270,22 +265,21 @@ class SamplingSpec:
     seed: int = 0
     region: tuple[Fraction, Fraction] = (Fraction(-2), Fraction(2))
     exactness: str = "exact"            # "exact" | "float"
-    denominator_bound: int = 3
     imaginary: bool = True
     max_attempts: int = 10000
 
 
-def _rand_rational(rng: random.Random, lo: Fraction, hi: Fraction,
-                   denominator_bound: int) -> Fraction:
-    d = rng.randint(1, denominator_bound)
-    a = rng.randint(int(lo * d), int(hi * d))
+def _rand_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    """A rational in [lo, hi] with denominator at most 3."""
+    d = rng.randint(1, 3)
+    a = rng.randint(math.ceil(lo * d), math.floor(hi * d))
     return Fraction(a, d)
 
 
 def _rand_exact_scalar(rng: random.Random, spec: SamplingSpec) -> GaussianRational:
     lo, hi = spec.region
-    re = _rand_rational(rng, lo, hi, spec.denominator_bound)
-    im = _rand_rational(rng, lo, hi, spec.denominator_bound) if spec.imaginary else Fraction(0)
+    re = _rand_rational(rng, lo, hi)
+    im = _rand_rational(rng, lo, hi) if spec.imaginary else Fraction(0)
     return gr(re, im)
 
 
@@ -329,9 +323,10 @@ def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoi
     return out
 
 
-def sample_zero_fiber(ctx: SuspensionContext, spec: SamplingSpec,
-                      grid_step: Fraction = Fraction(1, 2)) -> list[SurfacePoint]:
-    """Points with u = 0, found by scanning a rational grid for zeros of f.
+def sample_zero_fiber(ctx: SuspensionContext,
+                      spec: SamplingSpec) -> list[SurfacePoint]:
+    """Points with u = 0, found by scanning a grid of step 1/2 for zeros
+    of f.
 
     Only real-rational grid nodes are scanned; this is a best-effort
     helper for the chart the generic sampler cannot reach.
@@ -341,7 +336,7 @@ def sample_zero_fiber(ctx: SuspensionContext, spec: SamplingSpec,
     x = lo
     while x <= hi:
         values.append(Fraction(x))
-        x += grid_step
+        x += Fraction(1, 2)
     rng = random.Random(spec.seed + 1)
     out: list[SurfacePoint] = []
 
@@ -383,14 +378,13 @@ def smoothness_witness(ctx: SuspensionContext, z_samples: Iterable,
     exact combination  g0*f + sum_j gj*df/dzj = 1  up to a degree bound,
     which certifies smoothness everywhere rather than just on samples."""
     z_samples = list(z_samples)
-    partials = [ctx.f_base.derivative(j) for j in range(ctx.n)]
     singular = []
     zero_count = 0
     for z in z_samples:
         if not ctx.f_base.evaluate_exact(z).is_zero:
             continue
         zero_count += 1
-        if all(p.evaluate_exact(z).is_zero for p in partials):
+        if all(p.evaluate_exact(z).is_zero for p in ctx.partials):
             singular.append(tuple(z))
     cert = None
     if certificate_degree is not None:
@@ -403,7 +397,7 @@ def smoothness_certificate(ctx: SuspensionContext, degree_bound: int) -> dict | 
     """Exact cofactors writing 1 as a combination of f and its partials,
     with cofactor degree <= degree_bound; None if none exists at this bound."""
     ring = ctx.base_ring
-    factors = [ctx.f_base] + [ctx.f_base.derivative(j) for j in range(ctx.n)]
+    factors = [ctx.f_base, *ctx.partials]
     monomials = list(ring.exponents_up_to(degree_bound))
     columns: list[Poly] = []
     labels: list[tuple[int, tuple[int, ...]]] = []
@@ -411,15 +405,7 @@ def smoothness_certificate(ctx: SuspensionContext, degree_bound: int) -> dict | 
         for e in monomials:
             columns.append(ring.monomial(e) * factor)
             labels.append((fi, e))
-    support = sorted({e for col in columns for e in col.terms} | {(0,) * ctx.n})
-    row_of = {e: i for i, e in enumerate(support)}
-    matrix = ExactMatrix([[ZERO] * len(columns) for _ in support])
-    for j, col in enumerate(columns):
-        for e, c in col.terms.items():
-            matrix.entries[row_of[e]][j] = c
-    target = [ZERO] * len(support)
-    target[row_of[(0,) * ctx.n]] = ONE
-    sol = solve_columns(matrix, [target])[0]
+    sol = span_solve(columns, [ring.one()])[0]
     if sol is None:
         return None
     cofactors = [ring.zero() for _ in factors]
@@ -444,18 +430,36 @@ class RejectionReport:
         self.rejected[condition] = self.rejected.get(condition, 0) + 1
 
 
+def basepoint_failures(ctx: SuspensionContext, point: SurfacePoint,
+                       ideals: Sequence[Sequence[Poly]] = ()) -> list[str]:
+    """The preconditions of the spanning construction that fail at the
+    point, in the order u_nonzero, v_nonzero, df_nonzero, ideal_{k}_nonzero
+    (an ideal vanishing at z); a float point fails `exact` alone."""
+    if not point.exact:
+        return ["exact"]
+    failures = []
+    if point.u.is_zero:
+        failures.append("u_nonzero")
+    if point.v.is_zero:
+        failures.append("v_nonzero")
+    z = point.z
+    if all(p.evaluate_exact(z).is_zero for p in ctx.partials):
+        failures.append("df_nonzero")
+    failures += [f"ideal_{k}_nonzero" for k, gens in enumerate(ideals)
+                 if gens and all(g.evaluate_exact(z).is_zero for g in gens)]
+    return failures
+
+
 def basepoint_search(ctx: SuspensionContext, spec: SamplingSpec,
-                     ideals: Sequence[Sequence[Poly]] = (),
-                     rng: random.Random | None = None,
-                     count: int = 1) -> tuple[list[SurfacePoint], RejectionReport]:
-    """Rejection-sample exact points satisfying the spanning-construction
-    preconditions: u != 0, v != 0, df nonzero at z, and every proposed
-    ideal nonvanishing at z.  Each rejection is recorded by condition."""
-    rng = rng or random.Random(spec.seed)
-    partials = [ctx.f_base.derivative(j) for j in range(ctx.n)]
+                     ideals: Sequence[Sequence[Poly]] = ()
+                     ) -> tuple[list[SurfacePoint], RejectionReport]:
+    """Rejection-sample `spec.count` exact points at which
+    `basepoint_failures` finds nothing.  Each rejection is recorded under
+    the first condition that failed."""
+    rng = random.Random(spec.seed)
     report = RejectionReport()
     found: list[SurfacePoint] = []
-    while len(found) < count:
+    while len(found) < spec.count:
         report.attempts += 1
         if report.attempts > spec.max_attempts:
             raise SamplingError(
@@ -466,20 +470,10 @@ def basepoint_search(ctx: SuspensionContext, spec: SamplingSpec,
         if u.is_zero:
             report.reject("u_nonzero")
             continue
-        fz = ctx.f_base.evaluate_exact(z)
-        if fz.is_zero:
-            report.reject("v_nonzero")
+        point = surface_point(ctx, (u, ctx.f_base.evaluate_exact(z) / u, *z))
+        failures = basepoint_failures(ctx, point, ideals)
+        if failures:
+            report.reject(failures[0])
             continue
-        if all(p.evaluate_exact(z).is_zero for p in partials):
-            report.reject("df_nonzero")
-            continue
-        bad_ideal = None
-        for k, gens in enumerate(ideals):
-            if gens and all(g.evaluate_exact(z).is_zero for g in gens):
-                bad_ideal = k
-                break
-        if bad_ideal is not None:
-            report.reject(f"ideal_{bad_ideal}_nonzero")
-            continue
-        found.append(surface_point(ctx, (u, fz / u, *z)))
+        found.append(point)
     return found, report

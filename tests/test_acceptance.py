@@ -158,8 +158,7 @@ def test_criterion_5_spanning_rank_and_twisted_pullback():
     ctx = make_suspension(2, "z1")
     p = surface_point(ctx, [gr(1), gr(1), gr(1), gr(0)])
     alpha, beta = coordinate_pair(ctx)
-    fam = spanning_family([(alpha, beta, [ctx.base_ring.one()])], ctx, p,
-                          g_twist=ctx.base_ring.parse("z2"))
+    fam = spanning_family([(alpha, beta, [ctx.base_ring.one()])], ctx, p)
     rank = tangent_wedge_rank(ctx, p, fam)
     assert rank == 3 == math.comb(ctx.n + 1, 2)
 

@@ -204,7 +204,7 @@ def test_volume_audit_matches_divergence_integral():
     sf = tangent_field(VectorField(ctx.ring, (
         ctx.ring.parse("u"), ctx.ring.zero(), ctx.ring.parse("z1"))), ctx)
     point = surface_point(ctx, [1.0, 0.5, 0.5], tol=1e-9)
-    out = volume_audit(sf, ctx, point, t=0.25)
+    out = volume_audit(sf, ctx, point)
     assert out["error"] <= 1e-6
     assert abs(out["weighted_determinant"] - cmath.exp(0.25)) <= 1e-6
     assert abs(out["expected"] - cmath.exp(0.25)) <= 1e-9

@@ -3,10 +3,10 @@ import json
 import pytest
 
 from suspvdp.certify import (Assumptions, CertifyError, KernelFamily,
-                             PairSpec, RankReport, lift_ideal, lift_pair,
-                             monomial_closure, run_vdp_criterion,
-                             semicompat_certificate, spanning_rank,
-                             verify_kernel)
+                             PairSpec, RankReport, _certificate_in_mode,
+                             lift_ideal, lift_pair, monomial_closure,
+                             run_vdp_criterion, semicompat_certificate,
+                             spanning_rank, verify_kernel)
 from suspvdp.fields import VectorField
 from suspvdp.lifts import SpanningPair, lift, spanning_family
 from suspvdp.poly import PolyRing
@@ -135,8 +135,8 @@ def test_semicompat_quotient_fallback():
                                   2, ctx=ctx)
     assert cert.success and cert.mode == "quotient"
     assert cert.re_verify(ctx)
-    forced = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
-                                    pair.ideal, 2, ctx=ctx, mode="plain")
+    forced = _certificate_in_mode(pair.kernel_nu, pair.kernel_mu,
+                                  pair.ideal, 2, ctx, "plain")
     assert not forced.success
 
 
@@ -172,7 +172,7 @@ def test_spanning_rank_full():
     ctx, spec = criterion_setup()
     p = surface_point(ctx, [gr(1), gr(1), gr(1), gr(0)])
     fam = spanning_family([(spec.alpha, spec.beta, [ctx.base_ring.one()])],
-                          ctx, p, g_twist=ctx.base_ring.parse("z2"))
+                          ctx, p)
     report = spanning_rank(fam, ctx)
     assert report.rank == 3 and report.full and report.full_rank == 3
 
@@ -263,18 +263,18 @@ def test_run_vdp_criterion_deterministic():
 def test_run_vdp_criterion_reports_failed_re_expansion(monkeypatch):
     import suspvdp.certify as certify_mod
 
-    real = certify_mod._span_solve
+    real = certify_mod.span_solve
     corrupted = []
 
-    def corrupt_first_witness(products, targets):
-        witnesses = real(products, targets)
+    def corrupt_first_witness(columns, targets):
+        witnesses = real(columns, targets)
         if not corrupted:
             k = next(k for k, w in enumerate(witnesses) if w is not None)
             witnesses[k] = [witnesses[k][0] + 1] + witnesses[k][1:]
             corrupted.append(k)
         return witnesses
 
-    monkeypatch.setattr(certify_mod, "_span_solve", corrupt_first_witness)
+    monkeypatch.setattr(certify_mod, "span_solve", corrupt_first_witness)
     ctx, spec = criterion_setup()
     report = run_vdp_criterion(ctx, [spec], Assumptions(cohomology=True),
                                SamplingSpec(count=3, seed=5), degree_bound=2)

@@ -137,6 +137,47 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+UNANNIHILATED_KERNEL = """
+n = 2
+f = z1
+
+[pair]
+alpha = [1, 0]
+beta = [0, 1]
+kernel_alpha = z1
+"""
+
+# u = 0 at every draw: denominators 1..3 leave no nonzero numerator
+EMPTY_CHART = """
+n = 2
+f = z1
+
+[pair]
+alpha = [1, 0]
+beta = [0, 1]
+
+[sampling]
+region = 0 .. 1/10
+"""
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("approx", UNANNIHILATED_KERNEL, "not annihilated by the field: z1"),
+    ("approx", BAD_PAIR, "dictionary entry has divergence"),
+    ("flow", EMPTY_CHART, "exhausted 10000 sampling attempts"),
+], ids=["kernel-not-annihilated", "base-field-not-divergence-free",
+        "no-sample-off-u-zero"])
+def test_unusable_input_is_an_error_not_a_fault(tmp_path, capsys, command,
+                                                 text, message):
+    scn = tmp_path / "input.scn"
+    scn.write_text(text)
+    code = run([command, "--scenario", str(scn), "--out",
+                str(tmp_path / "o"), "--no-figures"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_unknown_scenario_exits_two(tmp_path):
     code = run(["flow", "--scenario", "nope", "--out", str(tmp_path / "o")])
     assert code == 2

@@ -16,12 +16,17 @@ from hypothesis import example, given, settings, strategies as st
 from suspvdp.approx import Dictionary, DictionaryEntry, fitted_evaluator
 from suspvdp.fields import VectorField
 from suspvdp.lifts import rk4_flow
-from suspvdp.poly import (PolyError, PolyRing, compile_complex,
+from suspvdp.poly import (Poly, PolyError, PolyRing, compile_complex,
                           compile_complex_sum)
 from suspvdp.scalars import gr
 from suspvdp.surface import SuspensionField, make_suspension
 
 R = PolyRing(("u", "v", "z1", "z2"))
+
+
+def poly(ring, terms) -> Poly:
+    """The polynomial with these terms, in this order, zeros dropped."""
+    return Poly(ring, {e: c for e, c in terms.items() if not c.is_zero})
 
 
 def reference_value(p, values) -> complex:
@@ -59,7 +64,7 @@ SCALARS = st.builds(lambda a, b, d: gr(Fraction(a, d), Fraction(b, d)),
 # exponents 0..3 cover constants, exponent 1 and real powers
 TERMS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * R.nvars), SCALARS,
                         max_size=4)
-POLYS = TERMS.map(R.from_terms)               # includes the zero polynomial
+POLYS = TERMS.map(lambda t: poly(R, t))      # includes the zero polynomial
 INF, NAN = float("inf"), float("nan")
 PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, INF, -INF, NAN]),
                   st.floats(-4, 4), st.floats())
@@ -100,8 +105,8 @@ def test_field_evaluation_matches_loop_bit_for_bit(coeffs, coords):
 
 
 def test_long_sums_split_across_lines_keep_their_order():
-    p = R.from_terms({(k, 0, 0, 0): gr(Fraction(1, k + 1), k % 3 - 1)
-                      for k in range(100)})
+    p = poly(R, {(k, 0, 0, 0): gr(Fraction(1, k + 1), k % 3 - 1)
+                 for k in range(100)})
     for x in (0.5 - 0.25j, -1.0 + 0.0j, complex(0.0, -0.0)):
         coords = [x, 1, 2, 3]
         assert bits(lambda: compile_complex(R, [p])(coords)) == \
@@ -190,7 +195,7 @@ def test_stepwise_integration_ends_where_one_pass_ends():
 def test_repeated_polynomials_are_evaluated_once():
     p = R.parse("u*z1 - 3*v + 1/2")
     # equal to p, but summed in another order, so it keeps its own value
-    q = R.from_terms(dict(reversed(list(p.terms.items()))))
+    q = poly(R, dict(reversed(list(p.terms.items()))))
     assert q == p and list(q.terms) != list(p.terms)
     rows = [[p, q, p, R.zero()], [q, p, p, R.one()]]
     weights = [0.5 - 1j, 2.0]
@@ -232,7 +237,7 @@ def flow_cases(draw):
     ring = PolyRing(tuple(f"z{i + 1}" for i in range(m)))
     terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * m), SCALARS,
                             max_size=3)
-    polys = draw(st.lists(terms.map(ring.from_terms), min_size=1,
+    polys = draw(st.lists(terms.map(lambda t: poly(ring, t)), min_size=1,
                           max_size=3))
     row = st.lists(st.sampled_from(polys), min_size=m, max_size=m)
     rows = draw(st.lists(row, min_size=1, max_size=3))

@@ -92,6 +92,7 @@ def test_parse_errors_carry_positions():
         ("n = 2\nf = z1\nbogus = 3\n", "unknown key"),
         (MINIMAL + "[pair]\nalpha = [1]\nbeta = [0, 1]\n", "2 coefficients"),
         (MINIMAL + "[sampling]\nregion = 1 .. 1\n", "lo < hi"),
+        (MINIMAL + "[sampling]\nregion = 1/10 .. 2/10\n", "an integer"),
         (MINIMAL + "[sampling]\nexactness = maybe\n", "exactness"),
         (MINIMAL + "[sampling]\ncount = -2\n", "positive"),
         (MINIMAL + "[options]\nassume_cohomology = yes\n", "unknown"),

@@ -10,7 +10,8 @@ from suspvdp.randgen import rand_poly
 from suspvdp.scalars import gr, ZERO
 from suspvdp.scenario import load_scenario
 from suspvdp.surface import (NotTangentError, SamplingError, SamplingSpec,
-                             SuspensionError, basepoint_search,
+                             SuspensionError, basepoint_failures,
+                             basepoint_search,
                              divergence_on_suspension, is_tangent,
                              make_suspension, sample_points,
                              sample_zero_fiber, smoothness_certificate,
@@ -83,9 +84,9 @@ def test_reduce_reconstructs_exactly():
 
 def test_ideal_membership():
     ctx = CTX
-    assert ctx.in_surface_ideal(ctx.defining)
-    assert ctx.in_surface_ideal(ctx.parse("(u*v - z1)*(u + z2^3)"))
-    assert not ctx.in_surface_ideal(ctx.parse("u*v"))
+    assert ctx.normal_form(ctx.defining).is_zero
+    assert ctx.normal_form(ctx.parse("(u*v - z1)*(u + z2^3)")).is_zero
+    assert not ctx.normal_form(ctx.parse("u*v")).is_zero
 
 
 def test_is_tangent_multipliers():
@@ -108,7 +109,7 @@ def test_divergence_on_suspension_twist_family():
     ctx = CTX
     rng = random.Random(53)
     for _ in range(20):
-        h = rand_poly(ctx.ring, rng, max_degree=3, indices=ctx.z_indices)
+        h = rand_poly(ctx.ring, rng, max_degree=3, indices=range(2, ctx.n + 2))
         twist = VectorField(ctx.ring, (
             h * ctx.parse("u"), -h * ctx.parse("v"), ctx.ring.zero(), ctx.ring.zero()))
         sf = tangent_field(twist, ctx)
@@ -235,9 +236,9 @@ def test_smoothness_detects_singular_sample():
 
 def test_basepoint_search_reports_conditions():
     ctx = CTX
-    spec = SamplingSpec(count=1, seed=5, max_attempts=500)
+    spec = SamplingSpec(count=3, seed=5, max_attempts=500)
     ideal = [ctx.base_ring.parse("z2")]
-    pts, report = basepoint_search(ctx, spec, ideals=[ideal], count=3)
+    pts, report = basepoint_search(ctx, spec, ideals=[ideal])
     assert len(pts) == 3
     for p in pts:
         assert not p.u.is_zero and not p.v.is_zero
@@ -249,3 +250,26 @@ def test_basepoint_search_reports_conditions():
     with pytest.raises(SamplingError) as err:
         basepoint_search(ctx2, tight)
     assert "v_nonzero" in err.value.report.rejected
+
+
+def test_basepoint_failures_reports_df():
+    ctx = make_suspension(1, "z1^2")
+    p = surface_point(ctx, [gr(1), gr(0), gr(0)])
+    assert basepoint_failures(ctx, p) == ["v_nonzero", "df_nonzero"]
+    ideal = [ctx.base_ring.parse("z1")]
+    assert basepoint_failures(ctx, p, [[ctx.base_ring.one()], ideal]) == \
+        ["v_nonzero", "df_nonzero", "ideal_1_nonzero"]
+    float_point = surface_point(ctx, [1.0, 0.0, 0.0])
+    assert basepoint_failures(ctx, float_point) == ["exact"]
+
+
+def test_exact_samples_stay_in_region():
+    # a negative region: truncating toward zero drew z1 = -1 here
+    ctx = make_suspension(1, "z1")
+    lo, hi = Fraction(-5, 2), Fraction(-3, 2)
+    for seed in range(5):
+        spec = SamplingSpec(count=5, seed=seed, region=(lo, hi),
+                            imaginary=False)
+        for p in sample_points(ctx, spec):
+            for c in p.coords[::2]:               # u and z1 are drawn
+                assert lo <= c.re <= hi, p
