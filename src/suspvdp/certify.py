@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Sequence
 
 from .fields import VectorField, divergence
@@ -374,16 +374,9 @@ class CriterionReport:
 
     def to_json_dict(self) -> dict:
         # timings stay out: reports must be byte-identical across runs
-        return {
-            "n": self.n, "f": self.f, "assumptions": self.assumptions,
-            "smoothness": self.smoothness, "pairs": self.pairs,
-            "sampling": self.sampling, "ranks": self.ranks,
-            "problems": self.problems, "verdict": self.verdict,
-        }
-
-
-def _point_text(point: SurfacePoint) -> str:
-    return "(" + ", ".join(str(c) for c in point.coords) + ")"
+        out = asdict(self)
+        del out["timings"]
+        return out
 
 
 def _certificate_search(pair: LiftedPair, ctx: SuspensionContext,
@@ -399,24 +392,21 @@ def _certificate_search(pair: LiftedPair, ctx: SuspensionContext,
     cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
                                   pair.ideal, degree_bound, ctx=ctx)
     verified = cert.re_verify(ctx)
+    entry = {"orientation": pair.orientation, "success": cert.success,
+             "degree": degree_bound, "mode": cert.mode,
+             "products": len(cert.products), "targets": len(cert.targets),
+             "unreachable": cert.unreachable[:8]}
     if not cert.success:
-        return {"orientation": pair.orientation, "success": False,
-                "degree": degree_bound, "mode": cert.mode,
-                "products": len(cert.products),
-                "targets": len(cert.targets),
-                "unreachable": cert.unreachable[:8]}, verified
-    smallest = degree_bound
+        return entry, verified
+    entry["smallest_success_degree"] = degree_bound
     for d in range(degree_bound):
         small = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
                                        pair.ideal, d, ctx=ctx)
         if small.success:
-            smallest = d
+            entry["smallest_success_degree"] = d
             verified = verified and small.re_verify(ctx)
             break
-    return {"orientation": pair.orientation, "success": True,
-            "degree": degree_bound, "smallest_success_degree": smallest,
-            "mode": cert.mode, "products": len(cert.products),
-            "targets": len(cert.targets), "unreachable": []}, verified
+    return entry, verified
 
 
 def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
@@ -514,12 +504,12 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
     for point in points:
         family = plan.at(point)
         report = spanning_rank(family, ctx)
-        ranks.append({"point": _point_text(point), "rank": report.rank,
+        ranks.append({"point": str(point), "rank": report.rank,
                       "full": report.full})
         if not report.full:
             problems.append(
                 f"spanning rank {report.rank} < {report.full_rank} at "
-                f"{_point_text(point)}")
+                f"{point}")
     timings["ranks"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()

@@ -44,6 +44,21 @@ VOLUME_TOL = 1e-6
 CURVE_SLACK = 1e-12
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than `low`; the same
+    ranges that scenario files enforce for their own values."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="suspvdp",
@@ -62,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=needs_scenario,
                        help="scenario file path or bundled name")
-        p.add_argument("--degree-bound", type=int, default=None,
+        p.add_argument("--degree-bound", type=_int_at_least(0), default=None,
                        help="override the scenario degree bound")
-        p.add_argument("--samples", type=int, default=None,
+        p.add_argument("--samples", type=_int_at_least(1), default=None,
                        help="override the sample count (verify: trials)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the sampling seed")
@@ -230,12 +245,9 @@ def _cmd_flow(args) -> int:
     for p in kept:
         end = flow_map.apply(p, t)
         end_coords = [complex(c) for c in end.complex_coords()]
-        if flow_map.symbolic:
-            check = rk4_flow(reference.ambient.evaluate_complex,
-                             list(p.complex_coords()), complex(t), 2048)
-        else:
-            check = rk4_flow(reference.ambient.evaluate_complex,
-                             list(p.complex_coords()), complex(t), 8192)
+        check = rk4_flow(reference.ambient.evaluate_complex,
+                         list(p.complex_coords()), complex(t),
+                         2048 if flow_map.symbolic else 8192)
         deviation = max(abs(a - b) for a, b in zip(end_coords, check))
         det = chart_jacobian_determinant(flow_map, p, t)
         det_error = abs(det - 1.0)

@@ -198,11 +198,7 @@ class DiffForm:
         self._check(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            acc = out.get(key, self.ring.zero()) + c
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            _accumulate(out, key, c)
         return DiffForm(self.ring, self.degree, out)
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
@@ -212,18 +208,12 @@ class DiffForm:
         return DiffForm(self.ring, self.degree, {k: -c for k, c in self.coeffs.items()})
 
     def scale(self, h) -> "DiffForm":
-        if isinstance(h, Poly):
-            if h.ring.variables != self.ring.variables:
-                raise FieldError("scaling function lives in the wrong ring")
-            out = {}
-            for key, c in self.coeffs.items():
-                p = h * c
-                if not p.is_zero:
-                    out[key] = p
-            return DiffForm(self.ring, self.degree, out)
+        """Multiply by a polynomial or by a scalar."""
+        if isinstance(h, Poly) and h.ring.variables != self.ring.variables:
+            raise FieldError("scaling function lives in the wrong ring")
         out = {}
         for key, c in self.coeffs.items():
-            p = c.scale(h)
+            p = h * c if isinstance(h, Poly) else c.scale(h)
             if not p.is_zero:
                 out[key] = p
         return DiffForm(self.ring, self.degree, out)
@@ -245,6 +235,16 @@ class DiffForm:
         return " + ".join(parts)
 
 
+def _accumulate(out: dict, key: tuple[int, ...], p: Poly) -> None:
+    """Add `p` into `out[key]`, dropping the key when the sum cancels."""
+    acc = out.get(key)
+    acc = p if acc is None else acc + p
+    if acc.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     if a.ring.variables != b.ring.variables:
         raise FieldError("mismatched rings")
@@ -258,14 +258,7 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
             if sign == 0:
                 continue
             p = ca * cb
-            if sign < 0:
-                p = -p
-            acc = out.get(key)
-            acc = p if acc is None else acc + p
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            _accumulate(out, key, p if sign > 0 else -p)
     return DiffForm(a.ring, degree, out)
 
 
@@ -282,13 +275,7 @@ def exterior_derivative(a: DiffForm) -> DiffForm:
             skey, sign = sort_with_sign((j,) + key)
             if sign == 0:
                 continue
-            p = dc if sign == 1 else -dc
-            acc = out.get(skey)
-            acc = p if acc is None else acc + p
-            if acc.is_zero:
-                out.pop(skey, None)
-            else:
-                out[skey] = acc
+            _accumulate(out, skey, dc if sign == 1 else -dc)
     return DiffForm(a.ring, a.degree + 1, out)
 
 
@@ -305,15 +292,7 @@ def interior_product(theta: VectorField, a: DiffForm) -> DiffForm:
             if coeff.is_zero:
                 continue
             p = coeff * c
-            if t % 2 == 1:
-                p = -p
-            rest = key[:t] + key[t + 1:]
-            acc = out.get(rest)
-            acc = p if acc is None else acc + p
-            if acc.is_zero:
-                out.pop(rest, None)
-            else:
-                out[rest] = acc
+            _accumulate(out, key[:t] + key[t + 1:], -p if t % 2 else p)
     return DiffForm(a.ring, a.degree - 1, out)
 
 

@@ -46,139 +46,111 @@ class SuiteResult:
                 f"first: {self.failures[0]}")
 
 
-def _suite(name, rng, trials, body) -> SuiteResult:
-    failures: list[str] = []
-    start = time.perf_counter()
-    for k in range(trials):
-        msg = body(rng)
-        if msg and len(failures) < MAX_STORED_FAILURES:
-            failures.append(f"trial {k}: {msg}")
-    return SuiteResult(name, trials, failures, time.perf_counter() - start)
+ALL_CHECKS: dict = {}
+
+_VOLUME = VolumeForm.standard(GENERIC_RING)
+_SUSPENSIONS = [make_suspension(2, f) for f in ("z1", "z1^2", "z1*z2 - 1")]
+_F_RING = PolyRing(("z1", "z2"))          # wedge-decomposition draws f here
 
 
-def check_cartan(rng: random.Random, trials: int = 200) -> SuiteResult:
+def _check(name: str):
+    """Register a trial body under `name`.  A body draws from the stream it
+    is given and returns a failure message or None; `ALL_CHECKS` keeps the
+    registration order, which is the order `verify` reports."""
+    def register(body):
+        ALL_CHECKS[name] = body
+        return body
+    return register
+
+
+@_check("cartan")
+def _cartan(rng):
     """Contract-then-differentiate formula against the slot-by-slot
     definition of the Lie derivative."""
-    ring = GENERIC_RING
-
-    def body(rng):
-        theta = rand_field(ring, rng)
-        a = rand_form(ring, rng, rng.randint(0, 2))
-        diff = lie_derivative(theta, a) + \
-            lie_derivative_direct(theta, a).scale(gr(-1))
-        if not diff.is_zero:
-            return f"Lie derivative mismatch on degree {a.degree}"
-        return None
-
-    return _suite("cartan", rng, trials, body)
+    theta = rand_field(GENERIC_RING, rng)
+    a = rand_form(GENERIC_RING, rng, rng.randint(0, 2))
+    diff = lie_derivative(theta, a) + \
+        lie_derivative_direct(theta, a).scale(gr(-1))
+    if not diff.is_zero:
+        return f"Lie derivative mismatch on degree {a.degree}"
+    return None
 
 
-def check_dd_zero(rng: random.Random, trials: int = 200) -> SuiteResult:
-    ring = GENERIC_RING
-
-    def body(rng):
-        a = rand_form(ring, rng, rng.randint(0, 2))
-        if not exterior_derivative(exterior_derivative(a)).is_zero:
-            return f"d(d a) != 0 on degree {a.degree}"
-        return None
-
-    return _suite("dd-zero", rng, trials, body)
+@_check("dd-zero")
+def _dd_zero(rng):
+    a = rand_form(GENERIC_RING, rng, rng.randint(0, 2))
+    if not exterior_derivative(exterior_derivative(a)).is_zero:
+        return f"d(d a) != 0 on degree {a.degree}"
+    return None
 
 
-def check_antiderivation(rng: random.Random, trials: int = 200) -> SuiteResult:
-    ring = GENERIC_RING
-
-    def body(rng):
-        a = rand_form(ring, rng, rng.randint(0, 1))
-        b = rand_form(ring, rng, rng.randint(0, 2))
-        sign = gr(-1) if a.degree % 2 else gr(1)
-        lhs = exterior_derivative(wedge(a, b))
-        rhs = wedge(exterior_derivative(a), b) + \
-            wedge(a, exterior_derivative(b)).scale(sign)
-        if not (lhs + rhs.scale(gr(-1))).is_zero:
-            return f"Leibniz rule fails on degrees ({a.degree}, {b.degree})"
-        return None
-
-    return _suite("antiderivation", rng, trials, body)
+@_check("antiderivation")
+def _antiderivation(rng):
+    a = rand_form(GENERIC_RING, rng, rng.randint(0, 1))
+    b = rand_form(GENERIC_RING, rng, rng.randint(0, 2))
+    sign = gr(-1) if a.degree % 2 else gr(1)
+    lhs = exterior_derivative(wedge(a, b))
+    rhs = wedge(exterior_derivative(a), b) + \
+        wedge(a, exterior_derivative(b)).scale(sign)
+    if not (lhs + rhs.scale(gr(-1))).is_zero:
+        return f"Leibniz rule fails on degrees ({a.degree}, {b.degree})"
+    return None
 
 
-def check_jacobi(rng: random.Random, trials: int = 200) -> SuiteResult:
-    ring = GENERIC_RING
-
-    def body(rng):
-        x = rand_field(ring, rng, max_degree=3)
-        y = rand_field(ring, rng, max_degree=3)
-        z = rand_field(ring, rng, max_degree=3)
-        total = lie_bracket(x, lie_bracket(y, z)) + \
-            lie_bracket(y, lie_bracket(z, x)) + \
-            lie_bracket(z, lie_bracket(x, y))
-        if not total.is_zero:
-            return "Jacobi sum is nonzero"
-        return None
-
-    return _suite("jacobi", rng, trials, body)
+@_check("jacobi")
+def _jacobi(rng):
+    x = rand_field(GENERIC_RING, rng, max_degree=3)
+    y = rand_field(GENERIC_RING, rng, max_degree=3)
+    z = rand_field(GENERIC_RING, rng, max_degree=3)
+    total = lie_bracket(x, lie_bracket(y, z)) + \
+        lie_bracket(y, lie_bracket(z, x)) + \
+        lie_bracket(z, lie_bracket(x, y))
+    if not total.is_zero:
+        return "Jacobi sum is nonzero"
+    return None
 
 
-def check_divergence_leibniz(rng: random.Random,
-                             trials: int = 200) -> SuiteResult:
-    ring = GENERIC_RING
-    volume = VolumeForm.standard(ring)
-
-    def body(rng):
-        theta = rand_field(ring, rng)
-        h = rand_poly(ring, rng)
-        lhs = divergence(theta.scale(h), volume)
-        rhs = h * divergence(theta, volume) + theta.apply(h)
-        if not (lhs - rhs).is_zero:
-            return "div(h*field) != h*div(field) + field(h)"
-        return None
-
-    return _suite("divergence-leibniz", rng, trials, body)
+@_check("divergence-leibniz")
+def _divergence_leibniz(rng):
+    theta = rand_field(GENERIC_RING, rng)
+    h = rand_poly(GENERIC_RING, rng)
+    lhs = divergence(theta.scale(h), _VOLUME)
+    rhs = h * divergence(theta, _VOLUME) + theta.apply(h)
+    if not (lhs - rhs).is_zero:
+        return "div(h*field) != h*div(field) + field(h)"
+    return None
 
 
-def check_bracket_form(rng: random.Random, trials: int = 200) -> SuiteResult:
+@_check("bracket-form")
+def _bracket_form(rng):
     """For divergence-free fields, contracting the bracket into the volume
     form is the exterior derivative of the double contraction."""
-    ring = GENERIC_RING
-    volume = VolumeForm.standard(ring)
-
-    def body(rng):
-        nu = rand_divergence_free_field(ring, rng, max_degree=3)
-        mu = rand_divergence_free_field(ring, rng, max_degree=3)
-        lhs = interior_product(lie_bracket(nu, mu), volume.form)
-        rhs = exterior_derivative(pair_to_form(nu, mu, volume))
-        if not (lhs + rhs.scale(gr(-1))).is_zero:
-            return "bracket contraction disagrees with d of the pair form"
-        return None
-
-    return _suite("bracket-form", rng, trials, body)
+    nu = rand_divergence_free_field(GENERIC_RING, rng, max_degree=3)
+    mu = rand_divergence_free_field(GENERIC_RING, rng, max_degree=3)
+    lhs = interior_product(lie_bracket(nu, mu), _VOLUME.form)
+    rhs = exterior_derivative(pair_to_form(nu, mu, _VOLUME))
+    if not (lhs + rhs.scale(gr(-1))).is_zero:
+        return "bracket contraction disagrees with d of the pair form"
+    return None
 
 
-SUSPENSION_POOL = ("z1", "z1^2", "z1*z2 - 1")
-
-
-def check_lift_divergence(rng: random.Random,
-                          trials: int = 200) -> SuiteResult:
+@_check("lift-divergence")
+def _lift_divergence(rng):
     """Both side lifts of a divergence-free base field stay tangent with
     zero divergence for the induced volume; twists do too."""
-    contexts = [make_suspension(2, f) for f in SUSPENSION_POOL]
-
-    def body(rng):
-        ctx = rng.choice(contexts)
-        theta = rand_divergence_free_field(ctx.base_ring, rng, max_degree=3)
-        for side in ("u", "v"):
-            lifted = lift(theta, ctx, side)
-            if not lifted.multiplier.is_zero:
-                return f"side {side} lift is not strictly tangent"
-            if not divergence_on_suspension(lifted, ctx).is_zero:
-                return f"side {side} lift has nonzero divergence"
-        h = rand_poly(ctx.base_ring, rng, max_degree=3)
-        tw = tangent_field(twist_field(ctx, h), ctx)
-        if not divergence_on_suspension(tw, ctx).is_zero:
-            return "twist field has nonzero divergence"
-        return None
-
-    return _suite("lift-divergence", rng, trials, body)
+    ctx = rng.choice(_SUSPENSIONS)
+    theta = rand_divergence_free_field(ctx.base_ring, rng, max_degree=3)
+    for side in ("u", "v"):
+        lifted = lift(theta, ctx, side)
+        if not lifted.multiplier.is_zero:
+            return f"side {side} lift is not strictly tangent"
+        if not divergence_on_suspension(lifted, ctx).is_zero:
+            return f"side {side} lift has nonzero divergence"
+    h = rand_poly(ctx.base_ring, rng, max_degree=3)
+    tw = tangent_field(twist_field(ctx, h), ctx)
+    if not divergence_on_suspension(tw, ctx).is_zero:
+        return "twist field has nonzero divergence"
+    return None
 
 
 def _bivector(a, b, nvars: int):
@@ -191,48 +163,43 @@ def _bivector(a, b, nvars: int):
     return out
 
 
-def check_wedge_decomposition(rng: random.Random,
-                              trials: int = 200) -> SuiteResult:
+@_check("wedge-decomposition")
+def _wedge_decomposition(rng):
     """Dropping the dv-components of the wedge of two opposite-side lifts
     leaves uv times the base wedge minus a correction along d_u."""
-    scratch = PolyRing(("z1", "z2"))
+    f = rand_poly(_F_RING, rng, max_degree=3)
+    if f.is_constant():
+        return None                       # suspension needs nonconstant f
+    ctx = make_suspension(2, f)
+    alpha = rand_field(ctx.base_ring, rng, max_degree=3)
+    beta = rand_field(ctx.base_ring, rng, max_degree=3)
+    lifted_a = lift(alpha, ctx, "u").ambient.coeffs
+    lifted_b = lift(beta, ctx, "v").ambient.coeffs
+    nvars = ctx.ring.nvars
+    projected = {key: p for key, p in
+                 _bivector(lifted_a, lifted_b, nvars).items()
+                 if 1 not in key}
 
-    def body(rng):
-        f = rand_poly(scratch, rng, max_degree=3)
-        if f.is_constant():
-            return None                       # suspension needs nonconstant f
-        ctx = make_suspension(2, f)
-        alpha = rand_field(ctx.base_ring, rng, max_degree=3)
-        beta = rand_field(ctx.base_ring, rng, max_degree=3)
-        lifted_a = lift(alpha, ctx, "u").ambient.coeffs
-        lifted_b = lift(beta, ctx, "v").ambient.coeffs
-        nvars = ctx.ring.nvars
-        projected = {key: p for key, p in
-                     _bivector(lifted_a, lifted_b, nvars).items()
-                     if 1 not in key}
-
-        ext = ctx.ring
-        a_ext = [ext.zero(), ext.zero()] + \
-            [c.extend_to(ext) for c in alpha.coeffs]
-        b_ext = [ext.zero(), ext.zero()] + \
-            [c.extend_to(ext) for c in beta.coeffs]
-        du = [ext.one() if i == 0 else ext.zero() for i in range(nvars)]
-        uv = ext.var("u") * ext.var("v")
-        u_af = ext.var("u") * alpha.apply(ctx.f_base).extend_to(ext)
-        want = {}
-        for key, p in _bivector(a_ext, b_ext, nvars).items():
-            want[key] = uv * p
-        for key, p in _bivector(b_ext, du, nvars).items():
-            want[key] = want.get(key, ext.zero()) - u_af * p
-        keys = set(projected) | set(want)
-        for key in keys:
-            lhs = projected.get(key, ext.zero())
-            rhs = want.get(key, ext.zero())
-            if not (lhs - rhs).is_zero:
-                return f"wedge component {key} disagrees"
-        return None
-
-    return _suite("wedge-decomposition", rng, trials, body)
+    ext = ctx.ring
+    a_ext = [ext.zero(), ext.zero()] + \
+        [c.extend_to(ext) for c in alpha.coeffs]
+    b_ext = [ext.zero(), ext.zero()] + \
+        [c.extend_to(ext) for c in beta.coeffs]
+    du = [ext.one() if i == 0 else ext.zero() for i in range(nvars)]
+    uv = ext.var("u") * ext.var("v")
+    u_af = ext.var("u") * alpha.apply(ctx.f_base).extend_to(ext)
+    want = {}
+    for key, p in _bivector(a_ext, b_ext, nvars).items():
+        want[key] = uv * p
+    for key, p in _bivector(b_ext, du, nvars).items():
+        want[key] = want.get(key, ext.zero()) - u_af * p
+    keys = set(projected) | set(want)
+    for key in keys:
+        lhs = projected.get(key, ext.zero())
+        rhs = want.get(key, ext.zero())
+        if not (lhs - rhs).is_zero:
+            return f"wedge component {key} disagrees"
+    return None
 
 
 def compatible_bracket_failure(nu: VectorField, mu: VectorField, h: Poly,
@@ -260,37 +227,20 @@ def compatible_bracket_failure(nu: VectorField, mu: VectorField, h: Poly,
     return None
 
 
-def check_compatible_bracket(rng: random.Random,
-                             trials: int = 200) -> SuiteResult:
+@_check("compatible-bracket")
+def _compatible_bracket(rng):
     """The bracket identity on coordinate fields nu = d_xi, mu = d_xj with
     h, f, g drawn to meet its kernel preconditions by construction."""
     ring = GENERIC_RING
-
-    def body(rng):
-        i, j = rng.sample(range(3), 2)
-        k = 3 - i - j
-        nu = VectorField.coordinate(ring, i)
-        mu = VectorField.coordinate(ring, j)
-        h = rand_poly(ring, rng, max_degree=2, indices=[k]) * ring.var(i) + \
-            rand_poly(ring, rng, max_degree=3, indices=[k])
-        f = rand_poly(ring, rng, max_degree=3, indices=[j, k])
-        g = rand_poly(ring, rng, max_degree=3, indices=[i, k])
-        return compatible_bracket_failure(nu, mu, h, f, g)
-
-    return _suite("compatible-bracket", rng, trials, body)
-
-
-ALL_CHECKS = {
-    "cartan": check_cartan,
-    "dd-zero": check_dd_zero,
-    "antiderivation": check_antiderivation,
-    "jacobi": check_jacobi,
-    "divergence-leibniz": check_divergence_leibniz,
-    "bracket-form": check_bracket_form,
-    "lift-divergence": check_lift_divergence,
-    "wedge-decomposition": check_wedge_decomposition,
-    "compatible-bracket": check_compatible_bracket,
-}
+    i, j = rng.sample(range(3), 2)
+    k = 3 - i - j
+    nu = VectorField.coordinate(ring, i)
+    mu = VectorField.coordinate(ring, j)
+    h = rand_poly(ring, rng, max_degree=2, indices=[k]) * ring.var(i) + \
+        rand_poly(ring, rng, max_degree=3, indices=[k])
+    f = rand_poly(ring, rng, max_degree=3, indices=[j, k])
+    g = rand_poly(ring, rng, max_degree=3, indices=[i, k])
+    return compatible_bracket_failure(nu, mu, h, f, g)
 
 
 def run_checks(names=None, trials: int = 200, seed: int = 0) -> list[SuiteResult]:
@@ -301,6 +251,13 @@ def run_checks(names=None, trials: int = 200, seed: int = 0) -> list[SuiteResult
     for name in picked:
         if name not in ALL_CHECKS:
             raise KeyError(f"unknown identity suite: {name}")
-        rng = random.Random(f"{seed}:{name}")
-        results.append(ALL_CHECKS[name](rng, trials))
+        body, rng = ALL_CHECKS[name], random.Random(f"{seed}:{name}")
+        failures: list[str] = []
+        start = time.perf_counter()
+        for k in range(trials):
+            msg = body(rng)
+            if msg and len(failures) < MAX_STORED_FAILURES:
+                failures.append(f"trial {k}: {msg}")
+        results.append(SuiteResult(name, trials, failures,
+                                   time.perf_counter() - start))
     return results

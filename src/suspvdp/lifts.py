@@ -402,7 +402,7 @@ def central_difference_determinant(chart_map: Callable, chart0: Sequence[complex
 
 def twist_field(ctx: SuspensionContext, h: Poly) -> VectorField:
     """h(z) * (u d_u - v d_v), tangent and volume preserving for any h."""
-    h_amb = h if h.ring.variables == ctx.ring.variables else h.extend_to(ctx.ring)
+    h_amb = h.extend_to(ctx.ring)
     if h_amb.uses_variable(0) or h_amb.uses_variable(1):
         raise LiftError("twist functions depend on the base variables only")
     return VectorField(ctx.ring, (

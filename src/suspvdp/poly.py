@@ -332,31 +332,20 @@ class Poly:
         return total
 
     def extend_to(self, target: PolyRing) -> "Poly":
-        """Reinterpret in a larger ring containing all of this ring's
-        variables by name."""
-        positions = [target.index(name) for name in self.ring.variables]
+        """Reinterpret in `target`, matching variables by name; fails only
+        if the polynomial uses a variable that `target` lacks."""
+        positions = [target.variables.index(name)
+                     if name in target.variables else None
+                     for name in self.ring.variables]
         out = {}
         for e, c in self.terms.items():
             d = [0] * target.nvars
             for pos, k in zip(positions, e):
-                d[pos] = k
-            out[tuple(d)] = c
-        return Poly(target, out)
-
-    def restrict_to(self, target: PolyRing) -> "Poly":
-        """Reinterpret in a smaller ring; fails if a dropped variable is used."""
-        positions = []
-        for name in self.ring.variables:
-            positions.append(target.variables.index(name) if name in target.variables else None)
-        out = {}
-        for e, c in self.terms.items():
-            d = [0] * target.nvars
-            for pos, k in zip(positions, e):
-                if pos is None:
-                    if k:
-                        raise PolyError("polynomial uses a variable absent from target ring")
-                else:
+                if pos is not None:
                     d[pos] = k
+                elif k:
+                    raise PolyError("polynomial uses a variable absent "
+                                    "from target ring")
             out[tuple(d)] = c
         return Poly(target, out)
 

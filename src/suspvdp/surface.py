@@ -125,7 +125,7 @@ def make_suspension(n: int, f) -> SuspensionContext:
     if isinstance(f, str):
         f_base = base_ring.parse(f)
     elif isinstance(f, Poly):
-        f_base = f.restrict_to(base_ring) if f.ring.variables != base_ring.variables else f
+        f_base = f.extend_to(base_ring)
     else:
         raise SuspensionError("f must be polynomial text or a Poly")
     if f_base.is_constant():
@@ -268,6 +268,20 @@ class SamplingSpec:
     imaginary: bool = True
     max_attempts: int = 10000
 
+    def __post_init__(self):
+        lo, hi = self.region
+        if self.count < 1:
+            raise SamplingError(f"sample count must be positive, "
+                                f"got {self.count}")
+        if lo >= hi:
+            raise SamplingError("sampling region must satisfy lo < hi")
+        if math.ceil(lo) > math.floor(hi):
+            # a denominator-1 exact draw would have no value to take
+            raise SamplingError("sampling region must contain an integer")
+        if self.exactness not in ("exact", "float"):
+            raise SamplingError(f"exactness must be 'exact' or 'float', "
+                                f"got {self.exactness!r}")
+
 
 def _rand_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     """A rational in [lo, hi] with denominator at most 3."""
@@ -307,19 +321,14 @@ def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoi
             u = _rand_exact_scalar(rng, spec)
             if u.is_zero:
                 continue
-            fz = ctx.f_base.evaluate_exact(z)
-            v = fz / u
-            out.append(surface_point(ctx, (u, v, *z)))
-        elif spec.exactness == "float":
+            v = ctx.f_base.evaluate_exact(z) / u
+        else:
             z = [_rand_float_scalar(rng, spec) for _ in range(ctx.n)]
             u = _rand_float_scalar(rng, spec)
             if abs(u) < 0.25:
                 continue
-            fz = ctx.f_base.evaluate_complex(z)
-            v = fz / u
-            out.append(surface_point(ctx, (u, v, *z)))
-        else:
-            raise SuspensionError(f"unknown exactness mode {spec.exactness!r}")
+            v = ctx.f_base.evaluate_complex(z) / u
+        out.append(surface_point(ctx, (u, v, *z)))
     return out
 
 

@@ -178,6 +178,26 @@ def test_unusable_input_is_an_error_not_a_fault(tmp_path, capsys, command,
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("args", [
+    ["criterion", "--samples", "0"],
+    ["criterion", "--samples", "-3"],
+    ["criterion", "--degree-bound", "-1"],
+    ["approx", "--degree-bound", "-1"],
+    ["verify", "--samples", "-1"],
+])
+def test_out_of_range_override_is_a_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--scenario", "plane", "--out", str(out),
+                    "--no-figures"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "expected an integer >=" in captured.err
+    assert "internal fault" not in captured.err
+    assert "certified-at-samples" not in captured.out
+    assert not out.exists()
+
+
 def test_unknown_scenario_exits_two(tmp_path):
     code = run(["flow", "--scenario", "nope", "--out", str(tmp_path / "o")])
     assert code == 2

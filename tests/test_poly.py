@@ -125,9 +125,14 @@ def test_extend_and_restrict():
     p = base.parse("z1*z2 - 1")
     q = p.extend_to(R)
     assert q.ring is R and q == R.parse("z1*z2 - 1")
-    assert q.restrict_to(base) == p
+    assert q.extend_to(base) == p
+    # a variable the target lacks is accepted while unused, refused once used
+    z1_only = PolyRing(("z1",))
+    assert base.parse("z1 + 2").extend_to(z1_only) == z1_only.parse("z1 + 2")
     with pytest.raises(PolyError):
-        R.parse("u").restrict_to(base)
+        R.parse("u").extend_to(base)
+    with pytest.raises(PolyError):
+        p.extend_to(z1_only)
 
 
 def test_divide_exact():

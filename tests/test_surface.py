@@ -243,9 +243,11 @@ def test_basepoint_search_reports_conditions():
     for p in pts:
         assert not p.u.is_zero and not p.v.is_zero
         assert not ideal[0].evaluate_exact(p.z).is_zero
-    # impossible request: f = z1 - 1 vanishes on the whole region {z = 1}
+    # impossible request: denominators 1..3 draw only 1 from [1, 5/4],
+    # where f = z1 - 1 vanishes
     ctx2 = make_suspension(2, "z1 - 1")
-    tight = SamplingSpec(count=1, seed=5, region=(Fraction(1), Fraction(1)),
+    tight = SamplingSpec(count=1, seed=5,
+                         region=(Fraction(1), Fraction(5, 4)),
                          imaginary=False, max_attempts=50)
     with pytest.raises(SamplingError) as err:
         basepoint_search(ctx2, tight)
@@ -273,3 +275,17 @@ def test_exact_samples_stay_in_region():
         for p in sample_points(ctx, spec):
             for c in p.coords[::2]:               # u and z1 are drawn
                 assert lo <= c.re <= hi, p
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"count": 0}, "count must be positive"),
+    ({"count": -3}, "count must be positive"),
+    ({"region": (Fraction(1), Fraction(1))}, "lo < hi"),
+    ({"region": (Fraction(1, 10), Fraction(2, 10))}, "contain an integer"),
+    ({"exactness": "maybe"}, "exactness"),
+])
+def test_sampling_spec_checks_its_fields(fields, message):
+    # a library-built spec gets the checks scenario files get
+    with pytest.raises(SamplingError) as err:
+        SamplingSpec(**fields)
+    assert message in str(err.value)
