@@ -295,7 +295,7 @@ class RankReport:
         return self.rank == self.full_rank
 
 
-def _wedge_rows(vector_pairs, dim):
+def wedge_rows(vector_pairs, dim):
     rows = []
     for a, b, scale in vector_pairs:
         coords = []
@@ -326,7 +326,7 @@ def spanning_rank(family: SpanningFamily, ctx: SuspensionContext) -> RankReport:
             raise NotTangentError(
                 f"family vector is not tangent at the basepoint: {sp.label}")
         pairs.append((a, b, sp.ideal_value))
-    rows = _wedge_rows(pairs, dim)
+    rows = wedge_rows(pairs, dim)
     full = math.comb(dim, 2)
     if not rows:
         return RankReport(0, full, 0)
@@ -371,11 +371,13 @@ class CriterionReport:
     problems: list
     verdict: str
     timings: dict = dc_field(default_factory=dict)
+    rank_screen: dict = dc_field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        # timings stay out: reports must be byte-identical across runs
+        # timings and screen counts stay out: reports must be byte-identical
+        # across runs and across the ways a rank was decided
         out = asdict(self)
-        del out["timings"]
+        del out["timings"], out["rank_screen"]
         return out
 
 
@@ -499,17 +501,24 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
             problems.append(f"sampling failed: {err}")
             sampling_report["error"] = str(err)
 
+    # imported here: only this stage screens ranks mod p, and every other
+    # run would pay for compiling the module
+    from .modrank import RankScreen
+
     ranks: list[dict] = []
-    plan = spanning_plan(triples, ctx) if points else None
+    plan = spanning_plan(triples, ctx)
+    screen = RankScreen(plan)
     for point in points:
-        family = plan.at(point)
-        report = spanning_rank(family, ctx)
-        ranks.append({"point": str(point), "rank": report.rank,
-                      "full": report.full})
-        if not report.full:
-            problems.append(
-                f"spanning rank {report.rank} < {report.full_rank} at "
-                f"{point}")
+        rank = screen.rank(point)
+        if rank is None:
+            report = spanning_rank(plan.at(point), ctx)
+            rank = report.rank
+            if not report.full:
+                problems.append(
+                    f"spanning rank {report.rank} < {report.full_rank} at "
+                    f"{point}")
+        ranks.append({"point": str(point), "rank": rank,
+                      "full": rank == screen.full})
     timings["ranks"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -548,4 +557,5 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
     return CriterionReport(
         n=ctx.n, f=str(ctx.f_base), assumptions=assumptions_dict,
         smoothness=smooth_dict, pairs=pair_reports, sampling=sampling_report,
-        ranks=ranks, problems=problems, verdict=verdict, timings=timings)
+        ranks=ranks, problems=problems, verdict=verdict, timings=timings,
+        rank_screen=screen.counts())

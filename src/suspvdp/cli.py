@@ -202,7 +202,8 @@ def _cmd_criterion(args) -> int:
 
     out = _out_dir(args)
     write_json(out / "criterion.json", report.to_json_dict())
-    write_json(out / "timings.json", {"stages": report.timings})
+    write_json(out / "timings.json", {"stages": report.timings,
+                                      "rank_screen": report.rank_screen})
     write_delimited(out / "ranks.csv", ["point", "rank", "full"],
                     [(r["point"], r["rank"], r["full"]) for r in report.ranks])
     if not args.no_figures and report.ranks:

@@ -28,10 +28,10 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .fields import VectorField
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, evaluate_exact_all
 from .scalars import ZERO, GaussianRational, gr
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
-                      basepoint_failures, surface_point, tangent_field)
+                      basepoint_rules, surface_point, tangent_field)
 
 
 class LiftError(ValueError):
@@ -417,7 +417,8 @@ def twist_field(ctx: SuspensionContext, h: Poly) -> VectorField:
 @dataclass(frozen=True)
 class SpanningPair:
     """Two exact tangent vectors at the basepoint, with the evaluation of
-    the associated ideal there; the wedge enters the span scaled by it."""
+    the associated ideal there; the wedge enters the span scaled by it.
+    (The rank screen builds the same pairs from residues mod p.)"""
 
     label: str
     a: tuple[GaussianRational, ...]
@@ -432,73 +433,104 @@ class SpanningFamily:
     notes: dict = field(default_factory=dict)
 
 
+# a prepared `ShearPullback` as indices (mu, theta, mu(g)) into a plan's
+# polynomials: where its shear function vanishes, the value is
+# mu + mu(g) * theta
+_Pullback = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
 @dataclass(frozen=True)
 class _Candidate:
     """One source pair with its fields in one slot order (first, second),
-    prepared for both pullbacks.  `twist` maps each base index j with a
-    nonzero first-field coefficient to the pullbacks along z_j."""
+    as indices into a plan's polynomials.  `twist` maps each base index j
+    with a nonzero first-field coefficient to the pullbacks along z_j."""
 
     idx: int
     swapped: bool
-    gens: tuple[Poly, ...]
-    first: VectorField
-    first_f: Poly                  # first(f), base ring
-    second_f: Poly                 # second(f), base ring
-    shear: tuple[ShearPullback, ShearPullback]
-    twist: dict[int, tuple[ShearPullback, ShearPullback]]
+    gens: tuple[int, ...]
+    first: tuple[int, ...]         # the first-slot base field
+    first_f: int                   # first(f)
+    second_f: int                  # second(f)
+    shear: tuple[_Pullback, _Pullback]
+    twist: dict[int, tuple[_Pullback, _Pullback]]
 
 
 @dataclass(frozen=True)
 class SpanningPlan:
     """The symbolic half of `spanning_family`, built once per list of
-    source pairs and evaluated at each basepoint: the four lifts of every
-    pair, alpha(f) and beta(f), and the shear pullbacks.  The shear
-    functions u - u0 and z_j - c differ between basepoints only by a
-    constant, which changes neither the kernel check nor mu(g)."""
+    source pairs and evaluated at each basepoint.  `polys` holds once,
+    in the ambient ring, every polynomial the family reads: those of the
+    basepoint rules, the four lifts of every pair, the ideal generators,
+    alpha(f) and beta(f), and the shear pullbacks.  The shear functions
+    u - u0 and z_j - c differ between basepoints only by a constant,
+    which changes neither the kernel check nor mu(g)."""
 
     ctx: SuspensionContext
-    ideals: tuple[tuple[Poly, ...], ...]
-    lifted: tuple[tuple[SuspensionField, ...], ...]   # alpha_u, alpha_v, beta_u, beta_v
+    polys: tuple[Poly, ...]
+    rules: tuple[tuple[str, tuple[int, ...]], ...]
+    lifted: tuple[tuple[tuple[int, ...], ...], ...]   # alpha_u, alpha_v, beta_u, beta_v
+    gens: tuple[tuple[int, ...], ...]
     candidates: tuple[_Candidate, ...]
 
     def at(self, point: SurfacePoint) -> SpanningFamily:
         """The evaluated spanning family at an admissible basepoint."""
-        failures = basepoint_failures(self.ctx, point, self.ideals)
+        if not point.exact:
+            raise BasepointError(["exact"])
+        return self.family(point, evaluate_exact_all(self.polys, point.coords),
+                           lambda value: not value.is_zero)
+
+    def family(self, point: SurfacePoint, values: Sequence,
+               nonzero: Callable[[object], bool]) -> SpanningFamily:
+        """The spanning family at `point` from `values`, the values there
+        of `polys` in one scalar domain.  Each zero test of the
+        construction asks `nonzero` about the value of a polynomial that
+        is not identically zero; it may raise where its domain cannot
+        tell.  The vectors and ideal values are built from `values` with
+        + and * alone."""
+        polys = self.polys
+
+        def nonzero_at(k: int) -> bool:
+            return not polys[k].is_zero and nonzero(values[k])
+
+        failures = [name for name, ks in self.rules
+                    if not any(nonzero_at(k) for k in ks)]
         if failures:
             raise BasepointError(failures)
-        ctx = self.ctx
-        family: list[SpanningPair] = []
-        notes: dict = {"twist": None, "shear": None}
-        z = point.z
 
-        def ideal_value_at(gens: Sequence[Poly]) -> GaussianRational:
-            for g in gens:
-                val = g.evaluate_exact(z)
-                if not val.is_zero:
-                    return val
+        # tuples of known length: tuple(<generator>) resizes a guessed
+        # one, and the resized tuples pile up in the free list
+        def vector(ks):
+            return tuple([values[k] for k in ks])
+
+        def pulled(pullback: _Pullback):
+            mu, theta, mu_g = pullback
+            return tuple([values[m] + values[mu_g] * values[t]
+                          for m, t in zip(mu, theta)])
+
+        def ideal_value(gens):
+            for k in gens:
+                if nonzero_at(k):
+                    return values[k]
             raise BasepointError(["ideal vanishes at the basepoint"])
 
+        family: list[SpanningPair] = []
+        notes: dict = {"twist": None, "shear": None}
         for idx, (gens, (alpha_u, alpha_v, beta_u, beta_v)) in enumerate(
-                zip(self.ideals, self.lifted)):
-            value = ideal_value_at(gens)
-            family.append(SpanningPair(
-                f"pair{idx}:lift(u,v)",
-                tuple(alpha_u.evaluate_exact(point)),
-                tuple(beta_v.evaluate_exact(point)), value))
-            family.append(SpanningPair(
-                f"pair{idx}:lift(v,u)",
-                tuple(alpha_v.evaluate_exact(point)),
-                tuple(beta_u.evaluate_exact(point)), value))
+                zip(self.gens, self.lifted)):
+            value = ideal_value(gens)
+            family.append(SpanningPair(f"pair{idx}:lift(u,v)", vector(alpha_u),
+                                       vector(beta_v), value))
+            family.append(SpanningPair(f"pair{idx}:lift(v,u)", vector(alpha_v),
+                                       vector(beta_u), value))
 
         # shear pullback: needs the first-slot field to move f at the basepoint
         for cand in self.candidates:
-            if cand.first_f.evaluate_exact(z).is_zero:
+            if not nonzero_at(cand.first_f):
                 continue
             shear_a, shear_b = cand.shear
             family.append(SpanningPair(
                 f"pair{cand.idx}:shear-pullback" + (":swapped" if cand.swapped else ""),
-                tuple(shear_a.at(point, point.u)),
-                tuple(shear_b.at(point, point.u)), ideal_value_at(cand.gens)))
+                pulled(shear_a), pulled(shear_b), ideal_value(cand.gens)))
             notes["shear"] = {"pair": cand.idx, "swapped": cand.swapped}
             break
         else:
@@ -506,22 +538,18 @@ class SpanningPlan:
 
         # twist pullback: needs alpha(f) = 0 but beta(f) != 0 and alpha != 0
         for cand in self.candidates:
-            if not cand.first_f.evaluate_exact(z).is_zero:
+            if nonzero_at(cand.first_f) or not nonzero_at(cand.second_f):
                 continue
-            if cand.second_f.evaluate_exact(z).is_zero:
+            j = next((j for j, k in enumerate(cand.first) if nonzero_at(k)),
+                     None)
+            if j is None:
                 continue
-            alpha_at = cand.first.evaluate_exact(z)
-            if all(c.is_zero for c in alpha_at):
-                continue
-            j = next(j for j, c in enumerate(alpha_at) if not c.is_zero)
-            h = ctx.base_ring.var(j) - ctx.base_ring.const(z[j])
             twist_a, twist_b = cand.twist[j]
             family.append(SpanningPair(
                 f"pair{cand.idx}:twist-pullback" + (":swapped" if cand.swapped else ""),
-                tuple(twist_a.at(point, z[j])), tuple(twist_b.at(point, z[j])),
-                ideal_value_at(cand.gens)))
+                pulled(twist_a), pulled(twist_b), ideal_value(cand.gens)))
             notes["twist"] = {"pair": cand.idx, "swapped": cand.swapped,
-                              "twist_function": str(h)}
+                              "variable": self.ctx.base_ring.variables[j]}
             break
         else:
             notes["twist"] = "no source pair is stationary for f at the basepoint"
@@ -532,17 +560,36 @@ class SpanningPlan:
 def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]]],
                   ctx: SuspensionContext) -> SpanningPlan:
     """Lift every source pair and prepare its pullbacks, once; see
-    `spanning_family` for what the plan evaluates at a basepoint."""
+    `spanning_family` for what the plan evaluates at a basepoint.  Every
+    family vector is built from tangent fields with certified multipliers
+    (the lifts and the radial field), so it is tangent at any exact point
+    of the surface."""
     ring = ctx.ring
     u = ring.var("u")
-    radial = VectorField(ring, (
-        ring.var("u"), -ring.var("v"), *[ring.zero()] * ctx.n))
-    lifted = []
-    candidates = []
+    radial = tangent_field(VectorField(ring, (
+        u, -ring.var("v"), *[ring.zero()] * ctx.n)), ctx)
+    polys: dict[Poly, int] = {}
+
+    def slot(p: Poly) -> int:
+        return polys.setdefault(p.extend_to(ring), len(polys))
+
+    def slots(ps: Sequence[Poly]) -> tuple[int, ...]:
+        return tuple(slot(p) for p in ps)
+
+    def pullback(mu, theta, g: Poly) -> _Pullback:
+        prepared = ShearPullback.prepare(mu, theta, g)
+        return (slots(prepared.mu.coeffs), slots(prepared.theta.coeffs),
+                slot(prepared.mu_g))
+
+    rules = tuple((name, slots(ps)) for name, ps in
+                  basepoint_rules(ctx, [gens for _, _, gens in pairs]))
+    lifted, gens_slots, candidates = [], [], []
     for idx, (alpha, beta, gens) in enumerate(pairs):
         alpha_u, alpha_v = lift(alpha, ctx, "u"), lift(alpha, ctx, "v")
         beta_u, beta_v = lift(beta, ctx, "u"), lift(beta, ctx, "v")
-        lifted.append((alpha_u, alpha_v, beta_u, beta_v))
+        lifted.append(tuple(slots(f.ambient.coeffs)
+                            for f in (alpha_u, alpha_v, beta_u, beta_v)))
+        gens_slots.append(slots(gens))
         alpha_f, beta_f = alpha.apply(ctx.f_base), beta.apply(ctx.f_base)
         for swapped, (first, first_u, first_v, first_f, second_v, second_f) in (
                 (False, (alpha, alpha_u, alpha_v, alpha_f, beta_v, beta_f)),
@@ -552,17 +599,18 @@ def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]
                 if c.is_zero:
                     continue
                 z_j = ring.var(ctx.base_ring.variables[j])
-                twist[j] = (ShearPullback.prepare(first_u, radial, z_j),
-                            ShearPullback.prepare(second_v, radial, z_j))
+                twist[j] = (pullback(first_u, radial, z_j),
+                            pullback(second_v, radial, z_j))
             candidates.append(_Candidate(
-                idx=idx, swapped=swapped, gens=tuple(gens), first=first,
-                first_f=first_f, second_f=second_f,
-                shear=(ShearPullback.prepare(first_u, first_v, u),
-                       ShearPullback.prepare(second_v, first_v, u)),
+                idx=idx, swapped=swapped, gens=gens_slots[-1],
+                first=slots(first.coeffs), first_f=slot(first_f),
+                second_f=slot(second_f),
+                shear=(pullback(first_u, first_v, u),
+                       pullback(second_v, first_v, u)),
                 twist=twist))
     return SpanningPlan(
-        ctx=ctx, ideals=tuple(tuple(gens) for _, _, gens in pairs),
-        lifted=tuple(lifted), candidates=tuple(candidates))
+        ctx=ctx, polys=tuple(polys), rules=rules, lifted=tuple(lifted),
+        gens=tuple(gens_slots), candidates=tuple(candidates))
 
 
 def spanning_family(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]]],

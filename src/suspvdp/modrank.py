@@ -1,0 +1,165 @@
+"""Spanning ranks screened over a prime field.
+
+The prime P = 1 (mod 4) has a square root R of -1.  A Gaussian rational
+(a + b*i)/d whose denominator d is prime to P then has the residue
+(a + b*R)/d mod P, and taking residues is a ring homomorphism on those
+numbers.  Reducing a matrix this way can only lower its rank: a nonzero
+minor mod P is the residue of a nonzero minor.  So a family whose wedges
+have full rank mod P has full rank exactly, and the rank written to the
+report is the one the exact computation would write.
+
+`RankScreen` reduces the point once, evaluates every polynomial of the
+spanning plan with one compiled function (`poly.compile_values`, its
+coefficients reduced once per plan) and builds the family with the
+plan's own routine, `SpanningPlan.family`.  Every value stays the residue
+of the exact value, since the family is built with + and * alone.  A
+zero test there accepts only a nonzero residue, since a zero residue
+need not be an exact zero.  At a basepoint v != 0, so the tangent basis
+of `surface.tangent_basis` pivots on the u column and the coordinates of
+a tangent vector a in it are a[1:]; the family's vectors are tangent,
+being values of certified tangent fields at an exact point of the
+surface.
+
+Witness: the rows that the elimination pivots on form a square minor,
+and `minor_determinant` recomputes its determinant mod P by cofactor
+expansion, apart from the eliminator; a point counts as screened only if
+that determinant is nonzero.
+
+A point the screen cannot decide goes to the exact computation.  This
+happens for a denominator divisible by P, a zero residue where the
+construction tests for zero, a rank below full mod P, or a witness that
+fails.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+from .certify import wedge_rows
+from .lifts import SpanningPlan
+from .poly import Domain, compile_values
+from .scalars import GaussianRational
+from .surface import SurfacePoint
+
+P = 2305843009213693921          # 2**61 - 31, a prime = 1 (mod 4)
+R = 583529827753931384           # R*R = -1 (mod P)
+WITNESS_MAX = 10                 # largest minor expanded by cofactors (n <= 4)
+
+
+class Undecided(Exception):
+    """The screen cannot decide a point; the message is the reason."""
+
+
+def residue(c: GaussianRational, p: int, r: int) -> int:
+    """The residue of c mod p with i sent to r; Undecided when p divides
+    the denominator.  Reads the canonical integer triple directly; the
+    `re`/`im` properties would build two `Fraction`s per call."""
+    den = c._den
+    if not den % p:
+        raise Undecided("denominator")
+    return (c._re + c._im * r) * pow(den, -1, p) % p
+
+
+def _nonzero(value: int) -> bool:
+    """Zero test on a residue: nonzero mod p is nonzero exactly, a zero
+    residue decides nothing."""
+    if value:
+        return True
+    raise Undecided("zero_residue")
+
+
+def pivot_rows(rows: list[list[int]], p: int) -> list[int]:
+    """Indices of the rows an elimination mod p pivots on, column by
+    column, on the first remaining row nonzero there; their number is the
+    rank mod p."""
+    work = [[x % p for x in row] for row in rows]
+    remaining = list(range(len(rows)))
+    pivots = []
+    for c in range(len(work[0]) if work else 0):
+        i = next((i for i in remaining if work[i][c]), None)
+        if i is None:
+            continue
+        remaining.remove(i)
+        pivots.append(i)
+        pivot = work[i]
+        for j in remaining:
+            factor = work[j][c]
+            if factor:
+                # fraction-free: a nonzero multiple of the row, minus a
+                # multiple of the pivot row, keeps the row space
+                work[j] = [(x * pivot[c] - factor * y) % p
+                           for x, y in zip(work[j], pivot)]
+    return pivots
+
+
+def minor_determinant(rows: list[list[int]], p: int) -> int:
+    """Determinant mod p of a square matrix by cofactor expansion along
+    its rows in order, computed from the last row up: the minor of the
+    last rows on each set of columns is expanded once, 2**k minors for k
+    rows."""
+    k = len(rows)
+    minors = {(): 1}
+    for r in reversed(range(k)):
+        row = rows[r]
+        minors = {cols: sum((-1) ** pos * row[c] * minors[cols[:pos] + cols[pos + 1:]]
+                            for pos, c in enumerate(cols)) % p
+                  for cols in itertools.combinations(range(k), k - r)}
+    return minors[tuple(range(k))]
+
+
+class RankScreen:
+    """The spanning ranks of one plan, screened point by point, with the
+    count of screened points and of the reasons the others fell back."""
+
+    def __init__(self, plan: SpanningPlan):
+        self.plan = plan
+        self.prime, self.root = P, R
+        self.full = math.comb(plan.ctx.n + 1, 2)
+        self.screened = 0
+        self.fallback_reasons: dict[str, int] = {}
+        # a reason that holds for every point of the plan, or None
+        self.unusable = None
+        try:
+            if self.full > WITNESS_MAX:
+                raise Undecided("witness_size")
+            domain = Domain("0", lambda c: residue(c, self.prime, self.root),
+                            "values[{i}]")
+            self.evaluate = compile_values(plan.ctx.ring, plan.polys, domain)
+        except Undecided as exc:
+            self.unusable = str(exc)
+
+    def rank(self, point: SurfacePoint) -> int | None:
+        """The full rank where the screen proves it, else None."""
+        try:
+            if self.unusable:
+                raise Undecided(self.unusable)
+            return self._full_rank(point)
+        except Undecided as exc:
+            reason = str(exc)
+            self.fallback_reasons[reason] = \
+                self.fallback_reasons.get(reason, 0) + 1
+            return None
+
+    def _full_rank(self, point: SurfacePoint) -> int:
+        p, r = self.prime, self.root
+        coords = [residue(c, p, r) for c in point.coords]
+        values = [v % p for v in self.evaluate(coords)]
+        family = self.plan.family(point, values, _nonzero)
+        rows = wedge_rows([(sp.a[1:], sp.b[1:], sp.ideal_value)
+                           for sp in family.pairs], self.plan.ctx.n + 1)
+        pivots = pivot_rows(rows, p)
+        if len(pivots) < self.full:
+            raise Undecided("rank")
+        # the witness trusts no count of the eliminator: a full x full minor
+        minor = [[x % p for x in rows[i]] for i in pivots]
+        if len(minor) != self.full or not minor_determinant(minor, p):
+            raise Undecided("witness")
+        self.screened += 1
+        return self.full
+
+    def counts(self) -> dict:
+        return {"prime": self.prime, "screened": self.screened,
+                "fallback": sum(self.fallback_reasons.values()),
+                "fallback_reasons": dict(sorted(
+                    self.fallback_reasons.items()))}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .scalars import GaussianRational, gr, ONE, ZERO
 
@@ -441,22 +441,40 @@ def evaluate_exact_all(polys: Sequence[Poly], values: Sequence[GaussianRational]
 # Coefficients and weights are converted to complex once and bound as
 # names in the function's namespace; the source holds only generated
 # identifiers, integer exponents and operators.
+#
+# The same generator emits evaluators over other scalar domains: a
+# `Domain` fixes the literal that starts every sum, the conversion of a
+# coefficient (made once, when compiling) and of an argument (made per
+# call).  Over the integers, with coefficients and arguments reduced mod
+# p, the values are exact integers whose residues mod p are the residues
+# of the polynomial values.
 
 _SUMMANDS_PER_LINE = 32      # keeps each generated expression shallow
+
+
+@dataclass(frozen=True)
+class Domain:
+    zero: str                                   # literal starting each sum
+    coefficient: Callable[[GaussianRational], object]
+    argument: str                               # conversion of values[{i}]
+
+
+COMPLEX = Domain("0j", GaussianRational.to_complex, "complex(values[{i}])")
 
 
 class _Source:
     """Straight-line source of one evaluator, built output by output."""
 
-    def __init__(self, ring: PolyRing):
+    def __init__(self, ring: PolyRing, domain: Domain = COMPLEX):
         self.nvars = ring.nvars
+        self.domain = domain
         self.namespace: dict = {"PolyError": PolyError}
         self.coeffs: dict[GaussianRational, str] = {}
         self.powers: dict[tuple[int, int], str] = {}
         self.values: dict[tuple, str] = {}
         self.lines: list[str] = []
 
-    def bind(self, value: complex) -> str:
+    def bind(self, value) -> str:
         name = f"K{len(self.namespace)}"
         self.namespace[name] = value
         return name
@@ -467,7 +485,7 @@ class _Source:
         for e, c in p.terms.items():
             name = self.coeffs.get(c)
             if name is None:
-                name = self.coeffs[c] = self.bind(c.to_complex())
+                name = self.coeffs[c] = self.bind(self.domain.coefficient(c))
             factors = [name]
             for i, k in enumerate(e):
                 if k:
@@ -488,7 +506,7 @@ class _Source:
     def assign_sum(self, target: str, summands: list[str]) -> str:
         """target = 0j + s1 + s2 + ..., added left to right; long sums
         continue on further lines, which keeps the order."""
-        lead = "0j"
+        lead = self.domain.zero
         for i in range(0, max(len(summands), 1), _SUMMANDS_PER_LINE):
             chunk = summands[i:i + _SUMMANDS_PER_LINE]
             self.lines.append(f"{target} = " + " + ".join([lead, *chunk]))
@@ -501,8 +519,8 @@ class _Source:
                 for (i, k), name in sorted(self.powers.items())]
         body += self.lines + [f"return [{', '.join(outputs)}]"]
         params = ", ".join(f"x{i}" for i in range(self.nvars))
-        args = ", ".join(f"complex(values[{i}])" if i in used else "None"
-                         for i in range(self.nvars))
+        args = ", ".join(self.domain.argument.format(i=i) if i in used
+                         else "None" for i in range(self.nvars))
         source = "".join([
             f"def field({params}):\n",
             *(f"    {line}\n" for line in body),
@@ -517,13 +535,18 @@ class _Source:
         return evaluate
 
 
-def compile_complex(ring: PolyRing, polys: Sequence[Poly]):
-    """One function mapping coordinates to the list of complex values of
-    `polys`, bit-identical to `[p.evaluate_complex(x) for p in polys]`.
-    Its `field` attribute is the same computation as a function of the
-    ring.nvars complex coordinates."""
-    src = _Source(ring)
+def compile_values(ring: PolyRing, polys: Sequence[Poly], domain: Domain):
+    """One function mapping coordinates to the list of values of `polys`
+    in `domain`.  Its `field` attribute is the same computation as a
+    function of the ring.nvars converted coordinates."""
+    src = _Source(ring, domain)
     return src.build([src.value(p) for p in polys])
+
+
+def compile_complex(ring: PolyRing, polys: Sequence[Poly]):
+    """`compile_values` over `COMPLEX`: bit-identical to
+    `[p.evaluate_complex(x) for p in polys]`."""
+    return compile_values(ring, polys, COMPLEX)
 
 
 def compile_complex_sum(ring: PolyRing, weights: Sequence[complex],

@@ -11,8 +11,7 @@ canonical text and parsing that text gives back an equal Scenario.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -21,9 +20,10 @@ from .certify import PairSpec
 from .fields import VectorField
 from .lifts import twist_field
 from .poly import ParseError
-from .surface import (NotTangentError, SamplingSpec, SuspensionContext,
-                      SuspensionError, divergence_on_suspension,
-                      make_suspension, tangent_field)
+from .surface import (NotTangentError, SamplingError, SamplingSpec,
+                      SuspensionContext, SuspensionError,
+                      divergence_on_suspension, make_suspension,
+                      tangent_field)
 
 
 class ScenarioError(ValueError):
@@ -238,8 +238,7 @@ def _build(top, sections, source) -> Scenario:
     f_text = str(ctx.f_base)
 
     pairs: list[PairScenario] = []
-    count, seed, region = 20, 0, ("-2", "2")
-    exactness = "exact"
+    sampling = SamplingSpec()
     degree_bound, assume = 3, None
     approx = ApproxScenario()
     flow = None
@@ -248,21 +247,7 @@ def _build(top, sections, source) -> Scenario:
         if name == "pair":
             pairs.append(_build_pair(body, ctx, header_line))
         elif name == "sampling":
-            if "count" in body:
-                count = _int_value(body["count"][0], body["count"][1], "count")
-                if count < 1:
-                    raise ScenarioError("count must be positive",
-                                        body["count"][1])
-            if "seed" in body:
-                seed = _int_value(body["seed"][0], body["seed"][1], "seed")
-            if "region" in body:
-                region = _build_region(*body["region"][:2])
-            if "exactness" in body:
-                exactness, line = body["exactness"][0], body["exactness"][1]
-                if exactness not in ("exact", "float"):
-                    raise ScenarioError(
-                        f"exactness must be 'exact' or 'float', got {exactness!r}",
-                        line)
+            sampling = _build_sampling(body)
         elif name == "options":
             if "degree_bound" in body:
                 degree_bound = _int_value(body["degree_bound"][0],
@@ -286,26 +271,35 @@ def _build(top, sections, source) -> Scenario:
 
     if not pairs:
         raise ScenarioError(f"no [pair] section in {source}")
-    return Scenario(n=n, f=f_text, pairs=tuple(pairs), count=count,
-                    seed=seed, region=region, exactness=exactness,
-                    degree_bound=degree_bound, assume_cohomology=assume,
-                    approx=approx, flow=flow)
+    return Scenario(n=n, f=f_text, pairs=tuple(pairs), count=sampling.count,
+                    seed=sampling.seed, region=tuple(map(str, sampling.region)),
+                    exactness=sampling.exactness, degree_bound=degree_bound,
+                    assume_cohomology=assume, approx=approx, flow=flow)
 
 
-def _build_region(raw: str, line: int) -> tuple[str, str]:
+def _build_sampling(body) -> SamplingSpec:
+    """One `SamplingSpec` from the [sampling] keys, set one key at a time
+    in file order, so a rule of `SamplingSpec` that fails is reported on
+    the line of the key that broke it."""
+    spec = SamplingSpec()
+    for key, (raw, line, _) in body.items():
+        value = (_region_bounds(raw, line) if key == "region" else
+                 raw if key == "exactness" else _int_value(raw, line, key))
+        try:
+            spec = replace(spec, **{key: value})
+        except SamplingError as exc:
+            raise ScenarioError(str(exc), line)
+    return spec
+
+
+def _region_bounds(raw: str, line: int) -> tuple[Fraction, Fraction]:
     parts = raw.split("..")
     if len(parts) != 2:
         raise ScenarioError("region must look like 'lo .. hi'", line)
     try:
-        lo, hi = Fraction(parts[0].strip()), Fraction(parts[1].strip())
+        return Fraction(parts[0].strip()), Fraction(parts[1].strip())
     except (ValueError, ZeroDivisionError):
         raise ScenarioError("region bounds must be rational numbers", line)
-    if lo >= hi:
-        raise ScenarioError("region must satisfy lo < hi", line)
-    if math.ceil(lo) > math.floor(hi):
-        # a denominator-1 draw would have no value to take
-        raise ScenarioError("region must contain an integer", line)
-    return (str(lo), str(hi))
 
 
 def _coeff_list(raw: str, line: int, offset: int, expected: int,

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .fields import VectorField, VolumeForm, divergence
 from .linalg import ExactMatrix, nullspace, span_solve
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, evaluate_exact_all
 from .scalars import GaussianRational, gr, ZERO
 
 
@@ -439,23 +439,38 @@ class RejectionReport:
         self.rejected[condition] = self.rejected.get(condition, 0) + 1
 
 
+def basepoint_rules(ctx: SuspensionContext,
+                    ideals: Sequence[Sequence[Poly]] = ()
+                    ) -> list[tuple[str, tuple[Poly, ...]]]:
+    """The preconditions of the spanning construction, in the order
+    u_nonzero, v_nonzero, df_nonzero, ideal_{k}_nonzero (one per nonempty
+    ideal): each is a name and ambient polynomials that may not all vanish
+    at the point."""
+    ring = ctx.ring
+    rules = [("u_nonzero", (ring.var(U),)), ("v_nonzero", (ring.var(V),)),
+             ("df_nonzero", tuple(p.extend_to(ring) for p in ctx.partials))]
+    rules += [(f"ideal_{k}_nonzero", tuple(g.extend_to(ring) for g in gens))
+              for k, gens in enumerate(ideals) if gens]
+    return rules
+
+
 def basepoint_failures(ctx: SuspensionContext, point: SurfacePoint,
                        ideals: Sequence[Sequence[Poly]] = ()) -> list[str]:
-    """The preconditions of the spanning construction that fail at the
-    point, in the order u_nonzero, v_nonzero, df_nonzero, ideal_{k}_nonzero
-    (an ideal vanishing at z); a float point fails `exact` alone."""
+    """The rules of `basepoint_rules` that fail at the point; a float
+    point fails `exact` alone."""
+    return _failures(basepoint_rules(ctx, ideals), point)
+
+
+def _failures(rules, point: SurfacePoint) -> list[str]:
     if not point.exact:
         return ["exact"]
-    failures = []
-    if point.u.is_zero:
-        failures.append("u_nonzero")
-    if point.v.is_zero:
-        failures.append("v_nonzero")
-    z = point.z
-    if all(p.evaluate_exact(z).is_zero for p in ctx.partials):
-        failures.append("df_nonzero")
-    failures += [f"ideal_{k}_nonzero" for k, gens in enumerate(ideals)
-                 if gens and all(g.evaluate_exact(z).is_zero for g in gens)]
+    values = evaluate_exact_all([p for _, polys in rules for p in polys],
+                                point.coords)
+    failures, k = [], 0
+    for name, polys in rules:
+        if all(v.is_zero for v in values[k:k + len(polys)]):
+            failures.append(name)
+        k += len(polys)
     return failures
 
 
@@ -466,6 +481,7 @@ def basepoint_search(ctx: SuspensionContext, spec: SamplingSpec,
     `basepoint_failures` finds nothing.  Each rejection is recorded under
     the first condition that failed."""
     rng = random.Random(spec.seed)
+    rules = basepoint_rules(ctx, ideals)
     report = RejectionReport()
     found: list[SurfacePoint] = []
     while len(found) < spec.count:
@@ -480,7 +496,7 @@ def basepoint_search(ctx: SuspensionContext, spec: SamplingSpec,
             report.reject("u_nonzero")
             continue
         point = surface_point(ctx, (u, ctx.f_base.evaluate_exact(z) / u, *z))
-        failures = basepoint_failures(ctx, point, ideals)
+        failures = _failures(rules, point)
         if failures:
             report.reject(failures[0])
             continue

@@ -111,6 +111,11 @@ def test_parse_errors_carry_positions():
             parse_scenario(text)
         assert fragment in str(err.value), text
 
+    # a SamplingSpec rule is reported on the line of the key that broke it
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL + "[sampling]\ncount = 3\nregion = 1 .. 1\n")
+    assert err.value.line == 10
+
 
 def test_scenario_value_round_trip_from_constructed():
     s = Scenario(
