@@ -33,7 +33,7 @@ import numpy
 from .certify import LiftedPair, monomial_closure
 from .fields import lie_bracket
 from .lifts import central_difference_determinant, rk4_flow, twist_field
-from .poly import compile_complex, compile_complex_sum
+from .poly import COMPLEX, compile_complex_sum, compile_values
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
                       divergence_on_suspension, tangent_field)
 
@@ -182,10 +182,11 @@ def tangent_samples(target: SuspensionField, ctx: SuspensionContext,
         raise ApproxError("no sample points were given")
     if not divergence_on_suspension(target, ctx).is_zero:
         raise ApproxError("the target is not volume preserving")
+    gradient = ctx.defining_gradient(COMPLEX)
     out = []
     for p in samples:
         coords = p.complex_coords()
-        frame_h = tangent_frame(ctx.defining_gradient_complex(coords)).conj().T
+        frame_h = tangent_frame(gradient(coords)).conj().T
         tvec = numpy.array(target.ambient.evaluate_complex(coords))
         out.append(TangentSample(coords, frame_h, frame_h @ tvec))
     return out
@@ -206,8 +207,8 @@ def fit_field(target: SuspensionField, dictionary: Dictionary,
 
     # one evaluator for the whole dictionary; each entry's m values are
     # consecutive in its output
-    evaluate_all = compile_complex(ctx.ring, [
-        c for e in dictionary.entries for c in e.field.ambient.coeffs])
+    coeffs = [c for e in dictionary.entries for c in e.field.ambient.coeffs]
+    evaluate_all = compile_values(ctx.ring, coeffs, COMPLEX)
     return _fit(prepared, evaluate_all, ctx.ring.nvars, dictionary.labels())
 
 

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import Poly, PolyRing, compile_complex, evaluate_exact_all
+from .poly import COMPLEX, EXACT, Evaluated, Poly, PolyRing
 from .scalars import GaussianRational
 
 
@@ -36,7 +36,7 @@ class FieldError(ValueError):
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(Evaluated):
     """A derivation sum_j coeffs[j] * d/dx_j with polynomial coefficients."""
 
     ring: PolyRing
@@ -96,29 +96,14 @@ class VectorField:
             return VectorField(self.ring, tuple(h * c for c in self.coeffs))
         return VectorField(self.ring, tuple(c.scale(h) for c in self.coeffs))
 
-    def evaluate_exact(self, values) -> list[GaussianRational]:
-        return evaluate_exact_all(self.coeffs, values)
+    def evaluated(self):
+        return self.ring, self.coeffs
 
-    def complex_evaluator(self):
-        """The `compile_complex` evaluator of the coefficients, compiled on
-        first use and kept with the field."""
-        evaluate = self.__dict__.get("_compiled")
-        if evaluate is None:
-            evaluate = compile_complex(self.ring, self.coeffs)
-            object.__setattr__(self, "_compiled", evaluate)
-        return evaluate
+    def evaluate_exact(self, values) -> list[GaussianRational]:
+        return self.evaluator(EXACT)(values)
 
     def evaluate_complex(self, values) -> list[complex]:
-        """Complex coefficient values, bit-identical to evaluating each
-        coefficient with `Poly.evaluate_complex`."""
-        return self.complex_evaluator()(values)
-
-    def __getstate__(self):
-        # the compiled evaluator is a cache: copies and pickles carry only
-        # the ring and the coefficients
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        return state
+        return self.evaluator(COMPLEX)(values)
 
     def _check(self, other: "VectorField"):
         if self.ring.variables != other.ring.variables:

@@ -39,12 +39,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def line(self) -> str:
-        if self.ok:
-            return f"{self.name}: pass ({self.trials} trials)"
-        return (f"{self.name}: FAIL ({len(self.failures)} recorded), "
-                f"first: {self.failures[0]}")
-
 
 ALL_CHECKS: dict = {}
 

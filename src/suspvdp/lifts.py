@@ -28,7 +28,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .fields import VectorField
-from .poly import Poly, PolyRing, evaluate_exact_all
+from .poly import COMPLEX, EXACT, Evaluated, Poly, PolyRing
 from .scalars import ZERO, GaussianRational, gr
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
                       basepoint_rules, surface_point, tangent_field)
@@ -156,35 +156,39 @@ def flow_remainder(theta: VectorField, ctx: SuspensionContext) -> FlowRemainder:
     return FlowRemainder(theta, flow_ring, sols, g)
 
 
+FLOW_STEPS = 2048            # RK4 steps of a numeric lifted flow
+
+
 @dataclass(frozen=True)
-class LiftedFlowMap:
+class LiftedFlowMap(Evaluated):
     """Time-t map of a lifted field on points of the surface.
 
     `symbolic` distinguishes the closed form (exact-capable, polynomial in
-    all coordinates and t) from the numeric fallback (floating RK4 on the
-    ambient lift)."""
+    all coordinates and t; its evaluators compute the components) from
+    the numeric fallback (FLOW_STEPS of RK4 on the ambient lift)."""
 
     ctx: SuspensionContext
     side: str
     symbolic: bool
     components: tuple[Poly, ...] | None = None      # in ring (u,v,z...,t)
     numeric_field: SuspensionField | None = None
-    steps: int = 2048
+
+    def evaluated(self):
+        return self.components[0].ring, self.components
 
     def apply(self, point: SurfacePoint, t) -> SurfacePoint:
         if self.symbolic:
             if not isinstance(t, GaussianRational) and isinstance(t, (int, Fraction)):
                 t = gr(t)
             if point.exact and isinstance(t, GaussianRational):
-                values = point.coords + (t,)
-                return surface_point(self.ctx, [
-                    c.evaluate_exact(values) for c in self.components])
-            values = point.complex_coords() + (complex(t),)
-            coords = [c.evaluate_complex(values) for c in self.components]
+                return surface_point(self.ctx, self.evaluator(EXACT)(
+                    point.coords + (t,)))
+            coords = self.evaluator(COMPLEX)(
+                point.complex_coords() + (complex(t),))
         else:
             coords = rk4_flow(self.numeric_field.ambient.evaluate_complex,
                               list(point.complex_coords()), complex(t),
-                              self.steps)
+                              FLOW_STEPS)
         return surface_point(self.ctx, coords,
                              tol=_end_point_tolerance(self.ctx, coords))
 
@@ -247,7 +251,7 @@ def rk4_flow(eval_fn: Callable[[Sequence[complex]], Sequence[complex]],
 def _field_body(eval_fn, m: int):
     """A function of m complex arguments returning the m field values."""
     if getattr(eval_fn, "__func__", None) is VectorField.evaluate_complex:
-        eval_fn = eval_fn.__self__.complex_evaluator()
+        eval_fn = eval_fn.__self__.evaluator(COMPLEX)
     body = getattr(eval_fn, "field", None)
     # with a start of the wrong length the evaluator itself raises below
     if body is not None and body.__code__.co_argcount == m:
@@ -456,14 +460,15 @@ class _Candidate:
 
 
 @dataclass(frozen=True)
-class SpanningPlan:
+class SpanningPlan(Evaluated):
     """The symbolic half of `spanning_family`, built once per list of
     source pairs and evaluated at each basepoint.  `polys` holds once,
     in the ambient ring, every polynomial the family reads: those of the
     basepoint rules, the four lifts of every pair, the ideal generators,
     alpha(f) and beta(f), and the shear pullbacks.  The shear functions
     u - u0 and z_j - c differ between basepoints only by a constant,
-    which changes neither the kernel check nor mu(g)."""
+    which changes neither the kernel check nor mu(g).  Its evaluators
+    compute `polys`, one per scalar domain."""
 
     ctx: SuspensionContext
     polys: tuple[Poly, ...]
@@ -472,11 +477,14 @@ class SpanningPlan:
     gens: tuple[tuple[int, ...], ...]
     candidates: tuple[_Candidate, ...]
 
+    def evaluated(self):
+        return self.ctx.ring, self.polys
+
     def at(self, point: SurfacePoint) -> SpanningFamily:
         """The evaluated spanning family at an admissible basepoint."""
         if not point.exact:
             raise BasepointError(["exact"])
-        return self.family(point, evaluate_exact_all(self.polys, point.coords),
+        return self.family(point, self.evaluator(EXACT)(point.coords),
                            lambda value: not value.is_zero)
 
     def family(self, point: SurfacePoint, values: Sequence,

@@ -9,10 +9,11 @@ have full rank mod P has full rank exactly, and the rank written to the
 report is the one the exact computation would write.
 
 `RankScreen` reduces the point once, evaluates every polynomial of the
-spanning plan with one compiled function (`poly.compile_values`, its
-coefficients reduced once per plan) and builds the family with the
-plan's own routine, `SpanningPlan.family`.  Every value stays the residue
-of the exact value, since the family is built with + and * alone.  A
+spanning plan with the plan's evaluator over `residues(P, R)` (its
+coefficients reduced once per plan; the exact fallback `SpanningPlan.at`
+passes `poly.EXACT` instead) and builds the family with the plan's own
+routine, `SpanningPlan.family`.  Every value stays the residue of the
+exact value, since the family is built with + and * alone.  A
 zero test there accepts only a nonzero residue, since a zero residue
 need not be an exact zero.  At a basepoint v != 0, so the tangent basis
 of `surface.tangent_basis` pivots on the u column and the coordinates of
@@ -33,12 +34,13 @@ fails.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from .certify import wedge_rows
 from .lifts import SpanningPlan
-from .poly import Domain, compile_values
+from .poly import Domain
 from .scalars import GaussianRational
 from .surface import SurfacePoint
 
@@ -59,6 +61,13 @@ def residue(c: GaussianRational, p: int, r: int) -> int:
     if not den % p:
         raise Undecided("denominator")
     return (c._re + c._im * r) * pow(den, -1, p) % p
+
+
+@functools.cache
+def residues(p: int, r: int) -> Domain:
+    """Integers standing for residues mod p, i sent to r; one domain per
+    (p, r), so a plan compiles its evaluator over it once."""
+    return Domain("0", lambda c: residue(c, p, r), "values[{i}]")
 
 
 def _nonzero(value: int) -> bool:
@@ -123,9 +132,7 @@ class RankScreen:
         try:
             if self.full > WITNESS_MAX:
                 raise Undecided("witness_size")
-            domain = Domain("0", lambda c: residue(c, self.prime, self.root),
-                            "values[{i}]")
-            self.evaluate = compile_values(plan.ctx.ring, plan.polys, domain)
+            self.evaluate = plan.evaluator(residues(self.prime, self.root))
         except Undecided as exc:
             self.unusable = str(exc)
 

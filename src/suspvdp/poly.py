@@ -121,8 +121,27 @@ def _as_scalar(c) -> GaussianRational:
     return gr(c)
 
 
+class Evaluated:
+    """An owner of the polynomials its `evaluated()` returns, with their
+    ring.  `evaluator` compiles their `compile_values` over a domain at its
+    first use and keeps it on the instance, one per domain; copies and
+    pickles leave that cache out, and `==` and hashes never see it."""
+
+    def evaluator(self, domain: Domain):
+        cache = self.__dict__.setdefault("_compiled", {})
+        evaluate = cache.get(domain)
+        if evaluate is None:
+            evaluate = cache[domain] = compile_values(*self.evaluated(), domain)
+        return evaluate
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
+
 @dataclass(frozen=True)
-class Poly:
+class Poly(Evaluated):
     """Immutable sparse polynomial.  `terms` maps exponent tuples to
     nonzero GaussianRational coefficients; never mutate it."""
 
@@ -267,32 +286,14 @@ class Poly:
 
     # -- evaluation and substitution -----------------------------------------
 
+    def evaluated(self):
+        return self.ring, (self,)
+
     def evaluate_exact(self, values: Sequence[GaussianRational]) -> GaussianRational:
-        return evaluate_exact_all((self,), values)[0]
+        return self.evaluator(EXACT)(values)[0]
 
     def evaluate_complex(self, values: Sequence[complex]) -> complex:
-        """Interpreted evaluation with the coefficients converted to complex
-        once per polynomial; `compile_complex` is the straight-line form of
-        the same operations for polynomials evaluated many times."""
-        if len(values) != self.ring.nvars:
-            raise PolyError("wrong number of coordinates")
-        plan = self.__dict__.get("_complex_terms")
-        if plan is None:
-            plan = [(c.to_complex(), [(i, k) for i, k in enumerate(e) if k])
-                    for e, c in self.terms.items()]
-            object.__setattr__(self, "_complex_terms", plan)
-        total = 0j
-        for term, factors in plan:
-            for i, k in factors:
-                term *= complex(values[i]) ** k
-            total += term
-        return total
-
-    def __getstate__(self):
-        # the float plan is a cache: copies and pickles carry only the terms
-        state = dict(self.__dict__)
-        state.pop("_complex_terms", None)
-        return state
+        return self.evaluator(COMPLEX)(values)[0]
 
     def substitute(self, target: PolyRing,
                    images: Mapping[str, "Poly"] | None = None) -> "Poly":
@@ -387,78 +388,46 @@ def _grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
 
 
-def evaluate_exact_all(polys: Sequence[Poly], values: Sequence[GaussianRational]
-                       ) -> list[GaussianRational]:
-    """Exact values of polynomials of one ring at one point.  The
-    arguments are converted once and every power x_i^k is computed once
-    for all of them."""
-    for p in polys:
-        if len(values) != p.ring.nvars:
-            raise PolyError("wrong number of coordinates")
-    values = [_as_scalar(x) for x in values]
-    cache: dict[tuple[int, int], GaussianRational] = {}
-    out = []
-    for p in polys:
-        total = ZERO
-        for e, c in p.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k == 1:
-                    term = term * values[i]
-                elif k:
-                    power = cache.get((i, k))
-                    if power is None:
-                        power = cache[(i, k)] = values[i] ** k
-                    term = term * power
-            total = total + term
-        out.append(total)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# compiled complex evaluation
+# evaluation
 #
-# A compiled evaluator is one generated Python function of a coordinate
-# sequence.  It performs the floating-point operations of
-# `Poly.evaluate_complex`, in the same order, so its results are
-# bit-identical to the interpreted loop:
+# Every polynomial value comes from one generated Python function of a
+# coordinate sequence, `compile_values`, over a `Domain`: the name that
+# starts every sum and the conversions of a coefficient (once, when
+# compiling) and of an argument (per call).  EXACT computes in Q(i) from
+# ZERO, taking ints and Fractions through `_as_scalar`; COMPLEX in floats
+# through complex(); `modrank` passes integers standing for residues mod p.
 #
-# * each used coordinate is converted with complex() and each power
-#   x_i ** k is computed once per call (the loop recomputes the same value
-#   for every term; x ** 1 is kept, since it differs from x: it raises
-#   OverflowError on an infinite part and can flip the sign of a zero);
-# * a polynomial's value is 0j + K*p*p + ..., terms in dictionary order,
-#   coefficient first, factors in variable order; a polynomial that occurs
-#   more than once, with its terms in the same order, is computed once;
-# * a weighted sum of values is 0j + w1*v1 + w2*v2 + ...
+# The function converts each used coordinate once, computes each power
+# x_i ** k once (x ** 1 is kept: over COMPLEX it raises OverflowError on
+# an infinite part and can flip the sign of a zero), and computes a
+# polynomial's value as Z + K*p*p + ..., Z the domain's zero, terms in
+# dictionary order, coefficient first, factors in variable order; a
+# polynomial that recurs with its terms in the same order is computed
+# once.  A weighted sum of COMPLEX values is 0j + w1*v1 + w2*v2 + ....
+# Over COMPLEX this fixes every float operation and its order, so term
+# order is float semantics.
 #
-# The body is its own function `field(x0, ..., x{m-1})` of complex
-# arguments, exposed as the evaluator's `field` attribute; `evaluate`
-# checks the coordinate count, converts the used coordinates and calls
-# it.  Integrators call `field` directly on values that are already
-# complex (complex(z) is z for a complex z, so nothing changes).
-#
-# Coefficients and weights are converted to complex once and bound as
-# names in the function's namespace; the source holds only generated
-# identifiers, integer exponents and operators.
-#
-# The same generator emits evaluators over other scalar domains: a
-# `Domain` fixes the literal that starts every sum, the conversion of a
-# coefficient (made once, when compiling) and of an argument (made per
-# call).  Over the integers, with coefficients and arguments reduced mod
-# p, the values are exact integers whose residues mod p are the residues
-# of the polynomial values.
+# The body is its own function `field(x0, ..., x{m-1})` of converted
+# arguments, exposed as the evaluator's `field` attribute, which
+# integrators call directly on complex values; `evaluate` checks the
+# coordinate count, converts the used coordinates and calls it.
+# Coefficients and weights are bound as names in the function's
+# namespace, so the source holds only generated identifiers, integer
+# exponents and operators.  Owners evaluated at many points (`Evaluated`)
+# keep their evaluators, each compiled once per owner and domain.
 
 _SUMMANDS_PER_LINE = 32      # keeps each generated expression shallow
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)       # compared and hashed by identity
 class Domain:
-    zero: str                                   # literal starting each sum
+    zero: str                                   # name starting each sum
     coefficient: Callable[[GaussianRational], object]
     argument: str                               # conversion of values[{i}]
 
 
+EXACT = Domain("ZERO", _as_scalar, "_as_scalar(values[{i}])")
 COMPLEX = Domain("0j", GaussianRational.to_complex, "complex(values[{i}])")
 
 
@@ -468,7 +437,8 @@ class _Source:
     def __init__(self, ring: PolyRing, domain: Domain = COMPLEX):
         self.nvars = ring.nvars
         self.domain = domain
-        self.namespace: dict = {"PolyError": PolyError}
+        self.namespace: dict = {"PolyError": PolyError, "ZERO": ZERO,
+                                "_as_scalar": _as_scalar}
         self.coeffs: dict[GaussianRational, str] = {}
         self.powers: dict[tuple[int, int], str] = {}
         self.values: dict[tuple, str] = {}
@@ -504,7 +474,7 @@ class _Source:
         return name
 
     def assign_sum(self, target: str, summands: list[str]) -> str:
-        """target = 0j + s1 + s2 + ..., added left to right; long sums
+        """target = Z + s1 + s2 + ..., added left to right; long sums
         continue on further lines, which keeps the order."""
         lead = self.domain.zero
         for i in range(0, max(len(summands), 1), _SUMMANDS_PER_LINE):
@@ -543,19 +513,13 @@ def compile_values(ring: PolyRing, polys: Sequence[Poly], domain: Domain):
     return src.build([src.value(p) for p in polys])
 
 
-def compile_complex(ring: PolyRing, polys: Sequence[Poly]):
-    """`compile_values` over `COMPLEX`: bit-identical to
-    `[p.evaluate_complex(x) for p in polys]`."""
-    return compile_values(ring, polys, COMPLEX)
-
-
 def compile_complex_sum(ring: PolyRing, weights: Sequence[complex],
                         rows: Sequence[Sequence[Poly]]):
     """One function mapping coordinates to the weighted sum of the value
     lists of `rows` (each one polynomial per variable of `ring`): output i
     is 0j + w1*rows[0][i](x) + w2*rows[1][i](x) + ..., bit-identical to
     accumulating the interpreted values in that order.  Its `field`
-    attribute is as for `compile_complex`."""
+    attribute is as for `compile_values`."""
     src = _Source(ring)
     names = [src.bind(complex(w)) for w in weights]
     outputs = []

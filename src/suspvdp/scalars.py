@@ -94,10 +94,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self._re and not self._im
 
-    @property
-    def is_real(self) -> bool:
-        return not self._im
-
     def __eq__(self, other):
         if other.__class__ is not GaussianRational:
             return NotImplemented
@@ -192,10 +188,6 @@ class GaussianRational:
 
     def conjugate(self) -> "GaussianRational":
         return _raw(self._re, -self._im, self._den)
-
-    def norm_sq(self) -> Fraction:
-        return Fraction(self._re * self._re + self._im * self._im,
-                        self._den * self._den)
 
     def to_complex(self) -> complex:
         # int true division rounds correctly, as float(Fraction) does

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .fields import VectorField, VolumeForm, divergence
 from .linalg import ExactMatrix, nullspace, span_solve
-from .poly import Poly, PolyRing, evaluate_exact_all
+from .poly import EXACT, Domain, Evaluated, Poly, PolyRing, compile_values
 from .scalars import GaussianRational, gr, ZERO
 
 
@@ -47,8 +47,9 @@ U, V = 0, 1  # ambient indices of the two suspension coordinates
 
 
 @dataclass(frozen=True)
-class SuspensionContext:
-    """Everything fixed by the choice of n and f."""
+class SuspensionContext(Evaluated):
+    """Everything fixed by the choice of n and f.  Its compiled evaluators
+    (`defining_gradient`) compute the gradient of uv - f."""
 
     n: int
     ring: PolyRing
@@ -104,15 +105,14 @@ class SuspensionContext:
 
     # -- pointwise data ----------------------------------------------------
 
-    def defining_gradient_exact(self, coords) -> list[GaussianRational]:
-        z = coords[2:]
-        return [coords[V], coords[U],
-                *(-p.evaluate_exact(z) for p in self.partials)]
+    def evaluated(self):
+        return self.ring, tuple(self.defining.derivative(i)
+                                for i in range(self.ring.nvars))
 
-    def defining_gradient_complex(self, coords) -> list[complex]:
-        z = coords[2:]
-        return [complex(coords[V]), complex(coords[U]),
-                *(-p.evaluate_complex(z) for p in self.partials)]
+    def defining_gradient(self, domain: Domain):
+        """The evaluator of d(uv - f) = (v, u, -df/dz1, ...) over `domain`,
+        a function of the ambient coordinates."""
+        return self.evaluator(domain)
 
 
 def make_suspension(n: int, f) -> SuspensionContext:
@@ -151,12 +151,6 @@ class SuspensionField:
 
     ambient: VectorField
     multiplier: Poly
-
-    def evaluate_exact(self, point: "SurfacePoint"):
-        return self.ambient.evaluate_exact(point.coords)
-
-    def evaluate_complex(self, point: "SurfacePoint"):
-        return self.ambient.evaluate_complex(point.complex_coords())
 
     def scale(self, h: Poly) -> "SuspensionField":
         return SuspensionField(self.ambient.scale(h), self.multiplier * h)
@@ -248,7 +242,7 @@ def tangent_basis(ctx: SuspensionContext, point: SurfacePoint) -> list[list[Gaus
     """Exact basis of the kernel of d(uv - f) at an exact point."""
     if not point.exact:
         raise SuspensionError("exact tangent bases need exact points")
-    grad = ctx.defining_gradient_exact(point.coords)
+    grad = ctx.defining_gradient(EXACT)(point.coords)
     if all(g.is_zero for g in grad):
         raise SuspensionError("singular point: the defining gradient vanishes")
     basis = nullspace(ExactMatrix([grad]))
@@ -258,15 +252,17 @@ def tangent_basis(ctx: SuspensionContext, point: SurfacePoint) -> list[list[Gaus
 # ---------------------------------------------------------------------------
 # sampling
 
+MAX_ATTEMPTS = 10000         # draws per sampling run or basepoint search
+
 
 @dataclass(frozen=True)
 class SamplingSpec:
+    """Seeded draws of complex scalars, both parts from `region`."""
+
     count: int = 20
     seed: int = 0
     region: tuple[Fraction, Fraction] = (Fraction(-2), Fraction(2))
     exactness: str = "exact"            # "exact" | "float"
-    imaginary: bool = True
-    max_attempts: int = 10000
 
     def __post_init__(self):
         lo, hi = self.region
@@ -292,19 +288,29 @@ def _rand_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
 
 def _rand_exact_scalar(rng: random.Random, spec: SamplingSpec) -> GaussianRational:
     lo, hi = spec.region
-    re = _rand_rational(rng, lo, hi)
-    im = _rand_rational(rng, lo, hi) if spec.imaginary else Fraction(0)
-    return gr(re, im)
+    return gr(_rand_rational(rng, lo, hi), _rand_rational(rng, lo, hi))
 
 
 def _rand_float_scalar(rng: random.Random, spec: SamplingSpec) -> complex:
     lo, hi = float(spec.region[0]), float(spec.region[1])
-    im = rng.uniform(lo, hi) if spec.imaginary else 0.0
+    im = rng.uniform(lo, hi)                 # drawn before the real part
     return complex(rng.uniform(lo, hi), im)
 
 
+def _draw_exact(ctx: SuspensionContext, rng: random.Random,
+                spec: SamplingSpec) -> SurfacePoint | None:
+    """One exact draw on the chart u != 0: z, then u, then v = f(z)/u;
+    None where u is zero."""
+    z = [_rand_exact_scalar(rng, spec) for _ in range(ctx.n)]
+    u = _rand_exact_scalar(rng, spec)
+    if u.is_zero:
+        return None
+    return surface_point(ctx, (u, ctx.f_base.evaluate_exact(z) / u, *z))
+
+
 def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoint]:
-    """Seeded draws on the chart u != 0: pick z and u, then v = f(z)/u.
+    """Seeded draws on the chart u != 0: pick z and u, then v = f(z)/u
+    (in float mode only |u| >= 1/4 is kept).
 
     Points satisfy the surface equation exactly in exact mode and to
     floating accuracy otherwise; sampling is pure given the seed.
@@ -314,21 +320,17 @@ def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoi
     attempts = 0
     while len(out) < spec.count:
         attempts += 1
-        if attempts > spec.max_attempts:
-            raise SamplingError(f"exhausted {spec.max_attempts} sampling attempts")
+        if attempts > MAX_ATTEMPTS:
+            raise SamplingError(f"exhausted {MAX_ATTEMPTS} sampling attempts")
         if spec.exactness == "exact":
-            z = [_rand_exact_scalar(rng, spec) for _ in range(ctx.n)]
-            u = _rand_exact_scalar(rng, spec)
-            if u.is_zero:
-                continue
-            v = ctx.f_base.evaluate_exact(z) / u
+            point = _draw_exact(ctx, rng, spec)
         else:
             z = [_rand_float_scalar(rng, spec) for _ in range(ctx.n)]
             u = _rand_float_scalar(rng, spec)
-            if abs(u) < 0.25:
-                continue
-            v = ctx.f_base.evaluate_complex(z) / u
-        out.append(surface_point(ctx, (u, v, *z)))
+            point = None if abs(u) < 0.25 else surface_point(
+                ctx, (u, ctx.f_base.evaluate_complex(z) / u, *z))
+        if point is not None:
+            out.append(point)
     return out
 
 
@@ -454,23 +456,25 @@ def basepoint_rules(ctx: SuspensionContext,
     return rules
 
 
-def basepoint_failures(ctx: SuspensionContext, point: SurfacePoint,
-                       ideals: Sequence[Sequence[Poly]] = ()) -> list[str]:
-    """The rules of `basepoint_rules` that fail at the point; a float
-    point fails `exact` alone."""
-    return _failures(basepoint_rules(ctx, ideals), point)
+def basepoint_check(ctx: SuspensionContext,
+                    ideals: Sequence[Sequence[Poly]] = ()):
+    """A function of a point listing the rules of `basepoint_rules` that
+    fail there (a float point fails `exact` alone); the rules' polynomials
+    are compiled once, here."""
+    rules = basepoint_rules(ctx, ideals)
+    evaluate = compile_values(
+        ctx.ring, [p for _, polys in rules for p in polys], EXACT)
 
-
-def _failures(rules, point: SurfacePoint) -> list[str]:
-    if not point.exact:
-        return ["exact"]
-    values = evaluate_exact_all([p for _, polys in rules for p in polys],
-                                point.coords)
-    failures, k = [], 0
-    for name, polys in rules:
-        if all(v.is_zero for v in values[k:k + len(polys)]):
-            failures.append(name)
-        k += len(polys)
+    def failures(point: SurfacePoint) -> list[str]:
+        if not point.exact:
+            return ["exact"]
+        values = evaluate(point.coords)
+        out, k = [], 0
+        for name, polys in rules:
+            if all(v.is_zero for v in values[k:k + len(polys)]):
+                out.append(name)
+            k += len(polys)
+        return out
     return failures
 
 
@@ -478,25 +482,23 @@ def basepoint_search(ctx: SuspensionContext, spec: SamplingSpec,
                      ideals: Sequence[Sequence[Poly]] = ()
                      ) -> tuple[list[SurfacePoint], RejectionReport]:
     """Rejection-sample `spec.count` exact points at which
-    `basepoint_failures` finds nothing.  Each rejection is recorded under
+    `basepoint_check` finds nothing.  Each rejection is recorded under
     the first condition that failed."""
     rng = random.Random(spec.seed)
-    rules = basepoint_rules(ctx, ideals)
+    failures_at = basepoint_check(ctx, ideals)
     report = RejectionReport()
     found: list[SurfacePoint] = []
     while len(found) < spec.count:
         report.attempts += 1
-        if report.attempts > spec.max_attempts:
+        if report.attempts > MAX_ATTEMPTS:
             raise SamplingError(
-                f"no admissible basepoint in {spec.max_attempts} attempts; "
+                f"no admissible basepoint in {MAX_ATTEMPTS} attempts; "
                 f"rejections: {report.rejected}", report)
-        z = [_rand_exact_scalar(rng, spec) for _ in range(ctx.n)]
-        u = _rand_exact_scalar(rng, spec)
-        if u.is_zero:
+        point = _draw_exact(ctx, rng, spec)
+        if point is None:
             report.reject("u_nonzero")
             continue
-        point = surface_point(ctx, (u, ctx.f_base.evaluate_exact(z) / u, *z))
-        failures = _failures(rules, point)
+        failures = failures_at(point)
         if failures:
             report.reject(failures[0])
             continue

@@ -46,7 +46,7 @@ def test_criterion_1_exact_identities_zero_tolerance():
     total = sum(r.elapsed for r in results)
     for r in results:
         assert r.trials == 200, r.name
-        assert r.ok, r.line()
+        assert r.ok, r.failures
     assert total < 60.0, f"identity suites took {total:.1f}s"
     announce(1, "6 exact suites x 200 random inputs each, zero failures, "
              f"{total:.2f}s (< 60s)")

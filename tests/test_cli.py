@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, report files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import suspvdp
 from suspvdp.cli import main
 
 BAD_PAIR = """
@@ -207,3 +212,17 @@ def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         run([])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_stage_modules_unloaded():
+    # the rank screen, the identity suites and the random generators are
+    # imported by the stages that run them, which keeps start-up short
+    src = str(Path(suspvdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, suspvdp.cli; print(sorted(m for m in sys.modules "
+             "if m in ('suspvdp.modrank', 'suspvdp.identities', "
+             "'suspvdp.randgen')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

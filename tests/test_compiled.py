@@ -1,9 +1,10 @@
-"""Compiled complex evaluators and the generated RK4 loop against the
+"""Compiled evaluators and the generated RK4 loop against the
 interpreted reference loops.
 
-The compiled functions promise the same floating-point operations in the
-same order as the loops below, so results are compared bit for bit (hex
-of both parts), and a loop that raises must raise the same error type.
+The compiled complex functions promise the same floating-point
+operations in the same order as the loops below, so results are compared
+bit for bit (hex of both parts), and a loop that raises must raise the
+same error type.  The exact ones must return the loop's exact values.
 """
 
 import copy
@@ -15,11 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from suspvdp.approx import Dictionary, DictionaryEntry, fitted_evaluator
 from suspvdp.fields import VectorField
-from suspvdp.lifts import rk4_flow
-from suspvdp.poly import (Poly, PolyError, PolyRing, compile_complex,
-                          compile_complex_sum)
-from suspvdp.scalars import gr
-from suspvdp.surface import SuspensionField, make_suspension
+from suspvdp.lifts import rk4_flow, spanning_plan
+from suspvdp.poly import (COMPLEX, EXACT, Poly, PolyError, PolyRing,
+                          compile_complex_sum, compile_values)
+from suspvdp.scalars import ZERO, GaussianRational, gr
+from suspvdp.surface import (SamplingSpec, SuspensionField, basepoint_search,
+                             make_suspension)
 
 R = PolyRing(("u", "v", "z1", "z2"))
 
@@ -40,6 +42,21 @@ def reference_value(p, values) -> complex:
             if k:
                 term *= complex(values[i]) ** k
         total += term
+    return total
+
+
+def reference_exact(p, values) -> GaussianRational:
+    """The interpreted exact loop the `EXACT` evaluators replaced."""
+    if len(values) != p.ring.nvars:
+        raise PolyError("wrong number of coordinates")
+    values = [x if isinstance(x, GaussianRational) else gr(x) for x in values]
+    total = ZERO
+    for e, c in p.terms.items():
+        term = c
+        for i, k in enumerate(e):
+            if k:
+                term = term * values[i] ** k
+        total = total + term
     return total
 
 
@@ -80,8 +97,38 @@ WEIGHTS = st.builds(complex, WEIGHT_PARTS, WEIGHT_PARTS)
 @example([R.parse("u + 2*v")], [complex(INF, 0.0), 1, 1, 1])
 def test_compiled_polys_match_loop_bit_for_bit(polys, coords):
     want = bits(lambda: [reference_value(p, coords) for p in polys])
-    assert bits(lambda: compile_complex(R, polys)(coords)) == want
+    assert bits(lambda: compile_values(R, polys, COMPLEX)(coords)) == want
     assert bits(lambda: [p.evaluate_complex(coords) for p in polys]) == want
+
+
+# exact arguments: Gaussian rationals, ints and Fractions, one coordinate
+# short, a full point and one coordinate too many
+EXACT_ARGS = st.lists(
+    st.one_of(SCALARS, st.integers(-9, 9),
+              st.fractions(-4, 4, max_denominator=7)),
+    min_size=R.nvars - 1, max_size=R.nvars + 1)
+
+
+@settings(max_examples=100)
+@given(st.lists(POLYS, min_size=1, max_size=4), EXACT_ARGS)
+@example([R.zero()], [2, Fraction(1, 3), gr(0, 1), 0])
+@example([R.parse("u*v - z1^3"), R.zero()], [1, 2, 3])
+def test_exact_evaluator_matches_loop(polys, coords):
+    evaluate = compile_values(R, polys, EXACT)
+    if len(coords) != R.nvars:
+        for compute in (lambda: evaluate(coords),
+                        lambda: polys[0].evaluate_exact(coords),
+                        lambda: reference_exact(polys[0], coords)):
+            with pytest.raises(PolyError, match="wrong number of coordinates"):
+                compute()
+        return
+    want = [reference_exact(p, coords) for p in polys]
+    got = evaluate(coords)
+    assert got == want and all(type(v) is GaussianRational for v in got)
+    assert [p.evaluate_exact(coords) for p in polys] == want
+    coeffs = tuple((polys * R.nvars)[:R.nvars])
+    assert VectorField(R, coeffs).evaluate_exact(coords) == \
+        [reference_exact(p, coords) for p in coeffs]
 
 
 @settings(max_examples=100)
@@ -109,7 +156,7 @@ def test_long_sums_split_across_lines_keep_their_order():
                  for k in range(100)})
     for x in (0.5 - 0.25j, -1.0 + 0.0j, complex(0.0, -0.0)):
         coords = [x, 1, 2, 3]
-        assert bits(lambda: compile_complex(R, [p])(coords)) == \
+        assert bits(lambda: compile_values(R, [p], COMPLEX)(coords)) == \
             bits(lambda: [reference_value(p, coords)])
 
 
@@ -142,6 +189,8 @@ def test_wrong_coordinate_count_still_raises():
             compile_complex_sum(R, [1j], [theta.coeffs])(bad)
         with pytest.raises(PolyError, match="wrong number of coordinates"):
             theta.evaluate_exact(bad)
+        with pytest.raises(PolyError, match="wrong number of coordinates"):
+            p.evaluate_exact(bad)
 
 
 def test_cached_evaluators_leave_identity_copy_and_pickle_alone():
@@ -151,21 +200,42 @@ def test_cached_evaluators_leave_identity_copy_and_pickle_alone():
     fresh_theta = VectorField(R, theta.coeffs)
     plain = pickle.dumps(theta), pickle.dumps(p)
     coords = [1 + 1j, 2, -0.5j, 0.25]
-    p.evaluate_complex(coords)
-    theta.evaluate_complex(coords)
-    assert "_complex_terms" in vars(p) and "_compiled" in vars(theta)
+    point = [gr(1, 1), 2, Fraction(-1, 2), gr(0, 3)]
+    for owner in (p, theta):
+        owner.evaluate_complex(coords)
+        owner.evaluate_exact(point)
+        assert set(vars(owner)["_compiled"]) == {COMPLEX, EXACT}
 
     assert p == fresh_p and hash(p) == hash(fresh_p)
     assert theta == fresh_theta and hash(theta) == hash(fresh_theta)
     assert (pickle.dumps(theta), pickle.dumps(p)) == plain
-    for clone in (copy.copy(theta), copy.deepcopy(theta),
-                  pickle.loads(pickle.dumps(theta))):
-        assert clone == theta and hash(clone) == hash(theta)
-        assert "_compiled" not in vars(clone)
-        assert clone.evaluate_complex(coords) == theta.evaluate_complex(coords)
-    for clone in (copy.copy(p), copy.deepcopy(p),
-                  pickle.loads(pickle.dumps(p))):
-        assert clone == p and "_complex_terms" not in vars(clone)
+    for owner in (theta, p):
+        for clone in (copy.copy(owner), copy.deepcopy(owner),
+                      pickle.loads(pickle.dumps(owner))):
+            assert clone == owner and hash(clone) == hash(owner)
+            assert "_compiled" not in vars(clone)
+            assert clone.evaluate_complex(coords) == \
+                owner.evaluate_complex(coords)
+            assert clone.evaluate_exact(point) == owner.evaluate_exact(point)
+
+
+def test_spanning_plan_keeps_its_exact_evaluator_out_of_copies():
+    ctx = make_suspension(2, "z1")
+    alpha = VectorField.from_texts(ctx.base_ring, ["1", "0"])
+    beta = VectorField.from_texts(ctx.base_ring, ["0", "1"])
+    gens = [ctx.base_ring.one()]
+    plan = spanning_plan([(alpha, beta, gens)], ctx)
+    points, _ = basepoint_search(ctx, SamplingSpec(count=2, seed=3), [gens])
+    plain = pickle.dumps(plan)
+    families = [plan.at(p) for p in points]
+    evaluate = vars(plan)["_compiled"][EXACT]
+    assert [plan.at(p) for p in points] == families
+    assert vars(plan)["_compiled"][EXACT] is evaluate      # compiled once
+    assert pickle.dumps(plan) == plain
+    for clone in (copy.copy(plan), copy.deepcopy(plan),
+                  pickle.loads(pickle.dumps(plan))):
+        assert clone == plan and "_compiled" not in vars(clone)
+        assert [clone.at(p) for p in points] == families
 
 
 def test_field_exact_evaluation_matches_each_coefficient():
@@ -267,8 +337,8 @@ def test_generated_rk4_loop_matches_list_loop_bit_for_bit(case):
     want = bits(lambda: interpreted_rk4(field_ref, start, t, steps))
     assert bits(lambda: rk4_flow(theta.evaluate_complex, start, t,
                                  steps)) == want
-    assert bits(lambda: rk4_flow(compile_complex(ring, rows[0]), start, t,
-                                 steps)) == want
+    assert bits(lambda: rk4_flow(compile_values(ring, rows[0], COMPLEX),
+                                 start, t, steps)) == want
     assert bits(lambda: rk4_flow(field_ref, start, t, steps)) == want
 
     summed = compile_complex_sum(ring, weights, rows)

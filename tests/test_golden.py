@@ -1,6 +1,6 @@
 """Golden reports: SHA-256 digests of the deterministic reports of three
 subcommands at the default seed, `criterion` on all four bundled
-scenarios.
+scenarios and `flow` on both the closed-form and the numeric path.
 
 The other report tests compare two runs of the same code with each other;
 these pin the bytes themselves, so a change that moves a float digit or a
@@ -53,12 +53,20 @@ GOLDEN = [
         "flow_errors.csv":
             "cbd2c959dacbeefbb5edeca7a370a8f7a4741b94c200a56d71887a662badb371",
     }),
+    # the numeric fallback: compiled lift, RK4 and chart determinants
+    (["flow", "--scenario", "circle", "--samples", "6"], 0, {
+        "flow.json":
+            "31955c60a0d0610a437008c502b150488b7de97b086fa51e10f80c3857eca9c2",
+        "flow_errors.csv":
+            "6fff85a4a63d8fd5c8addc5db72abc33c3bd0b82f93b2fc99fa330ae5ef94931",
+    }),
 ]
 
 
 @pytest.mark.parametrize("args, code, digests", GOLDEN, ids=[
     "criterion-plane", "criterion-hyperbola", "criterion-circle",
-    "criterion-danielewski", "approx-plane", "flow-hyperbola"])
+    "criterion-danielewski", "approx-plane", "flow-hyperbola",
+    "flow-circle-6"])
 def test_reports_match_golden_digests(tmp_path, args, code, digests):
     # hyperbola and circle leave the cohomology hypothesis unasserted, so
     # their verdict is inconclusive and the exit code 1

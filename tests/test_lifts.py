@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from suspvdp import lifts
 from suspvdp.fields import VectorField, VolumeForm, divergence
 from suspvdp.lifts import (BasepointError, LiftError, LiftedFlowMap,
                            ShearChainError, chart_jacobian_determinant,
@@ -220,7 +221,7 @@ def test_numeric_flow_matches_closed_form():
     theta = base_field(ctx, "z2", "0")
     closed = lifted_flow(theta, ctx, "u")
     forced = LiftedFlowMap(ctx, "u", symbolic=False,
-                           numeric_field=lift(theta, ctx, "u"), steps=2048)
+                           numeric_field=lift(theta, ctx, "u"))
     points = sample_points(ctx, SamplingSpec(count=5, seed=4,
                                              exactness="float"))
     for p in points:
@@ -248,7 +249,7 @@ def test_numeric_fallback_for_generic_field():
     assert abs(got[2] - want[0]) < 1e-9 and abs(got[3] - want[1]) < 1e-9
 
 
-def test_numeric_fallback_at_large_coordinates():
+def test_numeric_fallback_at_large_coordinates(monkeypatch):
     # the terms of u*v - f are about 2.5e9 here, so the float residual of
     # an accurate end point is about 1e-6: the surface check must be
     # relative to that size, not an absolute 1e-9
@@ -261,11 +262,11 @@ def test_numeric_fallback_at_large_coordinates():
     assert got[:2] == (2499999999, 1)
     assert abs(got[2] - want[0]) < 1e-9 * 5e4
     assert abs(got[3] - want[1]) < 1e-9 * 5e4
-    # an end point off the surface by more than that is still refused
-    far = LiftedFlowMap(ctx, "u", symbolic=False,
-                        numeric_field=fl.numeric_field, steps=1)
+    # an end point off the surface by more than that (one RK4 step) is
+    # still refused
+    monkeypatch.setattr(lifts, "FLOW_STEPS", 1)
     with pytest.raises(SuspensionError, match="residual"):
-        far.apply(p, 0.25)
+        fl.apply(p, 0.25)
 
 
 def test_rk4_flow_rejects_bad_steps_and_field_lengths():
@@ -320,12 +321,14 @@ def test_shear_pullback_formulas():
     g = ctx.parse("u - 1")
 
     # a field with no u-component is unmoved
-    assert shear_pullback(beta_v, alpha_v, g, p) == list(beta_v.evaluate_exact(p))
+    assert shear_pullback(beta_v, alpha_v, g, p) == \
+        beta_v.ambient.evaluate_exact(p.coords)
 
     got = shear_pullback(alpha_u, alpha_v, g, p)
     af = alpha.apply(ctx.f_base).evaluate_exact(p.z)
-    want = [a + af * b for a, b in zip(alpha_u.evaluate_exact(p),
-                                       alpha_v.evaluate_exact(p))]
+    want = [a + af * b for a, b in zip(
+        alpha_u.ambient.evaluate_exact(p.coords),
+        alpha_v.ambient.evaluate_exact(p.coords))]
     assert got == want
 
 

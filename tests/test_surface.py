@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from suspvdp import surface
 from suspvdp.fields import VectorField
-from suspvdp.poly import PolyRing
+from suspvdp.poly import EXACT, PolyRing
 from suspvdp.randgen import rand_poly
 from suspvdp.scalars import gr, ZERO
 from suspvdp.scenario import load_scenario
 from suspvdp.surface import (NotTangentError, SamplingError, SamplingSpec,
-                             SuspensionError, basepoint_failures,
+                             SuspensionError, basepoint_check,
                              basepoint_search,
                              divergence_on_suspension, is_tangent,
                              make_suspension, sample_points,
@@ -157,7 +158,7 @@ def test_tangent_basis_example():
     p = surface_point(ctx, (gr(1), gr(1), gr(1), gr(0)))
     basis = tangent_basis(ctx, p)
     assert len(basis) == 3
-    grad = ctx.defining_gradient_exact(p.coords)
+    grad = ctx.defining_gradient(EXACT)(p.coords)
     for vec in basis:
         pairing = sum((g * x for g, x in zip(grad, vec)), gr(0))
         assert pairing.is_zero
@@ -234,35 +235,36 @@ def test_smoothness_detects_singular_sample():
     assert smoothness_certificate(ctx, 3) is None
 
 
-def test_basepoint_search_reports_conditions():
+def test_basepoint_search_reports_conditions(monkeypatch):
     ctx = CTX
-    spec = SamplingSpec(count=3, seed=5, max_attempts=500)
+    spec = SamplingSpec(count=3, seed=5)
     ideal = [ctx.base_ring.parse("z2")]
     pts, report = basepoint_search(ctx, spec, ideals=[ideal])
     assert len(pts) == 3
     for p in pts:
         assert not p.u.is_zero and not p.v.is_zero
         assert not ideal[0].evaluate_exact(p.z).is_zero
-    # impossible request: denominators 1..3 draw only 1 from [1, 5/4],
-    # where f = z1 - 1 vanishes
-    ctx2 = make_suspension(2, "z1 - 1")
+    # impossible request: denominators 1..3 draw only 1 from [1, 5/4], for
+    # both parts, so every z1 is 1 + i, where f = z1 - 1 - i vanishes
+    ctx2 = make_suspension(2, "z1 - 1 - i")
     tight = SamplingSpec(count=1, seed=5,
-                         region=(Fraction(1), Fraction(5, 4)),
-                         imaginary=False, max_attempts=50)
+                         region=(Fraction(1), Fraction(5, 4)))
+    monkeypatch.setattr(surface, "MAX_ATTEMPTS", 50)
     with pytest.raises(SamplingError) as err:
         basepoint_search(ctx2, tight)
-    assert "v_nonzero" in err.value.report.rejected
+    assert err.value.report.attempts == 51
+    assert err.value.report.rejected == {"v_nonzero": 50}
 
 
 def test_basepoint_failures_reports_df():
     ctx = make_suspension(1, "z1^2")
     p = surface_point(ctx, [gr(1), gr(0), gr(0)])
-    assert basepoint_failures(ctx, p) == ["v_nonzero", "df_nonzero"]
+    assert basepoint_check(ctx)(p) == ["v_nonzero", "df_nonzero"]
     ideal = [ctx.base_ring.parse("z1")]
-    assert basepoint_failures(ctx, p, [[ctx.base_ring.one()], ideal]) == \
+    assert basepoint_check(ctx, [[ctx.base_ring.one()], ideal])(p) == \
         ["v_nonzero", "df_nonzero", "ideal_1_nonzero"]
     float_point = surface_point(ctx, [1.0, 0.0, 0.0])
-    assert basepoint_failures(ctx, float_point) == ["exact"]
+    assert basepoint_check(ctx)(float_point) == ["exact"]
 
 
 def test_exact_samples_stay_in_region():
@@ -270,11 +272,10 @@ def test_exact_samples_stay_in_region():
     ctx = make_suspension(1, "z1")
     lo, hi = Fraction(-5, 2), Fraction(-3, 2)
     for seed in range(5):
-        spec = SamplingSpec(count=5, seed=seed, region=(lo, hi),
-                            imaginary=False)
+        spec = SamplingSpec(count=5, seed=seed, region=(lo, hi))
         for p in sample_points(ctx, spec):
             for c in p.coords[::2]:               # u and z1 are drawn
-                assert lo <= c.re <= hi, p
+                assert lo <= c.re <= hi and lo <= c.im <= hi, p
 
 
 @pytest.mark.parametrize("fields, message", [
