@@ -15,24 +15,22 @@ through the real doubling embedding with column scaling, and the
 minimum-norm solution is taken on rank deficiency, which keeps results
 deterministic for redundant dictionaries.
 
-Non-polynomial f is supported on a numeric-only path driven by user
-callbacks for f and its gradient; it builds its own samples and dictionary
-but shares the least-squares core.  Brackets are unavailable there (they
-would need derivatives the callbacks do not provide).
+f is a polynomial.  The flow audits integrate compiled fields with
+`lifts.rk4_flow`, and the volume audit takes its chart determinant from
+`lifts.chart_determinant`, as the flow subcommand does.
 """
 
 from __future__ import annotations
 
 import cmath
-import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy
 
 from .certify import LiftedPair, monomial_closure
 from .fields import lie_bracket
-from .lifts import central_difference_determinant, rk4_flow, twist_field
+from .lifts import chart_determinant, rk4_flow, twist_field
 from .poly import COMPLEX, compile_complex_sum, compile_values
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
                       divergence_on_suspension, tangent_field)
@@ -207,21 +205,12 @@ def fit_field(target: SuspensionField, dictionary: Dictionary,
 
     # one evaluator for the whole dictionary; each entry's m values are
     # consecutive in its output
-    coeffs = [c for e in dictionary.entries for c in e.field.ambient.coeffs]
-    evaluate_all = compile_values(ctx.ring, coeffs, COMPLEX)
-    return _fit(prepared, evaluate_all, ctx.ring.nvars, dictionary.labels())
-
-
-def _fit(prepared: Sequence[TangentSample], evaluate_all: Callable,
-         m: int, labels: list[str]) -> FitResult:
-    """The fit shared by both paths: `evaluate_all` returns the m
-    ambient values of every entry, consecutively, at one sample."""
+    polys = [c for e in dictionary.entries for c in e.field.ambient.coeffs]
+    evaluate_all = compile_values(ctx.ring, polys, COMPLEX)
+    m = ctx.ring.nvars
     blocks = []
     for s in prepared:
         values = evaluate_all(s.coords)
-        if len(values) != m * len(labels):
-            raise ApproxError(f"{len(values)} field values for {len(labels)} "
-                              f"entries of {m} coordinates")
         cols = [s.frame_h @ numpy.array(values[k:k + m])
                 for k in range(0, len(values), m)]
         blocks.append(numpy.column_stack(cols))
@@ -235,7 +224,7 @@ def _fit(prepared: Sequence[TangentSample], evaluate_all: Callable,
     for block, rblock in zip(blocks, rhs_blocks):
         r = block @ coeffs - rblock
         residuals.append(float(numpy.linalg.norm(r)))
-    return FitResult(labels=labels,
+    return FitResult(labels=dictionary.labels(),
                      coefficients=[complex(c) for c in coeffs],
                      residuals=residuals,
                      sup_residual=max(residuals))
@@ -321,21 +310,8 @@ def volume_audit(sf: SuspensionField, ctx: SuspensionContext,
     coords0 = point.complex_coords()
     if abs(coords0[0]) < 1e-9:
         raise ApproxError("the audit chart needs u != 0")
-
-    def embed(chart):
-        u = chart[0]
-        z = list(chart[1:])
-        v = ctx.f_base.evaluate_complex(z) / u
-        return [u, v, *z]
-
-    def project(coords):
-        return [coords[0]] + list(coords[2:])
-
-    def flow_chart(chart):
-        moved = rk4_flow(sf.ambient.evaluate_complex, embed(chart), t, steps)
-        return project(moved)
-
-    det = central_difference_determinant(flow_chart, project(coords0), 1e-6)
+    det = chart_determinant(ctx, 0, coords0, lambda ambient: rk4_flow(
+        sf.ambient.evaluate_complex, ambient, t, steps))
 
     # Simpson integral of the divergence along the trajectory; the path
     # takes the same steps dt = t/steps as one full pass, so its last
@@ -354,118 +330,3 @@ def volume_audit(sf: SuspensionField, ctx: SuspensionContext,
     expected = cmath.exp(integral)
     return {"weighted_determinant": weighted, "expected": expected,
             "error": abs(weighted - expected)}
-
-
-# ---------------------------------------------------------------------------
-# numeric-only path for non-polynomial f
-
-
-@dataclass(frozen=True)
-class NumericSurface:
-    """A suspension over a user-evaluated holomorphic function: only f and
-    its gradient are available, so everything here is floating point."""
-
-    n: int
-    f: Callable
-    grad: Callable
-
-    def residual(self, coords) -> float:
-        u, v = coords[0], coords[1]
-        return abs(u * v - self.f(list(coords[2:])))
-
-    def gradient(self, coords):
-        z = list(coords[2:])
-        g = self.grad(z)
-        return [coords[1], coords[0]] + [-gj for gj in g]
-
-
-def numeric_sample(surface: NumericSurface, count: int, seed: int,
-                   radius: float = 1.0) -> list[list[complex]]:
-    """Chart draws with u bounded away from zero and v = f(z)/u."""
-    rng = random.Random(seed)
-
-    def draw():
-        return complex(rng.uniform(-radius, radius),
-                       rng.uniform(-radius, radius))
-
-    out = []
-    while len(out) < count:
-        u = draw()
-        if abs(u) < 0.25:
-            continue
-        z = [draw() for _ in range(surface.n)]
-        v = surface.f(z) / u
-        out.append([u, v, *z])
-    return out
-
-
-@dataclass(frozen=True)
-class NumericEntry:
-    label: str
-    provenance: str
-    evaluate: Callable
-
-
-def numeric_lift_entries(surface: NumericSurface,
-                         base_coeffs: Sequence[Callable],
-                         kernel_nu: Sequence[Callable],
-                         kernel_mu: Sequence[Callable]) -> list[NumericEntry]:
-    """Lifted-pair dictionary over a callback surface: the side lifts of
-    one base field pair is not available here, so the caller provides the
-    z-coefficient callbacks of both base fields as one sequence per field
-    via base_coeffs = (alpha, beta); kernel callbacks multiply the lifts.
-    Brackets are not constructible from point evaluations and are omitted.
-    """
-    alpha, beta = base_coeffs
-
-    def theta_f(coeffs, z):
-        g = surface.grad(z)
-        return sum(c(z) * gj for c, gj in zip(coeffs, g))
-
-    def lift_eval(coeffs, side):
-        def evaluate(coords):
-            u, v = coords[0], coords[1]
-            z = list(coords[2:])
-            fiber = v if side == "u" else u
-            out = [0j, 0j] + [fiber * c(z) for c in coeffs]
-            out[0 if side == "u" else 1] = theta_f(coeffs, z)
-            return out
-        return evaluate
-
-    entries = [NumericEntry("nu_u", "complete-lift", lift_eval(alpha, "u")),
-               NumericEntry("mu_v", "complete-lift", lift_eval(beta, "v"))]
-
-    def scaled(entry: NumericEntry, k: Callable, label: str) -> NumericEntry:
-        def evaluate(coords):
-            s = k(list(coords))
-            return [s * c for c in entry.evaluate(coords)]
-        return NumericEntry(label, "kernel-multiple", evaluate)
-
-    for i, k in enumerate(kernel_nu):
-        entries.append(scaled(entries[0], k, f"k{i}*nu_u"))
-    for i, k in enumerate(kernel_mu):
-        entries.append(scaled(entries[1], k, f"k{i}*mu_v"))
-    entries.append(NumericEntry(
-        "u*d_u - v*d_v", "twist-field",
-        lambda coords: [coords[0], -coords[1]] + [0j] * surface.n))
-    return entries
-
-
-def numeric_fit(target: Callable, entries: Sequence[NumericEntry],
-                surface: NumericSurface,
-                points: Sequence[Sequence[complex]]) -> FitResult:
-    """The callback twin of fit_field, on the same least-squares core."""
-    if not entries:
-        raise ApproxError("the dictionary is empty")
-    if not points:
-        raise ApproxError("no sample points were given")
-    prepared = []
-    for coords in points:
-        frame_h = tangent_frame(surface.gradient(coords)).conj().T
-        rhs = frame_h @ numpy.array(target(list(coords)))
-        prepared.append(TangentSample(tuple(coords), frame_h, rhs))
-
-    def evaluate_all(coords):
-        return [x for e in entries for x in e.evaluate(list(coords))]
-    return _fit(prepared, evaluate_all, surface.n + 2,
-                [e.label for e in entries])

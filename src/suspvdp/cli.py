@@ -44,19 +44,25 @@ VOLUME_TOL = 1e-6
 CURVE_SLACK = 1e-12
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers no smaller than `low`; the same
-    ranges that scenario files enforce for their own values."""
-    def parse(text: str) -> int:
+def _checked(convert, accept, expected: str):
+    """An argparse type: the text converted, when `accept` takes the
+    value.  The integer ranges are the ones scenario files enforce for
+    their own values; a tolerance must be finite and positive."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
             value = None
-        if value is None or value < low:
+        if value is None or not accept(value):
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}")
+                f"expected {expected}, got {text!r}")
         return value
     return parse
+
+
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_TOLERANCE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,13 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=needs_scenario,
                        help="scenario file path or bundled name")
-        p.add_argument("--degree-bound", type=_int_at_least(0), default=None,
+        p.add_argument("--degree-bound", type=_NONNEGATIVE, default=None,
                        help="override the scenario degree bound")
-        p.add_argument("--samples", type=_int_at_least(1), default=None,
+        p.add_argument("--samples", type=_POSITIVE, default=None,
                        help="override the sample count (verify: trials)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the sampling seed")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_TOLERANCE, default=None,
                        help="override the main tolerance of the subcommand")
         p.add_argument("--out", default="suspvdp-out",
                        help="output directory for reports")

@@ -28,8 +28,8 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .fields import VectorField
-from .poly import COMPLEX, EXACT, Evaluated, Poly, PolyRing
-from .scalars import ZERO, GaussianRational, gr
+from .poly import COMPLEX, EXACT, Evaluated, Poly, PolyError, PolyRing
+from .scalars import GaussianRational, gr
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
                       basepoint_rules, surface_point, tangent_field)
 
@@ -236,11 +236,10 @@ def rk4_flow(eval_fn: Callable[[Sequence[complex]], Sequence[complex]],
     """Classical fourth-order integration along the straight time segment
     from 0 to t_total (complex time is traversed linearly).
 
-    A compiled evaluator (`poly.compile_complex`, `compile_complex_sum`,
-    or `VectorField.evaluate_complex`, which resolves to its field's) is
-    stepped by calling its `field` body on local complex variables; any
-    other callable gets each stage as a list and must return one value per
-    coordinate."""
+    `eval_fn` is a compiled evaluator (`poly.compile_values` over COMPLEX
+    or `compile_complex_sum`) or a `VectorField.evaluate_complex`, which
+    resolves to its field's; the loop calls its `field` body on local
+    complex variables.  Any other callable is refused."""
     if steps < 1:
         raise LiftError(f"RK4 needs at least one step, not {steps}")
     x = [complex(c) for c in start]
@@ -249,21 +248,17 @@ def rk4_flow(eval_fn: Callable[[Sequence[complex]], Sequence[complex]],
 
 
 def _field_body(eval_fn, m: int):
-    """A function of m complex arguments returning the m field values."""
+    """The `field` body of a compiled evaluator: a function of m complex
+    arguments returning the m field values."""
     if getattr(eval_fn, "__func__", None) is VectorField.evaluate_complex:
         eval_fn = eval_fn.__self__.evaluator(COMPLEX)
     body = getattr(eval_fn, "field", None)
-    # with a start of the wrong length the evaluator itself raises below
-    if body is not None and body.__code__.co_argcount == m:
-        return body
-
-    def adapted(*x):
-        out = eval_fn(list(x))
-        if len(out) != m:
-            raise LiftError(f"the field returned {len(out)} values "
-                            f"at a point with {m} coordinates")
-        return out
-    return adapted
+    if body is None:
+        raise LiftError("RK4 integrates a compiled evaluator or "
+                        "VectorField.evaluate_complex, not a plain callable")
+    if body.__code__.co_argcount != m:
+        raise PolyError("wrong number of coordinates")
+    return body
 
 
 @cache
@@ -309,39 +304,18 @@ def _rk4_loop(m: int):
 # pullback along kernel-scaled shears
 
 
-@dataclass(frozen=True)
-class ShearPullback:
-    """Pullback of `mu` under the inverse time-1 flow of (g - c)*theta,
-    prepared once for every constant c: a constant shift changes neither
-    the kernel condition theta(g) = 0 nor mu(g), so only the evaluation at
-    a point remains, mu(p) + mu(g)(p) * theta(p), where g - c vanishes."""
-
-    mu: VectorField
-    theta: VectorField
-    g: Poly
-    mu_g: Poly
-
-    @staticmethod
-    def prepare(mu, theta, g: Poly) -> "ShearPullback":
-        """Accepts plain ambient fields or tangent wrappers; checks that g
-        lies in the kernel of theta."""
-        mu = getattr(mu, "ambient", mu)
-        theta = getattr(theta, "ambient", theta)
-        if not theta.apply(g).is_zero:
-            raise LiftError("the shear function must lie in the kernel of the field")
-        return ShearPullback(mu, theta, g, mu.apply(g))
-
-    def at(self, point: SurfacePoint,
-           shift: GaussianRational = ZERO) -> list[GaussianRational]:
-        """Value at `point` for the shear function g - shift."""
-        if not point.exact:
-            raise LiftError("pullback evaluation needs an exact point")
-        coords = point.coords
-        if self.g.evaluate_exact(coords) != shift:
-            raise LiftError("the shear function must vanish at the point")
-        factor = self.mu_g.evaluate_exact(coords)
-        return [m + factor * th for m, th in zip(
-            self.mu.evaluate_exact(coords), self.theta.evaluate_exact(coords))]
+def _pullback_parts(mu, theta,
+                    g: Poly) -> tuple[VectorField, VectorField, Poly]:
+    """The ambient fields mu and theta (plain or tangent wrappers) and
+    mu(g), after checking that g lies in the kernel of theta.  They serve
+    the shear function g - c for every constant c, which changes neither
+    the kernel condition nor mu(g): where g - c vanishes, the pullback of
+    mu under the inverse time-1 flow of (g - c)*theta is mu + mu(g)*theta."""
+    mu = getattr(mu, "ambient", mu)
+    theta = getattr(theta, "ambient", theta)
+    if not theta.apply(g).is_zero:
+        raise LiftError("the shear function must lie in the kernel of the field")
+    return mu, theta, mu.apply(g)
 
 
 def shear_pullback(mu, theta, g: Poly,
@@ -354,7 +328,15 @@ def shear_pullback(mu, theta, g: Poly,
     g*theta is the caller's responsibility; it holds for the kernel-scaled
     complete fields this package constructs.
     """
-    return ShearPullback.prepare(mu, theta, g).at(point)
+    mu, theta, mu_g = _pullback_parts(mu, theta, g)
+    if not point.exact:
+        raise LiftError("pullback evaluation needs an exact point")
+    coords = point.coords
+    if not g.evaluate_exact(coords).is_zero:
+        raise LiftError("the shear function must vanish at the point")
+    factor = mu_g.evaluate_exact(coords)
+    return [m + factor * th for m, th in zip(
+        mu.evaluate_exact(coords), theta.evaluate_exact(coords))]
 
 
 def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
@@ -362,15 +344,31 @@ def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
     """Determinant of the time-t map in the chart adapted to the flow's
     side: a side-u flow keeps v fixed and is audited in coordinates (v, z)
     on v != 0, a side-v flow in (u, z) on u != 0.  Volume preservation
-    makes this exactly 1; central differences of step 1e-6 report it
-    numerically."""
+    makes this exactly 1; `chart_determinant` reports it numerically."""
     ctx = flow_map.ctx
     fiber = 1 if flow_map.side == "u" else 0
-    other = 1 - fiber
     coords0 = point.complex_coords()
-    chart0 = [coords0[fiber]] + list(coords0[2:])
-    if abs(chart0[0]) < 1e-12:
+    if abs(coords0[fiber]) < 1e-12:
         raise LiftError("the adapted chart needs a nonzero fiber coordinate")
+    return chart_determinant(
+        ctx, fiber, coords0, lambda ambient: flow_map.apply(
+            surface_point(ctx, ambient, tol=1e-6), t).complex_coords())
+
+
+def chart_determinant(ctx: SuspensionContext, fiber: int,
+                      coords0: Sequence[complex],
+                      move: Callable[[list[complex]], Sequence[complex]]
+                      ) -> complex:
+    """Jacobian determinant at `coords0` of a map of the surface, in the
+    chart (x_fiber, z) on x_fiber != 0: a chart point is embedded with the
+    other fiber coordinate set to f(z)/x_fiber, `move` maps its ambient
+    coordinates, and the image is read back in the chart.  Each column is
+    a central difference of step 1e-6."""
+    import numpy
+
+    h = 1e-6
+    other = 1 - fiber
+    chart0 = [coords0[fiber]] + list(coords0[2:])
 
     def chart_map(chart: Sequence[complex]) -> list[complex]:
         z = list(chart[1:])
@@ -378,18 +376,8 @@ def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
         ambient[fiber] = chart[0]
         ambient[other] = ctx.f_base.evaluate_complex(z) / chart[0]
         ambient[2:] = z
-        moved = flow_map.apply(surface_point(ctx, ambient, tol=1e-6), t)
-        out = moved.complex_coords()
+        out = move(ambient)
         return [out[fiber]] + list(out[2:])
-
-    return central_difference_determinant(chart_map, chart0, 1e-6)
-
-
-def central_difference_determinant(chart_map: Callable, chart0: Sequence[complex],
-                                   h: float) -> complex:
-    """Determinant of the Jacobian of `chart_map` at `chart0`, each column
-    by a central difference with step h."""
-    import numpy
 
     m = len(chart0)
     jac = numpy.zeros((m, m), dtype=complex)
@@ -437,8 +425,8 @@ class SpanningFamily:
     notes: dict = field(default_factory=dict)
 
 
-# a prepared `ShearPullback` as indices (mu, theta, mu(g)) into a plan's
-# polynomials: where its shear function vanishes, the value is
+# the `_pullback_parts` (mu, theta, mu(g)) as indices into a plan's
+# polynomials: where the shear function vanishes, the value is
 # mu + mu(g) * theta
 _Pullback = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -585,9 +573,8 @@ def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]
         return tuple(slot(p) for p in ps)
 
     def pullback(mu, theta, g: Poly) -> _Pullback:
-        prepared = ShearPullback.prepare(mu, theta, g)
-        return (slots(prepared.mu.coeffs), slots(prepared.theta.coeffs),
-                slot(prepared.mu_g))
+        mu, theta, mu_g = _pullback_parts(mu, theta, g)
+        return slots(mu.coeffs), slots(theta.coeffs), slot(mu_g)
 
     rules = tuple((name, slots(ps)) for name, ps in
                   basepoint_rules(ctx, [gens for _, _, gens in pairs]))

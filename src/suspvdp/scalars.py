@@ -186,9 +186,6 @@ class GaussianRational:
 
     # -- conversions ------------------------------------------------------
 
-    def conjugate(self) -> "GaussianRational":
-        return _raw(self._re, -self._im, self._den)
-
     def to_complex(self) -> complex:
         # int true division rounds correctly, as float(Fraction) does
         d = self._den

@@ -101,7 +101,7 @@ class Scenario:
             exactness=self.exactness if exactness is None else exactness)
 
     def approx_target_field(self, ctx: SuspensionContext):
-        return _target_field(self.approx.target, ctx)
+        return _parse_target(self.approx.target, ctx)[1]
 
     def flow_scenario(self) -> FlowScenario:
         if self.flow is not None:
@@ -169,9 +169,9 @@ def _int_value(raw: str, line: int, key: str) -> int:
         raise ScenarioError(f"{key} needs an integer, got {raw!r}", line)
 
 
-def _canonical_poly(text: str, ring, line: int, offset: int) -> str:
+def _parse_poly(text: str, ring, line: int | None, offset: int):
     try:
-        return str(ring.parse(text))
+        return ring.parse(text)
     except ParseError as exc:
         raise ScenarioError(exc.message, line, offset + exc.column - 1)
 
@@ -302,8 +302,8 @@ def _region_bounds(raw: str, line: int) -> tuple[Fraction, Fraction]:
         raise ScenarioError("region bounds must be rational numbers", line)
 
 
-def _coeff_list(raw: str, line: int, offset: int, expected: int,
-                ring, key: str) -> tuple[str, ...]:
+def _coeff_list(raw: str, line: int | None, offset: int, expected: int,
+                ring, key: str) -> tuple:
     if not (raw.startswith("[") and raw.endswith("]")):
         raise ScenarioError(f"{key} must be a bracketed coefficient list",
                             line)
@@ -312,7 +312,7 @@ def _coeff_list(raw: str, line: int, offset: int, expected: int,
     if len(parts) != expected:
         raise ScenarioError(
             f"{key} needs {expected} coefficients, got {len(parts)}", line)
-    return tuple(_canonical_poly(p, ring, line, offset) for p in parts)
+    return tuple(_parse_poly(p, ring, line, offset) for p in parts)
 
 
 def _build_pair(body, ctx, header_line) -> PairScenario:
@@ -325,10 +325,11 @@ def _build_pair(body, ctx, header_line) -> PairScenario:
         if key not in body:
             return ()
         raw, line, off = body[key]
-        return tuple(_canonical_poly(t, ctx.base_ring, line, off)
+        return tuple(str(_parse_poly(t, ctx.base_ring, line, off))
                      for t in _split_list(raw, ";"))
 
-    return PairScenario(alpha=alpha, beta=beta,
+    return PairScenario(alpha=tuple(map(str, alpha)),
+                        beta=tuple(map(str, beta)),
                         kernel_alpha=polys("kernel_alpha"),
                         kernel_beta=polys("kernel_beta"),
                         ideal=polys("ideal"))
@@ -339,7 +340,7 @@ def _build_approx(body, ctx, default: ApproxScenario) -> ApproxScenario:
     degrees = default.curve_degrees
     if "target" in body:
         raw, line, off = body["target"]
-        target = _canonical_target(raw, ctx, line, off)
+        target = _parse_target(raw, ctx, line, off)[0]
     if "curve_degrees" in body:
         raw, line, _ = body["curve_degrees"]
         try:
@@ -354,7 +355,8 @@ def _build_approx(body, ctx, default: ApproxScenario) -> ApproxScenario:
 
 def _build_flow(body, ctx, header_line) -> FlowScenario:
     raw, line, off = _require(body, "field", "[flow]", header_line)
-    field = _coeff_list(raw, line, off, ctx.n, ctx.base_ring, "field")
+    field = tuple(map(str, _coeff_list(raw, line, off, ctx.n, ctx.base_ring,
+                                       "field")))
     side = "u"
     time = "1"
     if "side" in body:
@@ -370,34 +372,26 @@ def _build_flow(body, ctx, header_line) -> FlowScenario:
     return FlowScenario(field=field, side=side, time=time)
 
 
-def _canonical_target(raw: str, ctx, line: int, offset: int) -> str:
+def _parse_target(raw: str, ctx, line: int | None = None, offset: int = 0):
+    """The canonical text of an [approx] target and its tangent field:
+    `twist`, `twist(h)` with h on the base, or a bracketed list of ambient
+    coefficients, which must be tangent and volume preserving.  The
+    canonical text parses back to the same field."""
     if raw == "twist":
-        return raw
+        return raw, tangent_field(twist_field(ctx, ctx.base_ring.one()), ctx)
     if raw.startswith("twist(") and raw.endswith(")"):
-        h = _canonical_poly(raw[len("twist("):-1], ctx.base_ring, line,
-                            offset + len("twist("))
-        return f"twist({h})"
-    texts = _coeff_list(raw, line, offset, ctx.ring.nvars, ctx.ring, "target")
-    field = VectorField(ctx.ring, tuple(ctx.parse(t) for t in texts))
+        h = _parse_poly(raw[len("twist("):-1], ctx.base_ring, line,
+                        offset + len("twist("))
+        return f"twist({h})", tangent_field(twist_field(ctx, h), ctx)
+    coeffs = _coeff_list(raw, line, offset, ctx.ring.nvars, ctx.ring, "target")
     try:
-        sf = tangent_field(field, ctx)
+        sf = tangent_field(VectorField(ctx.ring, coeffs), ctx)
     except NotTangentError:
         raise ScenarioError("approx target is not tangent to the surface",
                             line)
     if not divergence_on_suspension(sf, ctx).is_zero:
         raise ScenarioError("approx target is not volume preserving", line)
-    return "[" + ", ".join(texts) + "]"
-
-
-def _target_field(target: str, ctx):
-    if target == "twist":
-        return tangent_field(twist_field(ctx, ctx.base_ring.one()), ctx)
-    if target.startswith("twist(") and target.endswith(")"):
-        h = ctx.parse_base(target[len("twist("):-1])
-        return tangent_field(twist_field(ctx, h), ctx)
-    texts = [p.strip() for p in target[1:-1].split(",")]
-    field = VectorField(ctx.ring, tuple(ctx.parse(t) for t in texts))
-    return tangent_field(field, ctx)
+    return "[" + ", ".join(map(str, coeffs)) + "]", sf
 
 
 # ---------------------------------------------------------------------------

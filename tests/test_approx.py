@@ -1,5 +1,5 @@
 """Numeric fitting harness: dictionaries, tangent-space least squares,
-flow and volume audits, and the callback path for non-polynomial f."""
+and the flow and volume audits."""
 
 import cmath
 import random
@@ -7,10 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from suspvdp.approx import (ApproxError, Dictionary, NumericSurface,
-                            build_dictionary, fit_field, fitted_evaluator,
-                            flow_deviation_audit, numeric_fit,
-                            numeric_lift_entries, numeric_sample,
+from suspvdp.approx import (ApproxError, Dictionary, build_dictionary,
+                            fit_field, fitted_evaluator, flow_deviation_audit,
                             residual_curve, volume_audit)
 from suspvdp.certify import lift_pair
 from suspvdp.fields import VectorField
@@ -217,51 +215,3 @@ def test_volume_audit_needs_chart():
     with pytest.raises(ApproxError):
         volume_audit(sf, ctx, point)
 
-
-def test_numeric_entries_match_symbolic_lifts():
-    ctx = plane_ctx()
-    pair = plane_pair(ctx)
-    surface = NumericSurface(2, lambda z: z[0], lambda z: [1 + 0j, 0j])
-    entries = numeric_lift_entries(
-        surface,
-        ((lambda z: 1 + 0j, lambda z: 0j), (lambda z: 0j, lambda z: 1 + 0j)),
-        kernel_nu=[lambda c: c[3]], kernel_mu=[lambda c: c[2]])
-    points = numeric_sample(surface, 8, seed=2)
-    for coords in points:
-        assert surface.residual(coords) <= 1e-12
-        sym_nu = pair.nu.ambient.evaluate_complex(coords)
-        sym_mu = pair.mu.ambient.evaluate_complex(coords)
-        num_nu = entries[0].evaluate(list(coords))
-        num_mu = entries[1].evaluate(list(coords))
-        assert max(abs(a - b) for a, b in zip(sym_nu, num_nu)) <= 1e-12
-        assert max(abs(a - b) for a, b in zip(sym_mu, num_mu)) <= 1e-12
-
-
-def test_numeric_fit_on_transcendental_surface():
-    surface = NumericSurface(1, lambda z: cmath.exp(z[0]) - 1,
-                             lambda z: [cmath.exp(z[0])])
-    entries = numeric_lift_entries(surface, ((lambda z: 1 + 0j,),
-                                             (lambda z: 1 + 0j,)),
-                                   kernel_nu=[], kernel_mu=[])
-    assert [e.label for e in entries] == ["nu_u", "mu_v", "u*d_u - v*d_v"]
-    points = numeric_sample(surface, 10, seed=5)
-    for coords in points:
-        assert surface.residual(coords) <= 1e-10
-
-    fit = numeric_fit(entries[0].evaluate, entries, surface, points)
-    assert fit.sup_residual <= 1e-9
-    assert abs(fit.coefficients[0] - 1.0) <= 1e-7
-    assert abs(fit.coefficients[1]) <= 1e-7
-    assert abs(fit.coefficients[2]) <= 1e-7
-
-    def twist(coords):
-        return [coords[0], -coords[1], 0j]
-
-    fit2 = numeric_fit(twist, entries, surface, points)
-    assert fit2.sup_residual <= 1e-9
-    assert abs(fit2.coefficients[2] - 1.0) <= 1e-7
-
-    with pytest.raises(ApproxError):
-        numeric_fit(twist, [], surface, points)
-    with pytest.raises(ApproxError):
-        numeric_fit(twist, entries, surface, [])

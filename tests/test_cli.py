@@ -203,6 +203,21 @@ def test_out_of_range_override_is_a_usage_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["flow", "approx"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, command,
+                                               tol):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--scenario", "plane", "--tol", tol, "--out", str(out),
+             "--no-figures"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "expected a finite number > 0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unknown_scenario_exits_two(tmp_path):
     code = run(["flow", "--scenario", "nope", "--out", str(tmp_path / "o")])
     assert code == 2

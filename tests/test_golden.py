@@ -1,6 +1,7 @@
 """Golden reports: SHA-256 digests of the deterministic reports of three
 subcommands at the default seed, `criterion` on all four bundled
-scenarios and `flow` on both the closed-form and the numeric path.
+scenarios, `approx` on plane and danielewski, and `flow` on both the
+closed-form and the numeric path.
 
 The other report tests compare two runs of the same code with each other;
 these pin the bytes themselves, so a change that moves a float digit or a
@@ -47,6 +48,15 @@ GOLDEN = [
         "flow_audit.csv":
             "b7487291a68d9848e5ef5e83476cb465cfa73f7d30344f78927fbc0396c7e775",
     }),
+    # the volume audit's fiber-0 chart on a second surface, n = 1
+    (["approx", "--scenario", "danielewski"], 0, {
+        "approx.json":
+            "9c0997f2b05c50391f8c6da7e93483e94e2c77956abbdf79e78464c2c9a761e0",
+        "residuals.csv":
+            "222787714c4f9f8959db688a5f7ace7045615ba46e26e7db8fe912270a7b7318",
+        "flow_audit.csv":
+            "b4f271f6aa7b9378e6189150a72886324536b365752c6d14a69b61e3194f6a36",
+    }),
     (["flow", "--scenario", "hyperbola"], 0, {
         "flow.json":
             "a10d1879a848cb10797b5934d62bf87b5eae54ef3656751b6dd433995e302433",
@@ -65,8 +75,8 @@ GOLDEN = [
 
 @pytest.mark.parametrize("args, code, digests", GOLDEN, ids=[
     "criterion-plane", "criterion-hyperbola", "criterion-circle",
-    "criterion-danielewski", "approx-plane", "flow-hyperbola",
-    "flow-circle-6"])
+    "criterion-danielewski", "approx-plane", "approx-danielewski",
+    "flow-hyperbola", "flow-circle-6"])
 def test_reports_match_golden_digests(tmp_path, args, code, digests):
     # hyperbola and circle leave the cohomology hypothesis unasserted, so
     # their verdict is inconclusive and the exit code 1

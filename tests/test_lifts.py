@@ -276,13 +276,14 @@ def test_rk4_flow_rejects_bad_steps_and_field_lengths():
     for steps in (0, -3):
         with pytest.raises(LiftError, match="at least one step"):
             rk4_flow(theta.evaluate_complex, start, 0.5, steps)
-    for out in ([1j, 2j], [1j, 2j, 3j, 4j]):
-        with pytest.raises(LiftError, match="returned"):
-            rk4_flow(lambda x, out=out: out, start, 0.5, 4)
-    # a start of the wrong length is refused by the field's own evaluator
+    # only compiled evaluators are integrated; a plain callable is refused
+    with pytest.raises(LiftError, match="not a plain callable"):
+        rk4_flow(lambda x: [0j] * 3, start, 0.5, 4)
+    # a start of the wrong length is refused like the field's own evaluator
     with pytest.raises(PolyError, match="wrong number of coordinates"):
         rk4_flow(theta.evaluate_complex, start[:2], 0.5, 4)
-    assert rk4_flow(lambda x: [0j] * 3, start, 0.5, 1) == [1, 2, 2]
+    zero = VectorField(ctx.ring, (ctx.ring.zero(),) * 3)
+    assert rk4_flow(zero.evaluate_complex, start, 0.5, 1) == [1, 2, 2]
 
 
 def test_chart_jacobian_is_one():
@@ -297,6 +298,17 @@ def test_chart_jacobian_is_one():
         for p in points:
             det = chart_jacobian_determinant(fl, p, 1.0)
             assert abs(det - 1) < 1e-8
+
+
+def test_chart_jacobian_needs_a_nonzero_fiber_coordinate():
+    ctx = make_suspension(2, "z1*z2 - 1")
+    theta = base_field(ctx, "z2", "0")
+    # side u is audited in the chart (v, z), side v in (u, z)
+    for side, coords in (("u", [1.0, 0.0, 1.0, 1.0]),
+                         ("v", [0.0, 1.0, 1.0, 1.0])):
+        p = surface_point(ctx, [complex(c) for c in coords])
+        with pytest.raises(LiftError, match="nonzero fiber coordinate"):
+            chart_jacobian_determinant(lifted_flow(theta, ctx, side), p, 1.0)
 
 
 def test_chart_jacobian_numeric_fallback():

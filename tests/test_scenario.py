@@ -111,6 +111,12 @@ def test_parse_errors_carry_positions():
             parse_scenario(text)
         assert fragment in str(err.value), text
 
+    # a target that fails a field check is reported on its own line
+    for coeffs in ("[u, 0, 0, 0]", "[u, 0, z1, 0]"):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(MINIMAL + f"[approx]\ntarget = {coeffs}\n")
+        assert err.value.line == 9, coeffs
+
     # a SamplingSpec rule is reported on the line of the key that broke it
     with pytest.raises(ScenarioError) as err:
         parse_scenario(MINIMAL + "[sampling]\ncount = 3\nregion = 1 .. 1\n")
