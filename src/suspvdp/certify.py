@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 from .fields import VectorField, divergence
@@ -376,7 +376,7 @@ class CriterionReport:
     def to_json_dict(self) -> dict:
         # timings and screen counts stay out: reports must be byte-identical
         # across runs and across the ways a rank was decided
-        out = asdict(self)
+        out = dict(vars(self))
         del out["timings"], out["rank_screen"]
         return out
 

@@ -23,13 +23,13 @@ import argparse
 import math
 import sys
 import time
-from fractions import Fraction
+from dataclasses import replace
 from pathlib import Path
 
 from .approx import (ApproxError, flow_deviation_audit, residual_curve,
                      volume_audit)
 from .certify import Assumptions, CertifyError, lift_pair, run_vdp_criterion
-from .fields import VectorField, divergence
+from .fields import divergence
 from .lifts import chart_jacobian_determinant, lift, lifted_flow, rk4_flow
 from .poly import ParseError
 from .report import (format_complex, render_curve_figure, render_flow_figure,
@@ -126,9 +126,17 @@ def _out_dir(args) -> Path:
 
 
 def _scenario(args) -> Scenario | None:
+    """The scenario with the sampling and degree-bound flags applied."""
     if args.scenario is None:
         return None
-    return load_scenario(args.scenario)
+    scenario = load_scenario(args.scenario)
+    flags = {"count": args.samples, "seed": args.seed,
+             "exactness": args.exactness}
+    sampling = replace(scenario.sampling,
+                       **{k: v for k, v in flags.items() if v is not None})
+    degree_bound = scenario.degree_bound if args.degree_bound is None \
+        else args.degree_bound
+    return replace(scenario, sampling=sampling, degree_bound=degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +145,9 @@ def _scenario(args) -> Scenario | None:
 
 def _scenario_lift_checks(scenario: Scenario) -> list[dict]:
     """Exact, deterministic per-pair checks on the scenario's surface."""
-    ctx = scenario.context()
+    ctx = scenario.ctx
     out = []
-    for k, spec in enumerate(scenario.pair_specs(ctx)):
+    for k, spec in enumerate(scenario.pairs):
         failures = []
         for label, base in (("alpha", spec.alpha), ("beta", spec.beta)):
             if not divergence(base, ctx.base_volume).is_zero:
@@ -194,17 +202,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_criterion(args) -> int:
     scenario = _scenario(args)
-    ctx = scenario.context()
-    degree = scenario.degree_bound if args.degree_bound is None \
-        else args.degree_bound
+    ctx = scenario.ctx
     note = "" if scenario.assume_cohomology is None \
         else "asserted by the scenario file"
     assumptions = Assumptions(cohomology=scenario.assume_cohomology,
                               note=note)
-    sampling = scenario.sampling_spec(count=args.samples, seed=args.seed,
-                                      exactness=args.exactness)
-    report = run_vdp_criterion(ctx, scenario.pair_specs(ctx), assumptions,
-                               sampling, degree_bound=degree)
+    report = run_vdp_criterion(ctx, scenario.pairs, assumptions,
+                               scenario.sampling,
+                               degree_bound=scenario.degree_bound)
 
     out = _out_dir(args)
     write_json(out / "criterion.json", report.to_json_dict())
@@ -231,17 +236,14 @@ def _cmd_criterion(args) -> int:
 
 def _cmd_flow(args) -> int:
     scenario = _scenario(args)
-    ctx = scenario.context()
-    fs = scenario.flow_scenario()
-    theta = VectorField.from_texts(ctx.base_ring, fs.field)
-    t = Fraction(fs.time)
+    ctx = scenario.ctx
+    fs = scenario.flow
+    theta, t = fs.field, fs.time
     flow_map = lifted_flow(theta, ctx, fs.side)
     tol = FLOW_TOL if args.tol is None else args.tol
     det_tol = DET_TOL_SYMBOLIC if flow_map.symbolic else DET_TOL_NUMERIC
 
-    sampling = scenario.sampling_spec(count=args.samples, seed=args.seed,
-                                      exactness=args.exactness)
-    points = sample_points(ctx, sampling)
+    points = sample_points(ctx, scenario.sampling)
     # the chart determinant needs both fiber coordinates away from zero
     kept = [p for p in points
             if abs(complex(p.complex_coords()[0])) >= 0.25
@@ -267,7 +269,7 @@ def _cmd_flow(args) -> int:
     ok = bool(rows) and all(r["ok"] for r in rows)
     payload = {
         "ok": ok, "symbolic": flow_map.symbolic, "side": fs.side,
-        "time": fs.time, "field": list(fs.field),
+        "time": str(t), "field": [str(c) for c in theta.coeffs],
         "tolerances": {"deviation": tol, "determinant": det_tol},
         "points_sampled": len(points), "points_audited": len(rows),
         "rows": rows,
@@ -302,24 +304,20 @@ def _cmd_flow(args) -> int:
 
 def _cmd_approx(args) -> int:
     scenario = _scenario(args)
-    ctx = scenario.context()
+    ctx = scenario.ctx
     degrees = scenario.approx.curve_degrees
     if args.degree_bound is not None:
         degrees = tuple(range(args.degree_bound + 1))
     top_degree = max(degrees)
-    degree_bound = scenario.degree_bound if args.degree_bound is None \
-        else args.degree_bound
 
     pairs = []
-    for spec in scenario.pair_specs(ctx):
+    for spec in scenario.pairs:
         pairs.append(lift_pair(spec.alpha, spec.beta, spec.kernel_alpha,
                                spec.kernel_beta,
                                spec.ideal_or_unit(ctx.base_ring), ctx,
-                               ideal_bound=degree_bound))
-    target = scenario.approx_target_field(ctx)
-    sampling = scenario.sampling_spec(count=args.samples, seed=args.seed,
-                                      exactness=args.exactness)
-    samples = sample_points(ctx, sampling)
+                               ideal_bound=scenario.degree_bound))
+    target = scenario.approx.field
+    samples = sample_points(ctx, scenario.sampling)
 
     t0 = time.perf_counter()
     curve, dictionary, fit = residual_curve(target, ctx, pairs, samples,

@@ -4,9 +4,14 @@ options.
 
 The format is line oriented.  `key = value` pairs live either at the top
 (n, f) or inside a `[section]`; `[pair]` may repeat, every other section
-appears at most once.  `#` starts a comment.  Polynomial values are
-canonicalized during parsing, so printing a parsed scenario yields a
-canonical text and parsing that text gives back an equal Scenario.
+appears at most once.  `#` starts a comment.
+
+Parsing builds the objects the library runs on, once: the suspension
+context, one `PairSpec` per pair, the `SamplingSpec`, the `[approx]`
+target as a checked tangent field and the `[flow]` field (by default the
+first pair's alpha on side u at time 1).  Polynomial values are
+canonicalized, so printing a parsed scenario yields a canonical text and
+parsing that text gives back an equal Scenario.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from pathlib import Path
 from .certify import PairSpec
 from .fields import VectorField
 from .lifts import twist_field
-from .poly import ParseError
+from .poly import ParseError, PolyRing
 from .surface import (NotTangentError, SamplingError, SamplingSpec,
-                      SuspensionContext, SuspensionError,
+                      SuspensionContext, SuspensionError, SuspensionField,
                       divergence_on_suspension, make_suspension,
                       tangent_field)
 
@@ -42,103 +47,63 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class PairScenario:
-    alpha: tuple[str, ...]
-    beta: tuple[str, ...]
-    kernel_alpha: tuple[str, ...] = ()
-    kernel_beta: tuple[str, ...] = ()
-    ideal: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class ApproxScenario:
-    target: str = "twist"
+    target: str                  # canonical text: twist, twist(h) or [..]
+    field: SuspensionField
     curve_degrees: tuple[int, ...] = (0, 1, 2)
 
 
 @dataclass(frozen=True)
 class FlowScenario:
-    field: tuple[str, ...]
+    field: VectorField           # on the base ring
     side: str = "u"
-    time: str = "1"
+    time: Fraction = Fraction(1)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    n: int
-    f: str
-    pairs: tuple[PairScenario, ...]
-    count: int = 20
-    seed: int = 0
-    region: tuple[str, str] = ("-2", "2")
-    exactness: str = "exact"
-    degree_bound: int = 3
-    assume_cohomology: bool | None = None
-    approx: ApproxScenario = ApproxScenario()
-    flow: FlowScenario | None = None
-
-    # -- adapters into the library ----------------------------------------
-
-    def context(self) -> SuspensionContext:
-        return make_suspension(self.n, self.f)
-
-    def pair_specs(self, ctx: SuspensionContext) -> list[PairSpec]:
-        out = []
-        for p in self.pairs:
-            out.append(PairSpec(
-                alpha=VectorField.from_texts(ctx.base_ring, p.alpha),
-                beta=VectorField.from_texts(ctx.base_ring, p.beta),
-                kernel_alpha=tuple(ctx.parse_base(t) for t in p.kernel_alpha),
-                kernel_beta=tuple(ctx.parse_base(t) for t in p.kernel_beta),
-                ideal=tuple(ctx.parse_base(t) for t in p.ideal)))
-        return out
-
-    def sampling_spec(self, count=None, seed=None, exactness=None) -> SamplingSpec:
-        return SamplingSpec(
-            count=self.count if count is None else count,
-            seed=self.seed if seed is None else seed,
-            region=(Fraction(self.region[0]), Fraction(self.region[1])),
-            exactness=self.exactness if exactness is None else exactness)
-
-    def approx_target_field(self, ctx: SuspensionContext):
-        return _parse_target(self.approx.target, ctx)[1]
-
-    def flow_scenario(self) -> FlowScenario:
-        if self.flow is not None:
-            return self.flow
-        return FlowScenario(field=self.pairs[0].alpha, side="u", time="1")
+    ctx: SuspensionContext
+    pairs: tuple[PairSpec, ...]
+    sampling: SamplingSpec
+    degree_bound: int
+    assume_cohomology: bool | None
+    approx: ApproxScenario
+    flow: FlowScenario
 
 
 def _bool_text(v: bool | None) -> str:
     return "unknown" if v is None else ("true" if v else "false")
 
 
+def _coeff_text(field: VectorField) -> str:
+    return "[" + ", ".join(map(str, field.coeffs)) + "]"
+
+
 def scenario_to_text(s: Scenario) -> str:
-    lines = [f"n = {s.n}", f"f = {s.f}", ""]
+    lines = [f"n = {s.ctx.n}", f"f = {s.ctx.f_base}", ""]
     for p in s.pairs:
         lines += ["[pair]",
-                  f"alpha = [{', '.join(p.alpha)}]",
-                  f"beta = [{', '.join(p.beta)}]",
-                  f"kernel_alpha = {'; '.join(p.kernel_alpha)}",
-                  f"kernel_beta = {'; '.join(p.kernel_beta)}",
-                  f"ideal = {'; '.join(p.ideal)}", ""]
+                  f"alpha = {_coeff_text(p.alpha)}",
+                  f"beta = {_coeff_text(p.beta)}",
+                  f"kernel_alpha = {'; '.join(map(str, p.kernel_alpha))}",
+                  f"kernel_beta = {'; '.join(map(str, p.kernel_beta))}",
+                  f"ideal = {'; '.join(map(str, p.ideal))}", ""]
     lines += ["[sampling]",
-              f"count = {s.count}",
-              f"seed = {s.seed}",
-              f"region = {s.region[0]} .. {s.region[1]}",
-              f"exactness = {s.exactness}", ""]
+              f"count = {s.sampling.count}",
+              f"seed = {s.sampling.seed}",
+              f"region = {s.sampling.region[0]} .. {s.sampling.region[1]}",
+              f"exactness = {s.sampling.exactness}", ""]
     lines += ["[options]",
               f"degree_bound = {s.degree_bound}",
               f"assume_cohomology = {_bool_text(s.assume_cohomology)}", ""]
     lines += ["[approx]",
               f"target = {s.approx.target}",
               "curve_degrees = " +
-              ", ".join(str(d) for d in s.approx.curve_degrees)]
-    if s.flow is not None:
-        lines += ["", "[flow]",
-                  f"field = [{', '.join(s.flow.field)}]",
-                  f"side = {s.flow.side}",
-                  f"time = {s.flow.time}"]
+              ", ".join(str(d) for d in s.approx.curve_degrees), ""]
+    lines += ["[flow]",
+              f"field = {_coeff_text(s.flow.field)}",
+              f"side = {s.flow.side}",
+              f"time = {s.flow.time}"]
     return "\n".join(lines) + "\n"
 
 
@@ -157,9 +122,14 @@ _KEYS = {
 }
 
 
-def _split_list(text: str, sep: str) -> list[str]:
-    parts = [p.strip() for p in text.split(sep)]
-    return [p for p in parts if p]
+def _items(text: str, sep: str, column: int = 1) -> list[tuple[str, int]]:
+    """Each `sep`-separated item of `text`, stripped, with the column of
+    its first character when `text` starts at `column`."""
+    out = []
+    for part in text.split(sep):
+        out.append((part.strip(), column + len(part) - len(part.lstrip())))
+        column += len(part) + len(sep)
+    return out
 
 
 def _int_value(raw: str, line: int, key: str) -> int:
@@ -170,8 +140,11 @@ def _int_value(raw: str, line: int, key: str) -> int:
 
 
 def _parse_poly(text: str, ring, line: int | None, offset: int):
+    """`text` parsed with its terms in canonical order, the order its
+    printed text parses back to, so that a scenario and its printed text
+    evaluate with the same float sums."""
     try:
-        return ring.parse(text)
+        return ring.parse(str(ring.parse(text)))
     except ParseError as exc:
         raise ScenarioError(exc.message, line, offset + exc.column - 1)
 
@@ -229,19 +202,16 @@ def _build(top, sections, source) -> Scenario:
     if n < 1:
         raise ScenarioError("n must be at least 1", n_line)
     raw_f, f_line, f_off = _require(top, "f", "the top level")
+    base_ring = PolyRing(tuple(f"z{j}" for j in range(1, n + 1)))
     try:
-        ctx = make_suspension(n, raw_f)
-    except ParseError as exc:
-        raise ScenarioError(exc.message, f_line, f_off + exc.column - 1)
+        ctx = make_suspension(n, _parse_poly(raw_f, base_ring, f_line, f_off))
     except SuspensionError as exc:
         raise ScenarioError(str(exc), f_line)
-    f_text = str(ctx.f_base)
 
-    pairs: list[PairScenario] = []
+    pairs: list[PairSpec] = []
     sampling = SamplingSpec()
     degree_bound, assume = 3, None
-    approx = ApproxScenario()
-    flow = None
+    approx = flow = None
 
     for name, header_line, body in sections:
         if name == "pair":
@@ -265,16 +235,16 @@ def _build(top, sections, source) -> Scenario:
                         line)
                 assume = table[raw]
         elif name == "approx":
-            approx = _build_approx(body, ctx, approx)
+            approx = _build_approx(body, ctx)
         elif name == "flow":
             flow = _build_flow(body, ctx, header_line)
 
     if not pairs:
         raise ScenarioError(f"no [pair] section in {source}")
-    return Scenario(n=n, f=f_text, pairs=tuple(pairs), count=sampling.count,
-                    seed=sampling.seed, region=tuple(map(str, sampling.region)),
-                    exactness=sampling.exactness, degree_bound=degree_bound,
-                    assume_cohomology=assume, approx=approx, flow=flow)
+    return Scenario(ctx=ctx, pairs=tuple(pairs), sampling=sampling,
+                    degree_bound=degree_bound, assume_cohomology=assume,
+                    approx=approx or _build_approx({}, ctx),
+                    flow=flow or FlowScenario(pairs[0].alpha))
 
 
 def _build_sampling(body) -> SamplingSpec:
@@ -308,57 +278,55 @@ def _coeff_list(raw: str, line: int | None, offset: int, expected: int,
         raise ScenarioError(f"{key} must be a bracketed coefficient list",
                             line)
     inner = raw[1:-1]
-    parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
+    parts = _items(inner, ",", offset + 1) if inner.strip() else []
     if len(parts) != expected:
         raise ScenarioError(
             f"{key} needs {expected} coefficients, got {len(parts)}", line)
-    return tuple(_parse_poly(p, ring, line, offset) for p in parts)
+    return tuple(_parse_poly(p, ring, line, col) for p, col in parts)
 
 
-def _build_pair(body, ctx, header_line) -> PairScenario:
-    raw_a, line_a, off_a = _require(body, "alpha", "[pair]", header_line)
-    raw_b, line_b, off_b = _require(body, "beta", "[pair]", header_line)
-    alpha = _coeff_list(raw_a, line_a, off_a, ctx.n, ctx.base_ring, "alpha")
-    beta = _coeff_list(raw_b, line_b, off_b, ctx.n, ctx.base_ring, "beta")
+def _build_pair(body, ctx, header_line) -> PairSpec:
+    def field(key):
+        raw, line, off = _require(body, key, "[pair]", header_line)
+        return VectorField(ctx.base_ring, _coeff_list(raw, line, off, ctx.n,
+                                                      ctx.base_ring, key))
 
     def polys(key):
         if key not in body:
             return ()
         raw, line, off = body[key]
-        return tuple(str(_parse_poly(t, ctx.base_ring, line, off))
-                     for t in _split_list(raw, ";"))
+        return tuple(_parse_poly(t, ctx.base_ring, line, col)
+                     for t, col in _items(raw, ";", off) if t)
 
-    return PairScenario(alpha=tuple(map(str, alpha)),
-                        beta=tuple(map(str, beta)),
-                        kernel_alpha=polys("kernel_alpha"),
-                        kernel_beta=polys("kernel_beta"),
-                        ideal=polys("ideal"))
+    return PairSpec(alpha=field("alpha"), beta=field("beta"),
+                    kernel_alpha=polys("kernel_alpha"),
+                    kernel_beta=polys("kernel_beta"),
+                    ideal=polys("ideal"))
 
 
-def _build_approx(body, ctx, default: ApproxScenario) -> ApproxScenario:
-    target = default.target
-    degrees = default.curve_degrees
-    if "target" in body:
-        raw, line, off = body["target"]
-        target = _parse_target(raw, ctx, line, off)[0]
-    if "curve_degrees" in body:
-        raw, line, _ = body["curve_degrees"]
-        try:
-            degrees = tuple(int(p) for p in _split_list(raw, ","))
-        except ValueError:
-            raise ScenarioError("curve_degrees must be integers", line)
-        if not degrees or any(d < 0 for d in degrees):
-            raise ScenarioError("curve_degrees must be nonnegative and "
-                                "nonempty", line)
-    return ApproxScenario(target=target, curve_degrees=degrees)
+def _build_approx(body, ctx) -> ApproxScenario:
+    """The [approx] section; without a target key the target is `twist`."""
+    raw, line, off = body.get("target", ("twist", None, 0))
+    target, field = _parse_target(raw, ctx, line, off)
+    if "curve_degrees" not in body:
+        return ApproxScenario(target, field)
+    raw, line, _ = body["curve_degrees"]
+    try:
+        degrees = tuple(int(p) for p, _ in _items(raw, ",") if p)
+    except ValueError:
+        raise ScenarioError("curve_degrees must be integers", line)
+    if not degrees or any(d < 0 for d in degrees):
+        raise ScenarioError("curve_degrees must be nonnegative and "
+                            "nonempty", line)
+    return ApproxScenario(target, field, degrees)
 
 
 def _build_flow(body, ctx, header_line) -> FlowScenario:
     raw, line, off = _require(body, "field", "[flow]", header_line)
-    field = tuple(map(str, _coeff_list(raw, line, off, ctx.n, ctx.base_ring,
-                                       "field")))
+    field = VectorField(ctx.base_ring, _coeff_list(raw, line, off, ctx.n,
+                                                   ctx.base_ring, "field"))
     side = "u"
-    time = "1"
+    time = Fraction(1)
     if "side" in body:
         side, sline = body["side"][0], body["side"][1]
         if side not in ("u", "v"):
@@ -366,13 +334,13 @@ def _build_flow(body, ctx, header_line) -> FlowScenario:
     if "time" in body:
         raw_t, tline = body["time"][0], body["time"][1]
         try:
-            time = str(Fraction(raw_t))
+            time = Fraction(raw_t)
         except (ValueError, ZeroDivisionError):
             raise ScenarioError("time must be a rational number", tline)
     return FlowScenario(field=field, side=side, time=time)
 
 
-def _parse_target(raw: str, ctx, line: int | None = None, offset: int = 0):
+def _parse_target(raw: str, ctx, line: int | None, offset: int):
     """The canonical text of an [approx] target and its tangent field:
     `twist`, `twist(h)` with h on the base, or a bracketed list of ambient
     coefficients, which must be tangent and volume preserving.  The
@@ -391,7 +359,7 @@ def _parse_target(raw: str, ctx, line: int | None = None, offset: int = 0):
                             line)
     if not divergence_on_suspension(sf, ctx).is_zero:
         raise ScenarioError("approx target is not volume preserving", line)
-    return "[" + ", ".join(map(str, coeffs)) + "]", sf
+    return _coeff_text(sf.ambient), sf
 
 
 # ---------------------------------------------------------------------------

@@ -95,14 +95,6 @@ class SuspensionContext(Evaluated):
         nf = self.normal_form(p)
         return nf, (p - nf).divide_exact(self.defining)
 
-    # -- parsing -----------------------------------------------------------
-
-    def parse(self, text: str) -> Poly:
-        return self.ring.parse(text)
-
-    def parse_base(self, text: str) -> Poly:
-        return self.base_ring.parse(text)
-
     # -- pointwise data ----------------------------------------------------
 
     def evaluated(self):

@@ -8,6 +8,7 @@ asserted at their stated values, never loosened.
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from suspvdp.approx import build_dictionary, fit_field, residual_curve
@@ -231,14 +232,14 @@ def test_criterion_7_approx_recovery_and_residual_curves():
     finals = {}
     for name in bundled_names():
         sc = load_scenario(name)
-        sctx = sc.context()
+        sctx = sc.ctx
         pairs = [lift_pair(ps.alpha, ps.beta, ps.kernel_alpha,
                            ps.kernel_beta,
                            ps.ideal_or_unit(sctx.base_ring), sctx,
                            ideal_bound=sc.degree_bound)
-                 for ps in sc.pair_specs(sctx)]
-        pts = sample_points(sctx, sc.sampling_spec(count=10))
-        curve, _, _ = residual_curve(sc.approx_target_field(sctx), sctx,
+                 for ps in sc.pairs]
+        pts = sample_points(sctx, replace(sc.sampling, count=10))
+        curve, _, _ = residual_curve(sc.approx.field, sctx,
                                      pairs, pts,
                                      sorted(sc.approx.curve_degrees))
         sups = [row["sup_residual"] for row in curve]

@@ -25,8 +25,8 @@ def plane_ctx():
 def plane_pair(ctx):
     alpha = VectorField.coordinate(ctx.base_ring, "z1")
     beta = VectorField.coordinate(ctx.base_ring, "z2")
-    return lift_pair(alpha, beta, (ctx.parse_base("z2"),),
-                     (ctx.parse_base("z1"),), (ctx.base_ring.one(),), ctx)
+    return lift_pair(alpha, beta, (ctx.base_ring.parse("z2"),),
+                     (ctx.base_ring.parse("z1"),), (ctx.base_ring.one(),), ctx)
 
 
 def plane_samples(ctx, count=12, seed=3):
@@ -41,7 +41,7 @@ def entry_index(dictionary, provenance):
 
 
 def twist_target(ctx, h_text="1"):
-    return tangent_field(twist_field(ctx, ctx.parse_base(h_text)), ctx)
+    return tangent_field(twist_field(ctx, ctx.base_ring.parse(h_text)), ctx)
 
 
 def test_dictionary_degree_zero_contents():

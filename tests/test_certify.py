@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,7 @@ def test_verify_kernel():
 def test_verify_kernel_on_lift():
     ctx = make_suspension(2, "z1")
     nu = lift(VectorField.from_texts(ctx.base_ring, ["1", "0"]), ctx, "u")
-    verify_kernel(nu, [ctx.parse("v"), ctx.parse("z2"), ctx.parse("v^2*z2")])
+    verify_kernel(nu, [ctx.ring.parse("v"), ctx.ring.parse("z2"), ctx.ring.parse("v^2*z2")])
 
 
 def test_monomial_closure():
@@ -47,7 +48,7 @@ def test_monomial_closure():
 
 def test_monomial_closure_with_reduction():
     ctx = make_suspension(1, "z1")
-    got = monomial_closure([ctx.parse("v")], ctx.ring, 2,
+    got = monomial_closure([ctx.ring.parse("v")], ctx.ring, 2,
                            reducer=ctx.normal_form)
     assert [str(p) for p in got] == ["1", "v", "v^2"]
 
@@ -155,7 +156,7 @@ def test_lift_ideal():
     got2 = lift_ideal([ctx.base_ring.parse("z2")], ctx, 1)
     assert {str(p) for p in got2} == {"z2", "u*z2", "v*z2"}
     with pytest.raises(CertifyError):
-        lift_ideal([ctx.parse("u")], ctx, 1)
+        lift_ideal([ctx.ring.parse("u")], ctx, 1)
 
 
 def criterion_setup():
@@ -302,13 +303,12 @@ def test_run_vdp_criterion_lifts_once_per_run(monkeypatch):
     monkeypatch.setattr(lifts_mod, "lift", counting_lift)
     monkeypatch.setattr(certify_mod, "lift", counting_lift)
     scenario = load_scenario("plane")
-    ctx = scenario.context()
     counts = []
     for samples in (5, 50):
         calls.clear()
         report = run_vdp_criterion(
-            ctx, scenario.pair_specs(ctx), Assumptions(cohomology=True),
-            scenario.sampling_spec(count=samples),
+            scenario.ctx, scenario.pairs, Assumptions(cohomology=True),
+            replace(scenario.sampling, count=samples),
             degree_bound=scenario.degree_bound)
         assert report.verdict == "certified-at-samples"
         assert len(report.ranks) == samples

@@ -132,6 +132,33 @@ def test_reports_are_byte_identical(tmp_path):
         (out2 / "residuals.csv").read_bytes()
 
 
+def test_each_run_parses_its_scenario_once(tmp_path, monkeypatch):
+    # one suspension context per run, and approx builds its target field
+    # once, at load
+    import suspvdp.scenario as scenario_mod
+    import suspvdp.surface as surface_mod
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (surface_mod, scenario_mod):
+        monkeypatch.setattr(module, "make_suspension",
+                            counting("context", module.make_suspension))
+    monkeypatch.setattr(scenario_mod, "tangent_field",
+                        counting("target", scenario_mod.tangent_field))
+    for command in ("criterion", "approx"):
+        calls.clear()
+        assert run([command, "--scenario", "plane", "--samples", "4",
+                    "--out", str(tmp_path / command), "--no-figures"]) == 0
+        assert calls.count("context") == 1, command
+        assert calls.count("target") == 1, command
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     scn = tmp_path / "broken.scn"
     scn.write_text("n = 2\nf = z1^\n")

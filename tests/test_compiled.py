@@ -162,7 +162,7 @@ def test_long_sums_split_across_lines_keep_their_order():
 
 def test_fitted_evaluator_matches_loop_and_drops_zero_weights():
     ctx = make_suspension(2, "z1")
-    fields = [VectorField(ctx.ring, tuple(ctx.parse(t) for t in texts))
+    fields = [VectorField(ctx.ring, tuple(ctx.ring.parse(t) for t in texts))
               for texts in (("u*z1", "-v*z1", "0", "1/2*z2^2"),
                             ("0", "u^2 - 3i*z2", "v", "0"),
                             ("z1*z2", "0", "u", "u*v"))]

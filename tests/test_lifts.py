@@ -80,9 +80,9 @@ def test_lift_divergence_transfers_scaled():
     ctx = make_suspension(2, "z1")
     theta = base_field(ctx, "z1", "0")
     got = divergence_on_suspension(lift(theta, ctx, "u"), ctx)
-    assert got == ctx.parse("v")
+    assert got == ctx.ring.parse("v")
     got_v = divergence_on_suspension(lift(theta, ctx, "v"), ctx)
-    assert got_v == ctx.parse("u")
+    assert got_v == ctx.ring.parse("u")
 
 
 def test_flow_kind():
@@ -271,7 +271,7 @@ def test_numeric_fallback_at_large_coordinates(monkeypatch):
 
 def test_rk4_flow_rejects_bad_steps_and_field_lengths():
     ctx = make_suspension(1, "z1")
-    theta = VectorField(ctx.ring, tuple(ctx.parse(t) for t in ("u", "-v", "1")))
+    theta = VectorField(ctx.ring, tuple(ctx.ring.parse(t) for t in ("u", "-v", "1")))
     start = [1.0, 2.0, 2.0]
     for steps in (0, -3):
         with pytest.raises(LiftError, match="at least one step"):
@@ -330,7 +330,7 @@ def test_shear_pullback_formulas():
     ctx, p, alpha, beta = spanning_setup()
     alpha_u, alpha_v = lift(alpha, ctx, "u"), lift(alpha, ctx, "v")
     beta_v = lift(beta, ctx, "v")
-    g = ctx.parse("u - 1")
+    g = ctx.ring.parse("u - 1")
 
     # a field with no u-component is unmoved
     assert shear_pullback(beta_v, alpha_v, g, p) == \
@@ -348,15 +348,15 @@ def test_shear_pullback_contract_errors():
     ctx, p, alpha, _ = spanning_setup()
     alpha_u, alpha_v = lift(alpha, ctx, "u"), lift(alpha, ctx, "v")
     with pytest.raises(LiftError):
-        shear_pullback(alpha_u, alpha_v, ctx.parse("u"), p)  # g(p) != 0
+        shear_pullback(alpha_u, alpha_v, ctx.ring.parse("u"), p)  # g(p) != 0
     with pytest.raises(LiftError):
-        shear_pullback(alpha_u, alpha_u, ctx.parse("u - 1"), p)  # g not in kernel
+        shear_pullback(alpha_u, alpha_u, ctx.ring.parse("u - 1"), p)  # g not in kernel
 
 
 def test_shear_pullback_vs_finite_difference():
     ctx, p, alpha, _ = spanning_setup()
     alpha_u, alpha_v = lift(alpha, ctx, "u"), lift(alpha, ctx, "v")
-    g = ctx.parse("u - 1")
+    g = ctx.ring.parse("u - 1")
     sheared = alpha_v.ambient.scale(g)
     coords0 = [complex(c.to_complex()) for c in p.coords]
     h = 1e-5
@@ -385,7 +385,7 @@ def test_twist_field_is_volume_preserving():
     assert sf.multiplier.is_zero
     assert divergence_on_suspension(sf, ctx).is_zero
     with pytest.raises(LiftError):
-        twist_field(ctx, ctx.parse("u*z1"))
+        twist_field(ctx, ctx.ring.parse("u*z1"))
 
 
 def test_twisted_pullback_formula():
