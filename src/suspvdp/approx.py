@@ -17,7 +17,8 @@ deterministic for redundant dictionaries.
 
 f is a polynomial.  The flow audits integrate compiled fields with
 `lifts.rk4_flow`, and the volume audit takes its chart determinant from
-`lifts.chart_determinant`, as the flow subcommand does.
+`lifts.chart_determinant`, as the flow subcommand does.  Both audits run
+their independent integrations through `lifts.map_on_cpus`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy
 
 from .certify import LiftedPair, monomial_closure
 from .fields import lie_bracket
-from .lifts import chart_determinant, rk4_flow, twist_field
+from .lifts import chart_determinant, map_on_cpus, rk4_flow, twist_field
 from .poly import COMPLEX, compile_complex_sum, compile_values
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
                       divergence_on_suspension, tangent_field)
@@ -259,6 +260,9 @@ def residual_curve(target: SuspensionField, ctx: SuspensionContext,
 # flow audits
 
 
+AUDIT_CHECKPOINTS = 4       # flow audit times per point, up to t = 0.1
+
+
 def fitted_evaluator(dictionary: Dictionary, coeffs: Sequence[complex]):
     """Pointwise evaluator of the coefficient combination of the entries,
     compiled into one function; entries with zero coefficient are left
@@ -275,23 +279,30 @@ def flow_deviation_audit(target: SuspensionField, dictionary: Dictionary,
     """Integrate the fitted field and the target from each point with 64
     RK4 steps to t = 0.025, 0.05, 0.075, 0.1 and report their deviation
     against the bound 10 * sup_residual * t plus a small absolute
-    allowance for integrator error."""
+    allowance for integrator error.  The AUDIT_CHECKPOINTS checks per
+    point are independent jobs of `lifts.map_on_cpus`."""
     fitted = fitted_evaluator(dictionary, fit.coefficients)
     reference = target.ambient.evaluate_complex
+    starts = [list(p.complex_coords()) for p in samples]
+
+    def check(job: tuple[int, int]) -> dict:
+        i, k = job
+        start = starts[i]
+        t = 0.1 * k / AUDIT_CHECKPOINTS
+        a = rk4_flow(fitted, start, t, 64)
+        b = rk4_flow(reference, start, t, 64)
+        deviation = max(abs(x - y) for x, y in zip(a, b))
+        allowed = 10.0 * fit.sup_residual * t + 1e-9
+        return {"t": t, "deviation": deviation,
+                "allowed": allowed, "ok": deviation <= allowed}
+
+    rows = map_on_cpus(check, [(i, k) for i in range(len(starts))
+                               for k in range(1, AUDIT_CHECKPOINTS + 1)])
     audits = []
-    for p in samples:
-        start = list(p.complex_coords())
-        rows = []
-        for k in range(1, 5):
-            t = 0.1 * k / 4
-            a = rk4_flow(fitted, start, t, 64)
-            b = rk4_flow(reference, start, t, 64)
-            deviation = max(abs(x - y) for x, y in zip(a, b))
-            allowed = 10.0 * fit.sup_residual * t + 1e-9
-            rows.append({"t": t, "deviation": deviation,
-                         "allowed": allowed, "ok": deviation <= allowed})
-        audits.append({"point": [str(c) for c in start], "checks": rows,
-                       "ok": all(r["ok"] for r in rows)})
+    for i, start in enumerate(starts):
+        checks = rows[i * AUDIT_CHECKPOINTS:(i + 1) * AUDIT_CHECKPOINTS]
+        audits.append({"point": [str(c) for c in start], "checks": checks,
+                       "ok": all(r["ok"] for r in checks)})
     return audits
 
 

@@ -202,7 +202,12 @@ def _certificate_in_mode(kernel_nu, kernel_mu, ideal, degree_bound, ctx,
         h = reduce(h)
         if h.is_zero:
             continue
+        room = degree_bound - h.total_degree()
         for m in universe:
+            # without a reducer h*m has degree deg h + deg m, so the rest
+            # of the degree-sorted universe overshoots the bound
+            if reducer is None and m.total_degree() > room:
+                break
             t = reduce(h * m)
             if t.is_zero or t.total_degree() > degree_bound:
                 continue

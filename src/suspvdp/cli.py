@@ -26,11 +26,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .approx import (ApproxError, flow_deviation_audit, residual_curve,
-                     volume_audit)
+from .approx import (AUDIT_CHECKPOINTS, ApproxError, flow_deviation_audit,
+                     residual_curve, volume_audit)
 from .certify import Assumptions, CertifyError, lift_pair, run_vdp_criterion
 from .fields import divergence
-from .lifts import chart_jacobian_determinant, lift, lifted_flow, rk4_flow
+from .lifts import (chart_jacobian_determinant, cpu_blocks, lift,
+                    lifted_flow, rk4_flow)
 from .poly import ParseError
 from .report import (format_complex, render_curve_figure, render_flow_figure,
                      render_rank_figure, write_delimited, write_json)
@@ -117,6 +118,14 @@ def main(argv=None) -> int:
     except Exception as exc:                      # internal fault
         print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+
+
+def _cpu_split(jobs: int, on_cpus: bool = True) -> dict:
+    """For the timings sidecar: how `lifts.map_on_cpus` splits `jobs`
+    jobs over processes, the parent first (one process where a map runs
+    in-process)."""
+    blocks = cpu_blocks(jobs) if on_cpus else [jobs]
+    return {"jobs": jobs, "workers": len(blocks), "jobs_per_worker": blocks}
 
 
 def _out_dir(args) -> Path:
@@ -250,6 +259,7 @@ def _cmd_flow(args) -> int:
             and abs(complex(p.complex_coords()[1])) >= 0.25]
 
     reference = lift(theta, ctx, fs.side)
+    t0 = time.perf_counter()
     rows = []
     for p in kept:
         end = flow_map.apply(p, t)
@@ -266,6 +276,8 @@ def _cmd_flow(args) -> int:
                      "det_error": det_error, "surface_residual": residual,
                      "ok": ok})
 
+    elapsed = time.perf_counter() - t0
+
     ok = bool(rows) and all(r["ok"] for r in rows)
     payload = {
         "ok": ok, "symbolic": flow_map.symbolic, "side": fs.side,
@@ -279,6 +291,10 @@ def _cmd_flow(args) -> int:
                            "away from zero; enlarge the region or count")
     out = _out_dir(args)
     write_json(out / "flow.json", payload)
+    write_json(out / "timings.json", {
+        "total": elapsed, "chart_determinants": len(rows),
+        "chart_probes": _cpu_split(2 * (ctx.n + 1),
+                                   on_cpus=not flow_map.symbolic)})
     write_delimited(out / "flow_errors.csv",
                     ["point", "deviation", "det_error", "surface_residual",
                      "ok"],
@@ -361,7 +377,10 @@ def _cmd_approx(args) -> int:
 
     out = _out_dir(args)
     write_json(out / "approx.json", payload)
-    write_json(out / "timings.json", {"total": elapsed})
+    write_json(out / "timings.json", {
+        "total": elapsed,
+        "flow_audit": _cpu_split(AUDIT_CHECKPOINTS * len(audits)),
+        "volume_audit": _cpu_split(2 * (ctx.n + 1)) if volume else None})
     write_delimited(out / "residuals.csv",
                     ["degree", "entries", "sup_residual"],
                     [(r["degree"], r["entries"], r["sup_residual"])

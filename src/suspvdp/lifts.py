@@ -17,15 +17,21 @@ f(flow(x, t)) = f(x) + t * g(x, t).  The lifted flow is then the closed
 form (u + t*g(x, t*v), v, flow(x, t*v)) on side u, mirrored on side v.
 Everything else falls back to numeric integration, and the returned map is
 flagged accordingly.
+
+Independent numeric jobs, such as the probes of a chart determinant, run
+on every CPU of the affinity mask through `map_on_cpus`.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, Sequence, TypeVar
 
 from .fields import VectorField
 from .poly import COMPLEX, EXACT, Evaluated, Poly, PolyError, PolyRing
@@ -301,6 +307,110 @@ def _rk4_loop(m: int):
 
 
 # ---------------------------------------------------------------------------
+# independent jobs on every CPU
+
+_Job = TypeVar("_Job")
+_Result = TypeVar("_Result")
+
+# set in a forked worker only, whose own maps then run serially
+_in_worker = False
+
+
+def cpu_blocks(count: int) -> list[int]:
+    """Sizes of the contiguous blocks `map_on_cpus` splits `count` jobs
+    into, the parent's first: one block per CPU this process may run on
+    (one in all where there is no `os.fork` or inside a worker), at most
+    one per job, and the leading blocks one job longer where the count
+    does not divide."""
+    cpus = 1
+    if hasattr(os, "fork") and not _in_worker:
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    k = max(1, min(cpus, count))
+    q, r = divmod(count, k)
+    return [q + (i < r) for i in range(k)]
+
+
+def map_on_cpus(fn: Callable[[_Job], _Result],
+                jobs: Sequence[_Job]) -> list[_Result]:
+    """`[fn(j) for j in jobs]`, in job order, over the blocks of
+    `cpu_blocks`.  The parent runs the first block while one forked
+    worker per other block runs its own and sends the results back
+    through a pipe with `marshal`; they must be marshal-able (numbers,
+    strings, lists, dicts).  `fn` and the jobs reach a worker through the
+    fork, so nothing is pickled.  The parent runs again the block of any
+    worker that fails, whether by an exception, a signal or a short
+    reply, so a job's exception is raised here with its own traceback.
+    Every worker is reaped before this returns or raises.
+
+    A forked worker has only the thread that forked it: `fn` must not
+    call native code that keeps a thread pool, such as numpy's BLAS."""
+    bounds = list(accumulate(cpu_blocks(len(jobs)), initial=0))
+    blocks = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
+    workers: list[tuple[int, int] | None] = []
+    try:
+        for block in blocks[1:]:
+            workers.append(_fork_worker(fn, block))
+        results = [fn(j) for j in blocks[0]]
+        for k, block in enumerate(blocks[1:]):
+            # taken out first: reading its reply reaps it, even on a failure
+            worker, workers[k] = workers[k], None
+            got = _worker_results(worker, len(block))
+            results += [fn(j) for j in block] if got is None else got
+        return results
+    finally:
+        for worker in workers:          # left by an exception: drain, reap
+            if worker is not None:
+                _worker_results(worker, 0)
+
+
+def _fork_worker(fn, block) -> tuple[int, int] | None:
+    """Fork a worker for `block`: its pid and the read end of its pipe,
+    or None where the fork failed and the parent runs the block."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        global _in_worker
+        _in_worker = True
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps([fn(j) for j in block]))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _worker_results(worker: tuple[int, int] | None,
+                    count: int) -> list | None:
+    """Read a worker's reply and reap it: its `count` results, or None
+    where it failed or was not forked."""
+    if worker is None:
+        return None
+    pid, read_end = worker
+    try:
+        with open(read_end, "rb") as pipe:
+            reply = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        return None
+    try:
+        got = marshal.loads(reply)
+    except (EOFError, ValueError, TypeError):
+        return None
+    return got if isinstance(got, list) and len(got) == count else None
+
+
+# ---------------------------------------------------------------------------
 # pullback along kernel-scaled shears
 
 
@@ -344,7 +454,9 @@ def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
     """Determinant of the time-t map in the chart adapted to the flow's
     side: a side-u flow keeps v fixed and is audited in coordinates (v, z)
     on v != 0, a side-v flow in (u, z) on u != 0.  Volume preservation
-    makes this exactly 1; `chart_determinant` reports it numerically."""
+    makes this exactly 1; `chart_determinant` reports it numerically.
+    A closed-form probe costs one polynomial evaluation, less than a
+    fork, so only the numeric fallback's probes are spread over CPUs."""
     ctx = flow_map.ctx
     fiber = 1 if flow_map.side == "u" else 0
     coords0 = point.complex_coords()
@@ -352,18 +464,21 @@ def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
         raise LiftError("the adapted chart needs a nonzero fiber coordinate")
     return chart_determinant(
         ctx, fiber, coords0, lambda ambient: flow_map.apply(
-            surface_point(ctx, ambient, tol=1e-6), t).complex_coords())
+            surface_point(ctx, ambient, tol=1e-6), t).complex_coords(),
+        on_cpus=not flow_map.symbolic)
 
 
 def chart_determinant(ctx: SuspensionContext, fiber: int,
                       coords0: Sequence[complex],
-                      move: Callable[[list[complex]], Sequence[complex]]
-                      ) -> complex:
+                      move: Callable[[list[complex]], Sequence[complex]],
+                      on_cpus: bool = True) -> complex:
     """Jacobian determinant at `coords0` of a map of the surface, in the
     chart (x_fiber, z) on x_fiber != 0: a chart point is embedded with the
     other fiber coordinate set to f(z)/x_fiber, `move` maps its ambient
     coordinates, and the image is read back in the chart.  Each column is
-    a central difference of step 1e-6."""
+    a central difference of step 1e-6.  With `on_cpus` the 2m probes run
+    through `map_on_cpus`, so `move` must return complex numbers and stay
+    off numpy; without it they run in this process."""
     import numpy
 
     h = 1e-6
@@ -380,13 +495,18 @@ def chart_determinant(ctx: SuspensionContext, fiber: int,
         return [out[fiber]] + list(out[2:])
 
     m = len(chart0)
-    jac = numpy.zeros((m, m), dtype=complex)
+    probes = []                  # per column, the + and the - probe
     for j in range(m):
         bumped = list(chart0)
         bumped[j] += h
-        plus = chart_map(bumped)
+        probes.append(list(bumped))
         bumped[j] -= 2 * h
-        minus = chart_map(bumped)
+        probes.append(bumped)
+    images = (map_on_cpus(chart_map, probes) if on_cpus
+              else [chart_map(probe) for probe in probes])
+    jac = numpy.zeros((m, m), dtype=complex)
+    for j in range(m):
+        plus, minus = images[2 * j], images[2 * j + 1]
         for i in range(m):
             jac[i, j] = (plus[i] - minus[i]) / (2 * h)
     return complex(numpy.linalg.det(jac))

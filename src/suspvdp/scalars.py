@@ -52,6 +52,13 @@ def _canonical(re: int, im: int, den: int) -> "GaussianRational":
     return _raw(re, im, den)
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms as `str(Fraction(num, den))` prints it,
+    for den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 class GaussianRational:
     """A complex number with rational real and imaginary parts.
 
@@ -197,23 +204,21 @@ class GaussianRational:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if self.is_zero:
+        re, im, den = self._re, self._im, self._den
+        if not (re or im):
             return "0"
-        re, im = self.re, self.im
         parts = []
         if re:
-            parts.append(str(re))
+            parts.append(_ratio_str(re, den))
         if im:
-            if im == 1:
+            if im == den:
                 imag = "i"
-            elif im == -1:
+            elif im == -den:
                 imag = "-i"
             else:
-                imag = f"{im}i"
-            if parts and im > 0:
-                parts.append(f"+ {imag}")
-            elif parts:
-                parts.append(f"- {imag.lstrip('-')}")
+                imag = _ratio_str(im, den) + "i"
+            if parts:
+                parts.append(("+ " if im > 0 else "- ") + imag.lstrip("-"))
             else:
                 parts.append(imag)
         return " ".join(parts)

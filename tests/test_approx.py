@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from suspvdp.approx import (ApproxError, Dictionary, build_dictionary,
-                            fit_field, fitted_evaluator, flow_deviation_audit,
-                            residual_curve, volume_audit)
+from suspvdp import approx
+from suspvdp.approx import (AUDIT_CHECKPOINTS, ApproxError, Dictionary,
+                            build_dictionary, fit_field, fitted_evaluator,
+                            flow_deviation_audit, residual_curve,
+                            volume_audit)
 from suspvdp.certify import lift_pair
 from suspvdp.fields import VectorField
 from suspvdp.lifts import twist_field
@@ -193,6 +195,19 @@ def test_flow_audit_out_of_span_target():
     audits = flow_deviation_audit(target, d, fit, samples[:3])
     for a in audits:
         assert a["ok"], a
+
+
+def test_flow_audit_rows_equal_a_serial_run(monkeypatch):
+    ctx = plane_ctx()
+    d = build_dictionary(ctx, [plane_pair(ctx)], 1)
+    target = twist_target(ctx, "z2")
+    samples = plane_samples(ctx)
+    fit = fit_field(target, d, samples)
+    spread = flow_deviation_audit(target, d, fit, samples[:5])
+    monkeypatch.setattr(approx, "map_on_cpus",
+                        lambda fn, jobs: [fn(j) for j in jobs])
+    assert spread == flow_deviation_audit(target, d, fit, samples[:5])
+    assert [len(a["checks"]) for a in spread] == [AUDIT_CHECKPOINTS] * 5
 
 
 def test_volume_audit_matches_divergence_integral():

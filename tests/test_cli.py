@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report files, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -103,6 +104,11 @@ def test_flow_numeric_fallback(tmp_path):
     assert code == 0
     doc = json.loads((out / "flow.json").read_text())
     assert doc["symbolic"] is False
+    timings = json.loads((out / "timings.json").read_text())
+    assert timings["chart_determinants"] == doc["points_audited"]
+    probes = timings["chart_probes"]
+    assert probes["jobs"] == 6 and sum(probes["jobs_per_worker"]) == 6
+    assert probes["workers"] == len(probes["jobs_per_worker"])
 
 
 def test_approx_plane_with_figures(tmp_path):
@@ -118,6 +124,13 @@ def test_approx_plane_with_figures(tmp_path):
     assert (out / "residuals.csv").exists()
     assert (out / "residuals.png").exists()
     assert (out / "flow_audit.csv").exists()
+    # the sidecar records how the audits' jobs were split over processes
+    timings = json.loads((out / "timings.json").read_text())
+    for name, jobs in (("flow_audit", 20), ("volume_audit", 6)):
+        split = timings[name]
+        assert split["jobs"] == jobs
+        assert sum(split["jobs_per_worker"]) == jobs
+        assert split["workers"] == len(split["jobs_per_worker"])
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -256,15 +269,30 @@ def test_missing_subcommand_usage_error():
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_stage_modules_unloaded():
-    # the rank screen, the identity suites and the random generators are
-    # imported by the stages that run them, which keeps start-up short
+def _loaded_after(module: str, candidates: tuple[str, ...]) -> list[str]:
+    """Which of `candidates` a fresh interpreter has loaded after
+    importing `module`."""
     src = str(Path(suspvdp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, suspvdp.cli; print(sorted(m for m in sys.modules "
-             "if m in ('suspvdp.modrank', 'suspvdp.identities', "
-             "'suspvdp.randgen')))")
+    probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+             f"if m in {candidates!r}))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return ast.literal_eval(done.stdout)
+
+
+def test_cli_import_leaves_stage_modules_unloaded():
+    # the rank screen, the identity suites and the random generators are
+    # imported by the stages that run them, and the audits fork their
+    # workers without a process pool, which keeps start-up short
+    assert _loaded_after("suspvdp.cli", (
+        "suspvdp.modrank", "suspvdp.identities", "suspvdp.randgen",
+        "multiprocessing", "concurrent.futures")) == []
+
+
+def test_the_cpu_map_loads_no_pool_and_no_pickle():
+    # numpy loads pickle for `import suspvdp.cli`; the module of the map
+    # does without numpy, and its workers send results with marshal
+    assert _loaded_after("suspvdp.lifts", (
+        "numpy", "multiprocessing", "concurrent.futures", "pickle")) == []

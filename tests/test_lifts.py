@@ -7,7 +7,8 @@ import pytest
 from suspvdp import lifts
 from suspvdp.fields import VectorField, VolumeForm, divergence
 from suspvdp.lifts import (BasepointError, LiftError, LiftedFlowMap,
-                           ShearChainError, chart_jacobian_determinant,
+                           ShearChainError, chart_determinant,
+                           chart_jacobian_determinant, cpu_blocks,
                            extend_trivially, flow_remainder, lift, lifted_flow,
                            rk4_flow, shear_pullback, spanning_family,
                            symbolic_flow, twist_field)
@@ -317,6 +318,26 @@ def test_chart_jacobian_numeric_fallback():
     p = surface_point(ctx, [1.0 + 0j, -0.5 + 0j, 0.5 + 0j, 0.5 + 0j])
     det = chart_jacobian_determinant(fl, p, 0.5)
     assert abs(det - 1) < 1e-6
+
+
+def test_numeric_chart_probes_run_in_workers():
+    # the parent moves only its own block of probes; a worker whose
+    # images marshal could not send would have its block moved here too
+    ctx = make_suspension(2, "z1^2 + z2^2 - 1")
+    fl = lifted_flow(base_field(ctx, "z2", "-z1"), ctx, "u")
+    p = surface_point(ctx, [1.0 + 0j, -0.5 + 0j, 0.5 + 0j, 0.5 + 0j])
+    moved = []
+
+    def move(ambient):
+        moved.append(ambient)
+        return fl.apply(surface_point(ctx, ambient, tol=1e-6),
+                        0.5).complex_coords()
+
+    det = chart_determinant(ctx, 1, p.complex_coords(), move)
+    assert len(moved) == cpu_blocks(6)[0]
+    assert det == chart_determinant(ctx, 1, p.complex_coords(), move,
+                                    on_cpus=False)
+    assert det == chart_jacobian_determinant(fl, p, 0.5)
 
 
 def spanning_setup():

@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from suspvdp.scalars import GaussianRational, gr, ONE, ZERO, I
+from suspvdp.scalars import (GaussianRational, _canonical, gr, ONE, ZERO,
+                             I)
 
 
 def test_construction_normalizes_ints():
@@ -184,6 +185,41 @@ def test_unary_and_conversions_match_reference(x):
     assert complex(x) == x.to_complex()
     assert str(x) == ref_str(re, im)
     assert x.is_zero == (not re and not im)
+
+
+TRIPLE_PARTS = st.one_of(st.integers(-50, 50),
+                         st.integers(-10**30, 10**30))
+
+
+def fraction_str(x: GaussianRational) -> str:
+    """`GaussianRational.__str__` as it was written on the Fraction parts
+    before it printed from the integer triple."""
+    if x.is_zero:
+        return "0"
+    re, im = x.re, x.im
+    parts = []
+    if re:
+        parts.append(str(re))
+    if im:
+        if im == 1:
+            imag = "i"
+        elif im == -1:
+            imag = "-i"
+        else:
+            imag = f"{im}i"
+        if parts and im > 0:
+            parts.append(f"+ {imag}")
+        elif parts:
+            parts.append(f"- {imag.lstrip('-')}")
+        else:
+            parts.append(imag)
+    return " ".join(parts)
+
+
+@given(TRIPLE_PARTS, TRIPLE_PARTS, st.integers(1, 60) | st.integers(1, 10**30))
+def test_str_of_a_triple_matches_the_fraction_rendering(re, im, den):
+    x = _canonical(re, im, den)
+    assert str(x) == fraction_str(x)
 
 
 @given(GAUSSIANS, GAUSSIANS)
