@@ -341,7 +341,9 @@ def map_on_cpus(fn: Callable[[_Job], _Result],
     fork, so nothing is pickled.  The parent runs again the block of any
     worker that fails, whether by an exception, a signal or a short
     reply, so a job's exception is raised here with its own traceback.
-    Every worker is reaped before this returns or raises.
+    Every worker is reaped before this returns or raises.  A map costs a
+    few milliseconds (a fork, a reply, a reap and copy-on-write faults on
+    both sides), so it pays only for jobs that total well above that.
 
     A forked worker has only the thread that forked it: `fn` must not
     call native code that keeps a thread pool, such as numpy's BLAS."""

@@ -102,6 +102,18 @@ def pivot_rows(rows: list[list[int]], p: int) -> list[int]:
     return pivots
 
 
+@functools.cache
+def _cofactor_plan(k: int) -> tuple:
+    """The structure of `minor_determinant` for k rows, built once per k:
+    for each row r from the last up, each set of k - r columns with the
+    (sign, column, sub-columns) terms of its expansion along row r."""
+    return tuple(
+        (r, tuple((cols, tuple(((-1) ** pos, c, cols[:pos] + cols[pos + 1:])
+                               for pos, c in enumerate(cols)))
+                  for cols in itertools.combinations(range(k), k - r)))
+        for r in reversed(range(k)))
+
+
 def minor_determinant(rows: list[list[int]], p: int) -> int:
     """Determinant mod p of a square matrix by cofactor expansion along
     its rows in order, computed from the last row up: the minor of the
@@ -109,11 +121,11 @@ def minor_determinant(rows: list[list[int]], p: int) -> int:
     rows."""
     k = len(rows)
     minors = {(): 1}
-    for r in reversed(range(k)):
+    for r, level in _cofactor_plan(k):
         row = rows[r]
-        minors = {cols: sum((-1) ** pos * row[c] * minors[cols[:pos] + cols[pos + 1:]]
-                            for pos, c in enumerate(cols)) % p
-                  for cols in itertools.combinations(range(k), k - r)}
+        minors = {cols: sum(sign * row[c] * minors[sub]
+                            for sign, c, sub in terms) % p
+                  for cols, terms in level}
     return minors[tuple(range(k))]
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .fields import VectorField, VolumeForm, divergence
 from .linalg import ExactMatrix, nullspace, span_solve
 from .poly import EXACT, Domain, Evaluated, Poly, PolyRing, compile_values
-from .scalars import GaussianRational, gr, ZERO
+from .scalars import GaussianRational, ZERO, _canonical, gr
 
 
 class SuspensionError(ValueError):
@@ -271,16 +271,24 @@ class SamplingSpec:
                                 f"got {self.exactness!r}")
 
 
-def _rand_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """A rational in [lo, hi] with denominator at most 3."""
-    d = rng.randint(1, 3)
-    a = rng.randint(math.ceil(lo * d), math.floor(hi * d))
-    return Fraction(a, d)
-
-
-def _rand_exact_scalar(rng: random.Random, spec: SamplingSpec) -> GaussianRational:
+def _exact_scalar_draw(rng: random.Random, spec: SamplingSpec):
+    """A function drawing one exact scalar from `rng`: each of its two
+    parts is a/d, with d = rng.randint(1, 3) and then the numerator a
+    drawn so that a/d lies in `spec.region`.  The numerator bounds for
+    d = 1, 2, 3 are computed here, once per sampling run, and the scalar
+    is built from its integer triple, with no `Fraction` on the way."""
     lo, hi = spec.region
-    return gr(_rand_rational(rng, lo, hi), _rand_rational(rng, lo, hi))
+    bounds = (None, *((math.ceil(lo * d), math.floor(hi * d))
+                      for d in (1, 2, 3)))
+    randint = rng.randint
+
+    def draw() -> GaussianRational:
+        d1 = randint(1, 3)
+        a1 = randint(*bounds[d1])
+        d2 = randint(1, 3)
+        a2 = randint(*bounds[d2])
+        return _canonical(a1 * d2, a2 * d1, d1 * d2)
+    return draw
 
 
 def _rand_float_scalar(rng: random.Random, spec: SamplingSpec) -> complex:
@@ -289,15 +297,16 @@ def _rand_float_scalar(rng: random.Random, spec: SamplingSpec) -> complex:
     return complex(rng.uniform(lo, hi), im)
 
 
-def _draw_exact(ctx: SuspensionContext, rng: random.Random,
-                spec: SamplingSpec) -> SurfacePoint | None:
-    """One exact draw on the chart u != 0: z, then u, then v = f(z)/u;
-    None where u is zero."""
-    z = [_rand_exact_scalar(rng, spec) for _ in range(ctx.n)]
-    u = _rand_exact_scalar(rng, spec)
+def _draw_exact(ctx: SuspensionContext, scalar) -> SurfacePoint | None:
+    """One exact draw on the chart u != 0, each scalar from `scalar`
+    (see `_exact_scalar_draw`): z, then u, then v = f(z)/u; None where u
+    is zero.  The point satisfies uv = f(z) by construction, so it is not
+    checked again."""
+    z = [scalar() for _ in range(ctx.n)]
+    u = scalar()
     if u.is_zero:
         return None
-    return surface_point(ctx, (u, ctx.f_base.evaluate_exact(z) / u, *z))
+    return SurfacePoint((u, ctx.f_base.evaluate_exact(z) / u, *z), True)
 
 
 def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoint]:
@@ -308,6 +317,7 @@ def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoi
     floating accuracy otherwise; sampling is pure given the seed.
     """
     rng = random.Random(spec.seed)
+    scalar = _exact_scalar_draw(rng, spec)
     out: list[SurfacePoint] = []
     attempts = 0
     while len(out) < spec.count:
@@ -315,7 +325,7 @@ def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoi
         if attempts > MAX_ATTEMPTS:
             raise SamplingError(f"exhausted {MAX_ATTEMPTS} sampling attempts")
         if spec.exactness == "exact":
-            point = _draw_exact(ctx, rng, spec)
+            point = _draw_exact(ctx, scalar)
         else:
             z = [_rand_float_scalar(rng, spec) for _ in range(ctx.n)]
             u = _rand_float_scalar(rng, spec)
@@ -340,7 +350,7 @@ def sample_zero_fiber(ctx: SuspensionContext,
     while x <= hi:
         values.append(Fraction(x))
         x += Fraction(1, 2)
-    rng = random.Random(spec.seed + 1)
+    scalar = _exact_scalar_draw(random.Random(spec.seed + 1), spec)
     out: list[SurfacePoint] = []
 
     def scan(prefix: list[Fraction]):
@@ -349,8 +359,8 @@ def sample_zero_fiber(ctx: SuspensionContext,
         if len(prefix) == ctx.n:
             z = [gr(c) for c in prefix]
             if ctx.f_base.evaluate_exact(z).is_zero:
-                v = _rand_exact_scalar(rng, spec)
-                out.append(surface_point(ctx, (ZERO, v, *z)))
+                # u = 0 and f(z) = 0: on the surface by construction
+                out.append(SurfacePoint((ZERO, scalar(), *z), True))
             return
         for c in values:
             scan(prefix + [c])
@@ -476,7 +486,7 @@ def basepoint_search(ctx: SuspensionContext, spec: SamplingSpec,
     """Rejection-sample `spec.count` exact points at which
     `basepoint_check` finds nothing.  Each rejection is recorded under
     the first condition that failed."""
-    rng = random.Random(spec.seed)
+    scalar = _exact_scalar_draw(random.Random(spec.seed), spec)
     failures_at = basepoint_check(ctx, ideals)
     report = RejectionReport()
     found: list[SurfacePoint] = []
@@ -486,7 +496,7 @@ def basepoint_search(ctx: SuspensionContext, spec: SamplingSpec,
             raise SamplingError(
                 f"no admissible basepoint in {MAX_ATTEMPTS} attempts; "
                 f"rejections: {report.rejected}", report)
-        point = _draw_exact(ctx, rng, spec)
+        point = _draw_exact(ctx, scalar)
         if point is None:
             report.reject("u_nonzero")
             continue

@@ -6,6 +6,7 @@ which of the two decided a point.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -68,6 +69,30 @@ def test_minor_determinant_by_cofactors():
     assert minor_determinant(rows, p) == 16
     # singular mod p although not over the integers
     assert minor_determinant([[1, 2], [3, 6 + p]], p) == 0
+
+
+def leibniz_determinant(rows, p):
+    """The determinant mod p as a sum over permutations, each signed by
+    its number of inversions."""
+    k, total = len(rows), 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(k) for j in range(i + 1, k))
+        term = (-1) ** inversions
+        for i, c in enumerate(perm):
+            term *= rows[i][c]
+        total += term
+    return total % p
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), k=st.integers(0, 6),
+       p=st.sampled_from([5, 101, modrank.P]))
+def test_minor_determinant_equals_leibniz_sum(data, k, p):
+    entry = st.integers(-2 * p, 2 * p)
+    rows = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                              min_size=k, max_size=k))
+    assert minor_determinant(rows, p) == leibniz_determinant(rows, p)
 
 
 def test_pivot_rows_give_the_rank_mod_p():
@@ -143,6 +168,7 @@ def test_forced_fallback_keeps_reports(tmp_path, args, monkeypatch):
 
 def test_rank_screen_counts_in_the_sidecar(tmp_path):
     out = tmp_path / "c"
+    modrank._cofactor_plan.cache_clear()
     assert main(["criterion", "--scenario", "plane", "--samples", "200",
                  "--out", str(out), "--no-figures"]) == 0
     doc = json.loads((out / "criterion.json").read_text())
@@ -153,6 +179,9 @@ def test_rank_screen_counts_in_the_sidecar(tmp_path):
     assert screen == {"prime": modrank.P, "screened": 200, "fallback": 0,
                       "fallback_reasons": {}}
     assert screen["screened"] + screen["fallback"] == len(doc["ranks"])
+    # one 3 x 3 witness per point, from a cofactor plan built once
+    plan = modrank._cofactor_plan.cache_info()
+    assert (plan.misses, plan.hits) == (1, 199)
 
 
 def test_vanishing_witness_sends_the_point_to_the_exact_path(monkeypatch):

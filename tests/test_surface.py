@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from suspvdp import surface
 from suspvdp.fields import VectorField
 from suspvdp.poly import EXACT, PolyRing
 from suspvdp.randgen import rand_poly
 from suspvdp.scalars import gr, ZERO
-from suspvdp.scenario import load_scenario
+from suspvdp.scenario import bundled_names, load_scenario
 from suspvdp.surface import (NotTangentError, SamplingError, SamplingSpec,
                              SuspensionError, basepoint_check,
                              basepoint_search,
@@ -276,6 +277,72 @@ def test_exact_samples_stay_in_region():
         for p in sample_points(ctx, spec):
             for c in p.coords[::2]:               # u and z1 are drawn
                 assert lo <= c.re <= hi and lo <= c.im <= hi, p
+
+
+def fraction_draw(rng, lo, hi):
+    """The `Fraction` draw that the integer-triple draw replaced, kept as
+    its oracle: a rational in [lo, hi] with denominator at most 3."""
+    d = rng.randint(1, 3)
+    a = rng.randint(math.ceil(lo * d), math.floor(hi * d))
+    return Fraction(a, d)
+
+
+@st.composite
+def regions(draw):
+    """lo < hi around an integer, with fractional ends."""
+    k = draw(st.integers(-5, 5))
+    ends = st.fractions(min_value=0, max_value=4, max_denominator=7)
+    below, above = draw(ends), draw(ends)
+    if below == above == 0:
+        above = Fraction(1, 2)
+    return k - below, k + above
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), region=regions())
+@example(seed=0, region=(Fraction(-5, 2), Fraction(3, 2)))
+@example(seed=7, region=(Fraction(-2), Fraction(2)))
+def test_integer_triple_draw_equals_fraction_draw(seed, region):
+    new, old = random.Random(seed), random.Random(seed)
+    draw = surface._exact_scalar_draw(new, SamplingSpec(region=region))
+    for _ in range(25):
+        # == compares canonical triples, so this checks the form too
+        assert draw() == gr(fraction_draw(old, *region),
+                               fraction_draw(old, *region))
+    assert new.getstate() == old.getstate()
+
+
+def sampling_cases():
+    """(name, ctx, spec, ideals): the bundled scenarios, and an f with
+    fractional coefficients over a fractional region whose step-1/2 grid
+    meets the zero fiber at z = (+-1/2, 0)."""
+    for name in bundled_names():
+        sc = load_scenario(name)
+        yield pytest.param(name, sc.ctx, sc.sampling, [
+            pair.ideal_or_unit(sc.ctx.base_ring) for pair in sc.pairs],
+            id=name)
+    yield pytest.param(
+        "fractional", make_suspension(2, "1/2*z1^2 + 1/3*z2 - 1/8"),
+        SamplingSpec(count=40, seed=5,
+                     region=(Fraction(-5, 2), Fraction(3, 2))), [],
+        id="fractional")
+
+
+@pytest.mark.parametrize("name, ctx, spec, ideals", sampling_cases())
+def test_constructed_points_are_on_the_surface(name, ctx, spec, ideals):
+    # sampled points are built on the surface and not checked again, so
+    # check them here; a point from outside still gets the check
+    points = sample_points(ctx, spec)
+    points += basepoint_search(ctx, spec, ideals)[0]
+    fiber = sample_zero_fiber(ctx, spec)
+    assert fiber or name != "fractional"
+    for p in points + fiber:
+        assert p.exact
+        assert ctx.defining.evaluate_exact(p.coords).is_zero, p
+    for p in points:
+        u, v, *z = p.coords
+        with pytest.raises(SuspensionError, match="off the surface"):
+            surface_point(ctx, (u, v + gr(1), *z))
 
 
 @pytest.mark.parametrize("fields, message", [
