@@ -15,23 +15,26 @@ through the real doubling embedding with column scaling, and the
 minimum-norm solution is taken on rank deficiency, which keeps results
 deterministic for redundant dictionaries.
 
-f is a polynomial.  The flow audits integrate compiled fields with
-`lifts.rk4_flow`, and the volume audit takes its chart determinant from
-`lifts.chart_determinant`, as the flow subcommand does.  Both audits run
-their independent integrations through `lifts.map_on_cpus`.
+f is a polynomial.  The audits integrate compiled fields with
+`lifts.rk4_flow`.  The flow audit's checks run through `map_on_cpus`; the
+volume audit's chart Jacobian (`lifts.chart_jacobian`, as the flow
+subcommand's) and Simpson path run in one forked worker beside the fit.
 """
 
 from __future__ import annotations
 
 import cmath
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy
 
 from .certify import LiftedPair, monomial_closure
 from .fields import lie_bracket
-from .lifts import chart_determinant, map_on_cpus, rk4_flow, twist_field
+from .lifts import (chart_determinant, chart_jacobian, forked_blocks,
+                    map_on_cpus, rk4_flow, twist_field)
 from .poly import COMPLEX, compile_complex_sum, compile_values
 from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
                       divergence_on_suspension, tangent_field)
@@ -69,10 +72,16 @@ def _entry_key(sf: SuspensionField):
     return tuple(c.key() for c in sf.ambient.coeffs)
 
 
+def _term_key(sf: SuspensionField):       # with term order: equal bits
+    return tuple((*c.terms, *c.terms.values()) for c in sf.ambient.coeffs)
+
+
 def build_dictionary(ctx: SuspensionContext, pairs: Sequence[LiftedPair],
-                     degree: int) -> Dictionary:
+                     degree: int, memo: dict | None = None) -> Dictionary:
     """Kernel multiples, twists, and cross-family brackets, all verified
-    divergence-free in exact arithmetic before use."""
+    divergence-free in exact arithmetic before use.  A shared `memo` keeps
+    checked `_entry_key`s and brackets by their parents' `_term_key`s."""
+    memo = {} if memo is None else memo
     entries: list[DictionaryEntry] = []
     seen = set()
 
@@ -80,9 +89,10 @@ def build_dictionary(ctx: SuspensionContext, pairs: Sequence[LiftedPair],
              parents=None) -> int | None:
         if not sf.multiplier.is_zero:
             raise ApproxError(f"dictionary entry is not tangent: {label}")
-        if not divergence_on_suspension(sf, ctx).is_zero:
-            raise ApproxError(f"dictionary entry has divergence: {label}")
         key = _entry_key(sf)
+        if key not in memo and not divergence_on_suspension(sf, ctx).is_zero:
+            raise ApproxError(f"dictionary entry has divergence: {label}")
+        memo[key] = True
         if key in seen:
             return None
         seen.add(key)
@@ -109,13 +119,15 @@ def build_dictionary(ctx: SuspensionContext, pairs: Sequence[LiftedPair],
         # contribute new directions
         for i in nu_ids:
             for j in mu_ids:
-                amb = lie_bracket(entries[i].field.ambient,
-                                  entries[j].field.ambient)
-                if amb.is_zero:
-                    continue
-                sf = tangent_field(amb, ctx)
-                push(sf, f"[{entries[i].label}, {entries[j].label}]",
-                     "bracket", parents=(i, j))
+                a, b = entries[i].field, entries[j].field
+                key = ("bracket", _term_key(a), _term_key(b))
+                if key not in memo:
+                    amb = lie_bracket(a.ambient, b.ambient)
+                    memo[key] = (None if amb.is_zero
+                                 else tangent_field(amb, ctx))
+                if memo[key] is not None:
+                    label = f"[{entries[i].label}, {entries[j].label}]"
+                    push(memo[key], label, "bracket", parents=(i, j))
 
     for e in ctx.base_ring.exponents_up_to(degree):
         h = ctx.base_ring.monomial(e)
@@ -130,14 +142,12 @@ def build_dictionary(ctx: SuspensionContext, pairs: Sequence[LiftedPair],
 
 
 def tangent_frame(gradient: Sequence[complex]) -> numpy.ndarray:
-    """Orthonormal basis, as columns, of the orthogonal complement of a
-    nonzero gradient row; this is the tangent space at the point."""
+    """`frame_h`: rows conjugate to an orthonormal basis of the complement
+    of a nonzero gradient row, the tangent space; `frame_h @ v` is v in it."""
     row = numpy.array([gradient], dtype=complex)
-    norm = numpy.linalg.norm(row)
-    if norm < 1e-13:
+    if numpy.linalg.norm(row) < 1e-13:
         raise ApproxError("singular point: the defining gradient vanishes")
-    _, _, vh = numpy.linalg.svd(row)
-    return vh[1:].conj().T
+    return numpy.linalg.svd(row)[2][1:]
 
 
 @dataclass
@@ -162,69 +172,57 @@ def _solve_scaled_lstsq(a: numpy.ndarray, b: numpy.ndarray) -> numpy.ndarray:
     return (sol[:k] + 1j * sol[k:]) / scales
 
 
-@dataclass(frozen=True)
-class TangentSample:
-    """One sample point prepared for fitting: its coordinates, the
-    conjugate transpose of its tangent frame, and the target's value in
-    that frame.  None of it depends on the dictionary."""
-
-    coords: tuple[complex, ...]
-    frame_h: numpy.ndarray
-    rhs: numpy.ndarray
-
-
-def tangent_samples(target: SuspensionField, ctx: SuspensionContext,
-                    samples: Sequence[SurfacePoint]) -> list[TangentSample]:
-    """Check the target and prepare every sample once, for any number of
-    fits of it (one per dictionary degree in `residual_curve`)."""
+def projected_system(target: SuspensionField, ctx: SuspensionContext,
+                     samples: Sequence[SurfacePoint],
+                     dictionaries: Sequence[Dictionary]) -> tuple:
+    """`(rhs, column, blocks)`: per sample, the target and the distinct
+    entries of the dictionaries in its tangent frame, each entry by the gemv
+    `frame_h @ v` of one stacked product, as column `column[_term_key(sf)]`."""
     if not samples:
         raise ApproxError("no sample points were given")
     if not divergence_on_suspension(target, ctx).is_zero:
         raise ApproxError("the target is not volume preserving")
+    column: dict = {}
+    polys = []
+    for e in (e for dictionary in dictionaries for e in dictionary.entries):
+        key = _term_key(e.field)
+        if key not in column:
+            column[key] = len(column)
+            polys += e.field.ambient.coeffs
+    evaluate_all = compile_values(ctx.ring, polys, COMPLEX)
     gradient = ctx.defining_gradient(COMPLEX)
-    out = []
+    rhs, blocks = [], []
     for p in samples:
         coords = p.complex_coords()
-        frame_h = tangent_frame(gradient(coords)).conj().T
-        tvec = numpy.array(target.ambient.evaluate_complex(coords))
-        out.append(TangentSample(coords, frame_h, frame_h @ tvec))
-    return out
+        frame_h = tangent_frame(gradient(coords))
+        rhs.append(frame_h @ numpy.array(target.ambient.evaluate_complex(
+            coords)))
+        values = numpy.array(evaluate_all(coords)).reshape(-1, ctx.ring.nvars)
+        stacked = numpy.matmul(frame_h[None], values[:, :, None])
+        blocks.append(stacked[:, :, 0].T)
+    return rhs, column, blocks
 
 
 def fit_field(target: SuspensionField, dictionary: Dictionary,
               samples: Sequence[SurfacePoint],
-              prepared: Sequence[TangentSample] | None = None) -> FitResult:
+              system: tuple | None = None) -> FitResult:
     """Least-squares coefficients reproducing the target at the samples,
     with errors measured inside the tangent space at each point.
-    `prepared` is `tangent_samples(target, dictionary.ctx, samples)` when
-    the caller already has it."""
+    `system` is a `projected_system` over dictionaries including this
+    one, shared between fits; without it the fit builds its own."""
     if not dictionary.entries:
         raise ApproxError("the dictionary is empty")
-    ctx = dictionary.ctx
-    if prepared is None:
-        prepared = tangent_samples(target, ctx, samples)
-
-    # one evaluator for the whole dictionary; each entry's m values are
-    # consecutive in its output
-    polys = [c for e in dictionary.entries for c in e.field.ambient.coeffs]
-    evaluate_all = compile_values(ctx.ring, polys, COMPLEX)
-    m = ctx.ring.nvars
-    blocks = []
-    for s in prepared:
-        values = evaluate_all(s.coords)
-        cols = [s.frame_h @ numpy.array(values[k:k + m])
-                for k in range(0, len(values), m)]
-        blocks.append(numpy.column_stack(cols))
-    rhs_blocks = [s.rhs for s in prepared]
-
-    a = numpy.vstack(blocks)
+    rhs_blocks, column, top = system or projected_system(
+        target, dictionary.ctx, samples, [dictionary])
+    idx = [column[_term_key(e.field)] for e in dictionary.entries]
+    # C order, as vstack gave: the layout picks the BLAS paths, so the bits
+    a = numpy.concatenate([numpy.take(b, idx, axis=1) for b in top])
     b = numpy.concatenate(rhs_blocks)
     coeffs = _solve_scaled_lstsq(a, b)
 
-    residuals = []
-    for block, rblock in zip(blocks, rhs_blocks):
-        r = block @ coeffs - rblock
-        residuals.append(float(numpy.linalg.norm(r)))
+    rows = len(a) // len(top)           # per sample, as C-ordered views
+    residuals = [float(numpy.linalg.norm(a[i:i + rows] @ coeffs - r))
+                 for i, r in zip(range(0, len(a), rows), rhs_blocks)]
     return FitResult(labels=dictionary.labels(),
                      coefficients=[complex(c) for c in coeffs],
                      residuals=residuals,
@@ -240,15 +238,16 @@ def residual_curve(target: SuspensionField, ctx: SuspensionContext,
     the dictionary and fit of the top degree, max(degrees).
 
     Dictionaries are nested in the degree, so the curve is non-increasing
-    up to solver noise."""
+    up to solver noise.  The builds share a memo and the fits one
+    `projected_system`: each distinct entry is checked and projected once."""
     if not degrees:
         raise ApproxError("no curve degrees were given")
     top_degree = max(degrees)
-    prepared = tangent_samples(target, ctx, samples)
+    dicts = list(map(partial(build_dictionary, ctx, pairs, memo={}), degrees))
+    system = projected_system(target, ctx, samples, dicts)
     out = []
-    for d in degrees:
-        dictionary = build_dictionary(ctx, pairs, d)
-        fit = fit_field(target, dictionary, samples, prepared)
+    for d, dictionary in zip(degrees, dicts):
+        fit = fit_field(target, dictionary, samples, system)
         out.append({"degree": d, "entries": len(dictionary),
                     "sup_residual": fit.sup_residual})
         if d == top_degree:
@@ -306,38 +305,44 @@ def flow_deviation_audit(target: SuspensionField, dictionary: Dictionary,
     return audits
 
 
+@contextmanager
 def volume_audit(sf: SuspensionField, ctx: SuspensionContext,
-                 point: SurfacePoint) -> dict:
+                 point: SurfacePoint) -> Iterator[Callable[[], dict]]:
     """Numeric witness of the divergence transfer formula: the chart
     determinant of the time-t flow, weighted by the chart density of the
     induced volume, must match exp of the integral of the surface
     divergence along the trajectory; t = 0.25 in 512 RK4 steps, with
     central differences of step 1e-6.
-
     Chart: (u, z) on u != 0, where the density is proportional to 1/u.
-    """
+    A worker (`forked_blocks`, reaped on exit) computes the probes and the
+    path in pure Python; the yielded function waits for it, then takes the
+    determinant."""
     t, steps = 0.25, 512
-    div = divergence_on_suspension(sf, ctx)
     coords0 = point.complex_coords()
     if abs(coords0[0]) < 1e-9:
         raise ApproxError("the audit chart needs u != 0")
-    det = chart_determinant(ctx, 0, coords0, lambda ambient: rk4_flow(
-        sf.ambient.evaluate_complex, ambient, t, steps))
 
-    # Simpson integral of the divergence along the trajectory; the path
-    # takes the same steps dt = t/steps as one full pass, so its last
-    # point is the flow's end point
-    path = [list(coords0)]
-    dt = t / steps
-    x = list(coords0)
-    for _ in range(steps):
-        x = rk4_flow(sf.ambient.evaluate_complex, x, dt, 1)
-        path.append(x)
-    weighted = det * coords0[0] / path[-1][0]
-    values = [div.evaluate_complex(c) for c in path]
-    integral = 0j
-    for k in range(0, steps, 2):
-        integral += (values[k] + 4 * values[k + 1] + values[k + 2]) * dt / 3
-    expected = cmath.exp(integral)
-    return {"weighted_determinant": weighted, "expected": expected,
-            "error": abs(weighted - expected)}
+    def parts(_) -> list:
+        columns = chart_jacobian(ctx, 0, coords0, lambda ambient: rk4_flow(
+            sf.ambient.evaluate_complex, ambient, t, steps), on_cpus=False)
+        # Simpson integral of the divergence along the trajectory; the
+        # path takes the same steps dt = t/steps as one full pass, so its
+        # last point is the flow's end point
+        div = divergence_on_suspension(sf, ctx)
+        dt, path = t / steps, [list(coords0)]
+        for _ in range(steps):
+            path.append(rk4_flow(sf.ambient.evaluate_complex, path[-1], dt, 1))
+        values = [div.evaluate_complex(c) for c in path]
+        integral = 0j
+        for a, b, c in zip(values[::2], values[1::2], values[2::2]):
+            integral += (a + 4 * b + c) * dt / 3
+        return [columns, path[-1][0], cmath.exp(integral)]
+
+    def wait() -> dict:
+        columns, end_u, expected = collect()[0]
+        weighted = chart_determinant(columns) * coords0[0] / end_u
+        return {"weighted_determinant": weighted, "expected": expected,
+                "error": abs(weighted - expected)}
+
+    with forked_blocks(parts, [[None]]) as collect:
+        yield wait

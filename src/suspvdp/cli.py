@@ -23,6 +23,7 @@ import argparse
 import math
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -326,33 +327,33 @@ def _cmd_approx(args) -> int:
         degrees = tuple(range(args.degree_bound + 1))
     top_degree = max(degrees)
 
-    pairs = []
-    for spec in scenario.pairs:
-        pairs.append(lift_pair(spec.alpha, spec.beta, spec.kernel_alpha,
-                               spec.kernel_beta,
-                               spec.ideal_or_unit(ctx.base_ring), ctx,
-                               ideal_bound=scenario.degree_bound))
+    pairs = [lift_pair(spec.alpha, spec.beta, spec.kernel_alpha,
+                       spec.kernel_beta, spec.ideal_or_unit(ctx.base_ring),
+                       ctx, ideal_bound=scenario.degree_bound)
+             for spec in scenario.pairs]
     target = scenario.approx.field
     samples = sample_points(ctx, scenario.sampling)
+    chart_point = next((p for p in samples
+                        if abs(complex(p.complex_coords()[0])) >= 0.25), None)
 
-    t0 = time.perf_counter()
-    curve, dictionary, fit = residual_curve(target, ctx, pairs, samples,
-                                            degrees)
-    audits = flow_deviation_audit(target, dictionary, fit, samples[:5])
-    elapsed = time.perf_counter() - t0
+    marks = [time.perf_counter()]     # the volume audit runs beside the fit
+    with (nullcontext() if chart_point is None else
+          volume_audit(target, ctx, chart_point)) as volume_wait:
+        curve, dictionary, fit = residual_curve(target, ctx, pairs, samples,
+                                                degrees)
+        marks.append(time.perf_counter())
+        audits = flow_deviation_audit(target, dictionary, fit, samples[:5])
+        marks.append(time.perf_counter())
+        volume = volume_wait() if volume_wait else None
+        marks.append(time.perf_counter())
+    stages = dict(zip(("residual_curve", "flow_audit", "volume_wait"),
+                      [b - a for a, b in zip(marks, marks[1:])]))
 
     curve_ok = all(b["sup_residual"] <= a["sup_residual"] + CURVE_SLACK
                    for a, b in zip(curve, curve[1:]))
     audit_ok = all(a["ok"] for a in audits)
-
     volume_tol = VOLUME_TOL if args.tol is None else args.tol
-    chart_point = next((p for p in samples
-                        if abs(complex(p.complex_coords()[0])) >= 0.25), None)
-    volume = None
-    volume_ok = True
-    if chart_point is not None:
-        volume = volume_audit(target, ctx, chart_point)
-        volume_ok = volume["error"] <= volume_tol
+    volume_ok = volume is None or volume["error"] <= volume_tol
 
     ok = curve_ok and audit_ok and volume_ok
     coefficients = [
@@ -378,9 +379,10 @@ def _cmd_approx(args) -> int:
     out = _out_dir(args)
     write_json(out / "approx.json", payload)
     write_json(out / "timings.json", {
-        "total": elapsed,
+        "total": marks[-1] - marks[0], "stages": stages,
         "flow_audit": _cpu_split(AUDIT_CHECKPOINTS * len(audits)),
-        "volume_audit": _cpu_split(2 * (ctx.n + 1)) if volume else None})
+        "volume_audit": _cpu_split(2 * (ctx.n + 1), on_cpus=False)
+        if volume else None})
     write_delimited(out / "residuals.csv",
                     ["degree", "entries", "sup_residual"],
                     [(r["degree"], r["entries"], r["sup_residual"])

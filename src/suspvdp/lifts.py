@@ -27,6 +27,7 @@ from __future__ import annotations
 import marshal
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -349,21 +350,34 @@ def map_on_cpus(fn: Callable[[_Job], _Result],
     call native code that keeps a thread pool, such as numpy's BLAS."""
     bounds = list(accumulate(cpu_blocks(len(jobs)), initial=0))
     blocks = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
-    workers: list[tuple[int, int] | None] = []
+    with forked_blocks(fn, blocks[1:]) as collect:
+        return [fn(j) for j in blocks[0]] + collect()
+
+
+@contextmanager
+def forked_blocks(fn: Callable[[_Job], _Result],
+                  blocks: Sequence[Sequence[_Job]]):
+    """`map_on_cpus` in two halves, under its rules: entering forks one
+    worker per block (none if `cpu_blocks` allows one process) and yields
+    `collect()`, all blocks' results in order; leaving reaps the rest."""
+    workers: list[tuple[int, int] | None] = [None] * len(blocks)
     try:
-        for block in blocks[1:]:
-            workers.append(_fork_worker(fn, block))
-        results = [fn(j) for j in blocks[0]]
-        for k, block in enumerate(blocks[1:]):
-            # taken out first: reading its reply reaps it, even on a failure
-            worker, workers[k] = workers[k], None
-            got = _worker_results(worker, len(block))
-            results += [fn(j) for j in block] if got is None else got
-        return results
+        for k, block in enumerate(blocks if len(cpu_blocks(2)) > 1 else ()):
+            workers[k] = _fork_worker(fn, block)
+
+        def collect() -> list[_Result]:
+            results: list = []
+            for k, block in enumerate(blocks):
+                # taken out first: reading the reply reaps it, failed or not
+                worker, workers[k] = workers[k], None
+                got = _worker_results(worker, len(block))
+                results += [fn(j) for j in block] if got is None else got
+            return results
+
+        yield collect
     finally:
-        for worker in workers:          # left by an exception: drain, reap
-            if worker is not None:
-                _worker_results(worker, 0)
+        for worker in workers:
+            _worker_results(worker, 0)
 
 
 def _fork_worker(fn, block) -> tuple[int, int] | None:
@@ -464,25 +478,23 @@ def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
     coords0 = point.complex_coords()
     if abs(coords0[fiber]) < 1e-12:
         raise LiftError("the adapted chart needs a nonzero fiber coordinate")
-    return chart_determinant(
+    return chart_determinant(chart_jacobian(
         ctx, fiber, coords0, lambda ambient: flow_map.apply(
             surface_point(ctx, ambient, tol=1e-6), t).complex_coords(),
-        on_cpus=not flow_map.symbolic)
+        on_cpus=not flow_map.symbolic))
 
 
-def chart_determinant(ctx: SuspensionContext, fiber: int,
-                      coords0: Sequence[complex],
-                      move: Callable[[list[complex]], Sequence[complex]],
-                      on_cpus: bool = True) -> complex:
-    """Jacobian determinant at `coords0` of a map of the surface, in the
+def chart_jacobian(ctx: SuspensionContext, fiber: int,
+                   coords0: Sequence[complex],
+                   move: Callable[[list[complex]], Sequence[complex]],
+                   on_cpus: bool = True) -> list[list[complex]]:
+    """Columns of the Jacobian at `coords0` of a map of the surface, in the
     chart (x_fiber, z) on x_fiber != 0: a chart point is embedded with the
     other fiber coordinate set to f(z)/x_fiber, `move` maps its ambient
     coordinates, and the image is read back in the chart.  Each column is
     a central difference of step 1e-6.  With `on_cpus` the 2m probes run
     through `map_on_cpus`, so `move` must return complex numbers and stay
-    off numpy; without it they run in this process."""
-    import numpy
-
+    off numpy; without it they run in this process, in pure Python."""
     h = 1e-6
     other = 1 - fiber
     chart0 = [coords0[fiber]] + list(coords0[2:])
@@ -506,12 +518,14 @@ def chart_determinant(ctx: SuspensionContext, fiber: int,
         probes.append(bumped)
     images = (map_on_cpus(chart_map, probes) if on_cpus
               else [chart_map(probe) for probe in probes])
-    jac = numpy.zeros((m, m), dtype=complex)
-    for j in range(m):
-        plus, minus = images[2 * j], images[2 * j + 1]
-        for i in range(m):
-            jac[i, j] = (plus[i] - minus[i]) / (2 * h)
-    return complex(numpy.linalg.det(jac))
+    return [[(p - q) / (2 * h) for p, q in zip(plus, minus)]
+            for plus, minus in zip(images[::2], images[1::2])]
+
+
+def chart_determinant(columns: Sequence[Sequence[complex]]) -> complex:
+    """The determinant of the matrix of these columns (`chart_jacobian`)."""
+    import numpy
+    return complex(numpy.linalg.det(numpy.array(columns, dtype=complex).T))
 
 
 def twist_field(ctx: SuspensionContext, h: Poly) -> VectorField:

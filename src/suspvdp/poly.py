@@ -18,6 +18,7 @@ Printing is canonical and `parse(str(p))` recovers `p` exactly.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
@@ -402,9 +403,9 @@ def _grlex_key(e: tuple[int, ...]) -> tuple:
 # x_i ** k once (x ** 1 is kept: over COMPLEX it raises OverflowError on
 # an infinite part and can flip the sign of a zero), and computes a
 # polynomial's value as Z + K*p*p + ..., Z the domain's zero, terms in
-# dictionary order, coefficient first, factors in variable order; a
-# polynomial that recurs with its terms in the same order is computed
-# once.  A weighted sum of COMPLEX values is 0j + w1*v1 + w2*v2 + ....
+# dictionary order, coefficient first, factors in variable order; a product
+# prefix K*p*... or a polynomial (terms in the same order) that recurs is
+# computed once.  A weighted sum of COMPLEX values is 0j + w1*v1 + ....
 # Over COMPLEX this fixes every float operation and its order, so term
 # order is float semantics.
 #
@@ -432,15 +433,23 @@ COMPLEX = Domain("0j", GaussianRational.to_complex, "complex(values[{i}])")
 
 
 class _Source:
-    """Straight-line source of one evaluator, built output by output."""
+    """Straight-line source of one evaluator of `polys`, built output by
+    output; `uses` counts the product prefixes K*p*... of them all."""
 
-    def __init__(self, ring: PolyRing, domain: Domain = COMPLEX):
+    def __init__(self, ring: PolyRing, polys: Sequence[Poly],
+                 domain: Domain = COMPLEX):
         self.nvars = ring.nvars
         self.domain = domain
         self.namespace: dict = {"PolyError": PolyError, "ZERO": ZERO,
                                 "_as_scalar": _as_scalar}
         self.coeffs: dict[GaussianRational, str] = {}
         self.powers: dict[tuple[int, int], str] = {}
+        self.uses: Counter[str] = Counter()
+        for key in dict.fromkeys(tuple(p.terms.items()) for p in polys):
+            for e, c in key:
+                f = self.factors(e, c)
+                self.uses.update("*".join(f[:n]) for n in range(2, len(f) + 1))
+        self.products: dict[str, str] = {}
         self.values: dict[tuple, str] = {}
         self.lines: list[str] = []
 
@@ -449,18 +458,28 @@ class _Source:
         self.namespace[name] = value
         return name
 
+    def factors(self, e: tuple[int, ...], c: GaussianRational) -> list[str]:
+        """The names of one term's coefficient and powers, in order."""
+        name = self.coeffs.get(c)
+        if name is None:
+            name = self.coeffs[c] = self.bind(self.domain.coefficient(c))
+        return [name, *(self.powers.setdefault((i, k), f"p{i}_{k}")
+                        for i, k in enumerate(e) if k)]
+
     def terms(self, p: Poly) -> list[str]:
-        """One product per term of p, coefficient first."""
+        """Per term of p, K*p*p..., each prefix that recurs named once."""
         out = []
         for e, c in p.terms.items():
-            name = self.coeffs.get(c)
-            if name is None:
-                name = self.coeffs[c] = self.bind(self.domain.coefficient(c))
-            factors = [name]
-            for i, k in enumerate(e):
-                if k:
-                    factors.append(self.powers.setdefault((i, k), f"p{i}_{k}"))
-            out.append("*".join(factors))
+            f = self.factors(e, c)
+            expr = f[0]
+            for n in range(2, len(f) + 1):
+                expr, key = f"{expr}*{f[n - 1]}", "*".join(f[:n])
+                if self.uses[key] > 1:
+                    if key not in self.products:
+                        self.products[key] = f"m{len(self.products)}"
+                        self.lines.append(f"{self.products[key]} = {expr}")
+                    expr = self.products[key]
+            out.append(expr)
         return out
 
     def value(self, p: Poly) -> str:
@@ -509,7 +528,7 @@ def compile_values(ring: PolyRing, polys: Sequence[Poly], domain: Domain):
     """One function mapping coordinates to the list of values of `polys`
     in `domain`.  Its `field` attribute is the same computation as a
     function of the ring.nvars converted coordinates."""
-    src = _Source(ring, domain)
+    src = _Source(ring, polys, domain)
     return src.build([src.value(p) for p in polys])
 
 
@@ -520,7 +539,7 @@ def compile_complex_sum(ring: PolyRing, weights: Sequence[complex],
     is 0j + w1*rows[0][i](x) + w2*rows[1][i](x) + ..., bit-identical to
     accumulating the interpreted values in that order.  Its `field`
     attribute is as for `compile_values`."""
-    src = _Source(ring)
+    src = _Source(ring, [p for row in rows for p in row])
     names = [src.bind(complex(w)) for w in weights]
     outputs = []
     for i in range(ring.nvars):

@@ -5,6 +5,7 @@ import cmath
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from suspvdp import approx
@@ -15,7 +16,9 @@ from suspvdp.approx import (AUDIT_CHECKPOINTS, ApproxError, Dictionary,
 from suspvdp.certify import lift_pair
 from suspvdp.fields import VectorField
 from suspvdp.lifts import twist_field
+from suspvdp.poly import COMPLEX
 from suspvdp.scalars import gr
+from suspvdp.scenario import load_scenario
 from suspvdp.surface import (SamplingSpec, make_suspension, sample_points,
                              surface_point, tangent_field)
 
@@ -142,6 +145,88 @@ def test_residual_curve_non_increasing():
     assert [row["degree"] for row in curve] == [0, 1, 2]
 
 
+BUNDLED = ("plane", "circle", "danielewski", "hyperbola")
+
+
+def bundled_setup(name):
+    """A bundled scenario as `approx` runs it: its lifted pairs, its own
+    samples, target and curve degrees."""
+    sc = load_scenario(name)
+    ctx = sc.ctx
+    pairs = [lift_pair(s.alpha, s.beta, s.kernel_alpha, s.kernel_beta,
+                       s.ideal_or_unit(ctx.base_ring), ctx,
+                       ideal_bound=sc.degree_bound) for s in sc.pairs]
+    return (ctx, pairs, sample_points(ctx, sc.sampling), sc.approx.field,
+            sc.approx.curve_degrees)
+
+
+def complex_bits(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def entry_identities(dictionary):
+    return [(e.label, e.provenance, e.parents, approx._term_key(e.field))
+            for e in dictionary.entries]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_shared_curve_fits_equal_standalone_fits_bit_for_bit(name):
+    ctx, pairs, samples, target, degrees = bundled_setup(name)
+    curve, top_dictionary, top_fit = residual_curve(target, ctx, pairs,
+                                                    samples, degrees)
+    memo = {}
+    for row, d in zip(curve, degrees):
+        alone = build_dictionary(ctx, pairs, d)
+        assert entry_identities(build_dictionary(ctx, pairs, d, memo)) == \
+            entry_identities(alone)
+        fit = fit_field(target, alone, samples)
+        assert (row["degree"], row["entries"]) == (d, len(alone))
+        assert row["sup_residual"].hex() == fit.sup_residual.hex()
+        if d == max(degrees):
+            assert entry_identities(top_dictionary) == entry_identities(alone)
+            assert complex_bits(top_fit.coefficients) == \
+                complex_bits(fit.coefficients)
+            assert [r.hex() for r in top_fit.residuals] == \
+                [r.hex() for r in fit.residuals]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_stacked_projection_equals_per_column_products(name):
+    ctx, pairs, samples, target, degrees = bundled_setup(name)
+    dictionaries = [build_dictionary(ctx, pairs, d) for d in degrees]
+    rhs, column, blocks = approx.projected_system(target, ctx, samples,
+                                                  dictionaries)
+    fields = {approx._term_key(e.field): e.field
+              for dictionary in dictionaries for e in dictionary.entries}
+    assert sorted(column.values()) == list(range(len(fields)))
+    gradient = ctx.defining_gradient(COMPLEX)
+    for p, block, target_value in zip(samples, blocks, rhs):
+        coords = p.complex_coords()
+        frame_h = approx.tangent_frame(gradient(coords))
+        assert (frame_h @ numpy.array(target.ambient.evaluate_complex(
+            coords))).tobytes() == target_value.tobytes()
+        for key, sf in fields.items():
+            v = numpy.array(sf.ambient.evaluate_complex(coords))
+            assert (frame_h @ v).tobytes() == block[:, column[key]].tobytes()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_fits_solve_on_c_ordered_column_matrices(name, monkeypatch):
+    # a matrix's memory order selects the BLAS path of the products on it
+    ctx, pairs, samples, target, degrees = bundled_setup(name)
+    solved = []
+    solve = approx._solve_scaled_lstsq
+
+    def recording(a, b):
+        solved.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(approx, "_solve_scaled_lstsq", recording)
+    curve, _, _ = residual_curve(target, ctx, pairs, samples, degrees)
+    assert [a.shape[1] for a in solved] == [row["entries"] for row in curve]
+    assert all(a.flags.c_contiguous for a in solved)
+
+
 def test_fit_rejects_bad_input():
     ctx = plane_ctx()
     d = build_dictionary(ctx, [plane_pair(ctx)], 0)
@@ -217,7 +302,8 @@ def test_volume_audit_matches_divergence_integral():
     sf = tangent_field(VectorField(ctx.ring, (
         ctx.ring.parse("u"), ctx.ring.zero(), ctx.ring.parse("z1"))), ctx)
     point = surface_point(ctx, [1.0, 0.5, 0.5], tol=1e-9)
-    out = volume_audit(sf, ctx, point)
+    with volume_audit(sf, ctx, point) as wait:
+        out = wait()
     assert out["error"] <= 1e-6
     assert abs(out["weighted_determinant"] - cmath.exp(0.25)) <= 1e-6
     assert abs(out["expected"] - cmath.exp(0.25)) <= 1e-9
@@ -227,6 +313,6 @@ def test_volume_audit_needs_chart():
     ctx = make_suspension(1, "z1")
     sf = twist_target(ctx)
     point = surface_point(ctx, [0.0, 7.0, 0.0], tol=1e-9)
-    with pytest.raises(ApproxError):
-        volume_audit(sf, ctx, point)
+    with pytest.raises(ApproxError), volume_audit(sf, ctx, point):
+        pass
 

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import suspvdp
+from suspvdp import cli
+from suspvdp.approx import ApproxError
 from suspvdp.cli import main
 
 BAD_PAIR = """
@@ -131,6 +133,61 @@ def test_approx_plane_with_figures(tmp_path):
         assert split["jobs"] == jobs
         assert sum(split["jobs_per_worker"]) == jobs
         assert split["workers"] == len(split["jobs_per_worker"])
+
+
+def test_approx_timings_record_the_stages(tmp_path):
+    out = tmp_path / "a"
+    assert run(["approx", "--scenario", "plane", "--samples", "8",
+                "--out", str(out), "--no-figures"]) == 0
+    timings = json.loads((out / "timings.json").read_text())
+    stages = timings["stages"]
+    assert set(stages) == {"residual_curve", "flow_audit", "volume_wait"}
+    assert all(s >= 0 for s in stages.values())
+    assert timings["total"] == pytest.approx(sum(stages.values()))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_approx_run_failing_after_the_fork_reaps_its_worker(
+        tmp_path, capsys, monkeypatch):
+    # two CPUs, so the volume audit forks its worker before the fit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    def failing_fit(*args):
+        assert forks, "the volume audit's worker was not forked"
+        raise ApproxError("the target is not volume preserving")
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli, "residual_curve", failing_fit)
+    assert run(["approx", "--scenario", "plane", "--out",
+                str(tmp_path / "a"), "--no-figures"]) == 2
+    assert "not volume preserving" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+def test_approx_reports_are_the_same_without_fork(tmp_path, monkeypatch):
+    def reports(out):
+        return {name: (out / name).read_bytes() for name in
+                ("approx.json", "residuals.csv", "flow_audit.csv")}
+
+    def no_process():
+        raise OSError("no process")
+
+    args = ["approx", "--scenario", "plane", "--no-figures", "--out"]
+    assert run(args + [str(tmp_path / "forked")]) == 0
+    monkeypatch.setattr(os, "fork", no_process)
+    assert run(args + [str(tmp_path / "serial")]) == 0
+    assert reports(tmp_path / "serial") == reports(tmp_path / "forked")
+    assert_no_child_left()
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -8,20 +8,26 @@ same error type.  The exact ones must return the loop's exact values.
 """
 
 import copy
+import dis
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from suspvdp.approx import Dictionary, DictionaryEntry, fitted_evaluator
+from suspvdp.approx import (Dictionary, DictionaryEntry, fitted_evaluator,
+                            residual_curve)
+from suspvdp.certify import lift_pair
 from suspvdp.fields import VectorField
 from suspvdp.lifts import rk4_flow, spanning_plan
+from suspvdp.modrank import P, R as ROOT, residue, residues
 from suspvdp.poly import (COMPLEX, EXACT, Poly, PolyError, PolyRing,
                           compile_complex_sum, compile_values)
 from suspvdp.scalars import ZERO, GaussianRational, gr
+from suspvdp.scenario import load_scenario
 from suspvdp.surface import (SamplingSpec, SuspensionField, basepoint_search,
-                             make_suspension)
+                             make_suspension, sample_points)
 
 R = PolyRing(("u", "v", "z1", "z2"))
 
@@ -81,7 +87,12 @@ SCALARS = st.builds(lambda a, b, d: gr(Fraction(a, d), Fraction(b, d)),
 # exponents 0..3 cover constants, exponent 1 and real powers
 TERMS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * R.nvars), SCALARS,
                         max_size=4)
-POLYS = TERMS.map(lambda t: poly(R, t))      # includes the zero polynomial
+# few coefficients and low exponents: terms within and across polynomials
+# share coefficient*power prefixes, which the evaluators compute once
+SHARED_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * R.nvars),
+    st.sampled_from([gr(1), gr(Fraction(-1, 2), 3), gr(0, 1)]), max_size=6)
+POLYS = st.one_of(TERMS, SHARED_TERMS).map(lambda t: poly(R, t))  # 0 too
 INF, NAN = float("inf"), float("nan")
 PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, INF, -INF, NAN]),
                   st.floats(-4, 4), st.floats())
@@ -95,6 +106,8 @@ WEIGHTS = st.builds(complex, WEIGHT_PARTS, WEIGHT_PARTS)
 @given(st.lists(POLYS, min_size=1, max_size=4), COORDS)
 # x ** 1 raises OverflowError for an infinite part where x itself would not
 @example([R.parse("u + 2*v")], [complex(INF, 0.0), 1, 1, 1])
+@example([R.parse("2*u*v + 2*u*z1^2 - u"), R.parse("2*u*v^2*z2 + 2*u*v")],
+         [complex(-0.0, INF), complex(0.0, -0.0), complex(NAN, 1), 3j])
 def test_compiled_polys_match_loop_bit_for_bit(polys, coords):
     want = bits(lambda: [reference_value(p, coords) for p in polys])
     assert bits(lambda: compile_values(R, polys, COMPLEX)(coords)) == want
@@ -149,6 +162,40 @@ def test_field_evaluation_matches_loop_bit_for_bit(coeffs, coords):
     want = bits(lambda: [reference_value(c, coords) for c in coeffs])
     assert bits(lambda: theta.evaluate_complex(coords)) == want
     assert bits(lambda: theta.evaluate_complex(coords)) == want   # cached
+
+
+@settings(max_examples=60)
+@given(st.lists(POLYS, min_size=1, max_size=4),
+       st.lists(SCALARS, min_size=R.nvars, max_size=R.nvars))
+def test_residue_evaluator_matches_exact_values(polys, point):
+    evaluate = compile_values(R, polys, residues(P, ROOT))
+    got = [v % P for v in evaluate([residue(x, P, ROOT) for x in point])]
+    assert got == [residue(reference_exact(q, point), P, ROOT)
+                   for q in polys]
+
+
+def float_operations(fn) -> Counter:
+    """The binary operators in the bytecode of `fn`, by symbol."""
+    older = {"BINARY_MULTIPLY": "*", "BINARY_ADD": "+", "BINARY_POWER": "**"}
+    return Counter(i.argrepr if i.opname == "BINARY_OP" else older[i.opname]
+                   for i in dis.get_instructions(fn)
+                   if i.opname == "BINARY_OP" or i.opname in older)
+
+
+def test_plane_fitted_field_computes_each_product_prefix_once():
+    # the fitted field the approx flow audit integrates on plane, at the
+    # scenario's own samples and curve degrees (top degree 2)
+    sc = load_scenario("plane")
+    ctx = sc.ctx
+    pairs = [lift_pair(s.alpha, s.beta, s.kernel_alpha, s.kernel_beta,
+                       s.ideal_or_unit(ctx.base_ring), ctx,
+                       ideal_bound=sc.degree_bound) for s in sc.pairs]
+    _, dictionary, fit = residual_curve(
+        sc.approx.field, ctx, pairs, sample_points(ctx, sc.sampling),
+        sc.approx.curve_degrees)
+    fitted = fitted_evaluator(dictionary, fit.coefficients)
+    # 333 multiplications when every term repeated its shared prefixes
+    assert float_operations(fitted.field) == {"*": 213, "+": 204, "**": 10}
 
 
 def test_long_sums_split_across_lines_keep_their_order():

@@ -8,10 +8,10 @@ from suspvdp import lifts
 from suspvdp.fields import VectorField, VolumeForm, divergence
 from suspvdp.lifts import (BasepointError, LiftError, LiftedFlowMap,
                            ShearChainError, chart_determinant,
-                           chart_jacobian_determinant, cpu_blocks,
-                           extend_trivially, flow_remainder, lift, lifted_flow,
-                           rk4_flow, shear_pullback, spanning_family,
-                           symbolic_flow, twist_field)
+                           chart_jacobian, chart_jacobian_determinant,
+                           cpu_blocks, extend_trivially, flow_remainder,
+                           lift, lifted_flow, rk4_flow, shear_pullback,
+                           spanning_family, symbolic_flow, twist_field)
 from suspvdp.linalg import ExactMatrix, exact_rank, solve_columns
 from suspvdp.poly import PolyError, PolyRing
 from suspvdp.randgen import rand_divergence_free_field, rand_poly
@@ -333,10 +333,10 @@ def test_numeric_chart_probes_run_in_workers():
         return fl.apply(surface_point(ctx, ambient, tol=1e-6),
                         0.5).complex_coords()
 
-    det = chart_determinant(ctx, 1, p.complex_coords(), move)
+    det = chart_determinant(chart_jacobian(ctx, 1, p.complex_coords(), move))
     assert len(moved) == cpu_blocks(6)[0]
-    assert det == chart_determinant(ctx, 1, p.complex_coords(), move,
-                                    on_cpus=False)
+    assert det == chart_determinant(chart_jacobian(
+        ctx, 1, p.complex_coords(), move, on_cpus=False))
     assert det == chart_jacobian_determinant(fl, p, 0.5)
 
 
