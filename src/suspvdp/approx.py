@@ -32,12 +32,12 @@ from typing import Callable, Iterator, Sequence
 import numpy
 
 from .certify import LiftedPair, monomial_closure
-from .fields import lie_bracket
+from .fields import VectorField, lie_bracket
 from .lifts import (chart_determinant, chart_jacobian, forked_blocks,
                     map_on_cpus, rk4_flow, twist_field)
 from .poly import COMPLEX, compile_complex_sum, compile_values
-from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
-                      divergence_on_suspension, tangent_field)
+from .surface import (SurfacePoint, SuspensionContext,
+                      divergence_on_suspension, is_tangent)
 
 
 class ApproxError(ValueError):
@@ -50,7 +50,7 @@ class ApproxError(ValueError):
 
 @dataclass(frozen=True)
 class DictionaryEntry:
-    field: SuspensionField
+    field: VectorField
     label: str
     provenance: str                  # kernel-multiple / twist-field / bracket
     parents: tuple[int, int] | None = None
@@ -68,35 +68,37 @@ class Dictionary:
         return [e.label for e in self.entries]
 
 
-def _entry_key(sf: SuspensionField):
-    return tuple(c.key() for c in sf.ambient.coeffs)
+def _entry_key(theta: VectorField):
+    return tuple(c.key() for c in theta.coeffs)
 
 
-def _term_key(sf: SuspensionField):       # with term order: equal bits
-    return tuple((*c.terms, *c.terms.values()) for c in sf.ambient.coeffs)
+def _term_key(theta: VectorField):       # with term order: equal bits
+    return tuple((*c.terms, *c.terms.values()) for c in theta.coeffs)
 
 
 def build_dictionary(ctx: SuspensionContext, pairs: Sequence[LiftedPair],
                      degree: int, memo: dict | None = None) -> Dictionary:
     """Kernel multiples, twists, and cross-family brackets, all verified
-    divergence-free in exact arithmetic before use.  A shared `memo` keeps
-    checked `_entry_key`s and brackets by their parents' `_term_key`s."""
+    strictly tangent (zero multiplier) and divergence-free in exact
+    arithmetic before use.  A shared `memo` keeps checked `_entry_key`s and
+    brackets by their parents' `_term_key`s."""
     memo = {} if memo is None else memo
     entries: list[DictionaryEntry] = []
     seen = set()
 
-    def push(sf: SuspensionField, label: str, provenance: str,
+    def push(theta: VectorField, label: str, provenance: str,
              parents=None) -> int | None:
-        if not sf.multiplier.is_zero:
-            raise ApproxError(f"dictionary entry is not tangent: {label}")
-        key = _entry_key(sf)
-        if key not in memo and not divergence_on_suspension(sf, ctx).is_zero:
-            raise ApproxError(f"dictionary entry has divergence: {label}")
-        memo[key] = True
+        key = _entry_key(theta)
+        if key not in memo:
+            if not is_tangent(theta, ctx).is_zero:
+                raise ApproxError(f"dictionary entry is not tangent: {label}")
+            if not divergence_on_suspension(theta, ctx).is_zero:
+                raise ApproxError(f"dictionary entry has divergence: {label}")
+            memo[key] = True
         if key in seen:
             return None
         seen.add(key)
-        entries.append(DictionaryEntry(sf, label, provenance, parents))
+        entries.append(DictionaryEntry(theta, label, provenance, parents))
         return len(entries) - 1
 
     for pi, pair in enumerate(pairs):
@@ -122,17 +124,15 @@ def build_dictionary(ctx: SuspensionContext, pairs: Sequence[LiftedPair],
                 a, b = entries[i].field, entries[j].field
                 key = ("bracket", _term_key(a), _term_key(b))
                 if key not in memo:
-                    amb = lie_bracket(a.ambient, b.ambient)
-                    memo[key] = (None if amb.is_zero
-                                 else tangent_field(amb, ctx))
+                    bracket = lie_bracket(a, b)
+                    memo[key] = None if bracket.is_zero else bracket
                 if memo[key] is not None:
                     label = f"[{entries[i].label}, {entries[j].label}]"
                     push(memo[key], label, "bracket", parents=(i, j))
 
     for e in ctx.base_ring.exponents_up_to(degree):
         h = ctx.base_ring.monomial(e)
-        push(tangent_field(twist_field(ctx, h), ctx),
-             f"({h})*(u*d_u - v*d_v)", "twist-field")
+        push(twist_field(ctx, h), f"({h})*(u*d_u - v*d_v)", "twist-field")
 
     return Dictionary(ctx, entries)
 
@@ -172,12 +172,12 @@ def _solve_scaled_lstsq(a: numpy.ndarray, b: numpy.ndarray) -> numpy.ndarray:
     return (sol[:k] + 1j * sol[k:]) / scales
 
 
-def projected_system(target: SuspensionField, ctx: SuspensionContext,
+def projected_system(target: VectorField, ctx: SuspensionContext,
                      samples: Sequence[SurfacePoint],
                      dictionaries: Sequence[Dictionary]) -> tuple:
     """`(rhs, column, blocks)`: per sample, the target and the distinct
     entries of the dictionaries in its tangent frame, each entry by the gemv
-    `frame_h @ v` of one stacked product, as column `column[_term_key(sf)]`."""
+    `frame_h @ v` of one stacked product, as column `column[_term_key(e)]`."""
     if not samples:
         raise ApproxError("no sample points were given")
     if not divergence_on_suspension(target, ctx).is_zero:
@@ -188,22 +188,21 @@ def projected_system(target: SuspensionField, ctx: SuspensionContext,
         key = _term_key(e.field)
         if key not in column:
             column[key] = len(column)
-            polys += e.field.ambient.coeffs
+            polys += e.field.coeffs
     evaluate_all = compile_values(ctx.ring, polys, COMPLEX)
     gradient = ctx.defining_gradient(COMPLEX)
     rhs, blocks = [], []
     for p in samples:
         coords = p.complex_coords()
         frame_h = tangent_frame(gradient(coords))
-        rhs.append(frame_h @ numpy.array(target.ambient.evaluate_complex(
-            coords)))
+        rhs.append(frame_h @ numpy.array(target.evaluate_complex(coords)))
         values = numpy.array(evaluate_all(coords)).reshape(-1, ctx.ring.nvars)
         stacked = numpy.matmul(frame_h[None], values[:, :, None])
         blocks.append(stacked[:, :, 0].T)
     return rhs, column, blocks
 
 
-def fit_field(target: SuspensionField, dictionary: Dictionary,
+def fit_field(target: VectorField, dictionary: Dictionary,
               samples: Sequence[SurfacePoint],
               system: tuple | None = None) -> FitResult:
     """Least-squares coefficients reproducing the target at the samples,
@@ -229,7 +228,7 @@ def fit_field(target: SuspensionField, dictionary: Dictionary,
                      sup_residual=max(residuals))
 
 
-def residual_curve(target: SuspensionField, ctx: SuspensionContext,
+def residual_curve(target: VectorField, ctx: SuspensionContext,
                    pairs: Sequence[LiftedPair],
                    samples: Sequence[SurfacePoint],
                    degrees: Sequence[int]
@@ -266,13 +265,13 @@ def fitted_evaluator(dictionary: Dictionary, coeffs: Sequence[complex]):
     """Pointwise evaluator of the coefficient combination of the entries,
     compiled into one function; entries with zero coefficient are left
     out."""
-    kept = [(c, e.field.ambient.coeffs) for c, e in
+    kept = [(c, e.field.coeffs) for c, e in
             zip(coeffs, dictionary.entries) if abs(c) > 0]
     return compile_complex_sum(dictionary.ctx.ring, [c for c, _ in kept],
                                [row for _, row in kept])
 
 
-def flow_deviation_audit(target: SuspensionField, dictionary: Dictionary,
+def flow_deviation_audit(target: VectorField, dictionary: Dictionary,
                          fit: FitResult,
                          samples: Sequence[SurfacePoint]) -> list[dict]:
     """Integrate the fitted field and the target from each point with 64
@@ -281,7 +280,7 @@ def flow_deviation_audit(target: SuspensionField, dictionary: Dictionary,
     allowance for integrator error.  The AUDIT_CHECKPOINTS checks per
     point are independent jobs of `lifts.map_on_cpus`."""
     fitted = fitted_evaluator(dictionary, fit.coefficients)
-    reference = target.ambient.evaluate_complex
+    reference = target.evaluate_complex
     starts = [list(p.complex_coords()) for p in samples]
 
     def check(job: tuple[int, int]) -> dict:
@@ -306,7 +305,7 @@ def flow_deviation_audit(target: SuspensionField, dictionary: Dictionary,
 
 
 @contextmanager
-def volume_audit(sf: SuspensionField, ctx: SuspensionContext,
+def volume_audit(theta: VectorField, ctx: SuspensionContext,
                  point: SurfacePoint) -> Iterator[Callable[[], dict]]:
     """Numeric witness of the divergence transfer formula: the chart
     determinant of the time-t flow, weighted by the chart density of the
@@ -324,14 +323,14 @@ def volume_audit(sf: SuspensionField, ctx: SuspensionContext,
 
     def parts(_) -> list:
         columns = chart_jacobian(ctx, 0, coords0, lambda ambient: rk4_flow(
-            sf.ambient.evaluate_complex, ambient, t, steps), on_cpus=False)
+            theta.evaluate_complex, ambient, t, steps), on_cpus=False)
         # Simpson integral of the divergence along the trajectory; the
         # path takes the same steps dt = t/steps as one full pass, so its
         # last point is the flow's end point
-        div = divergence_on_suspension(sf, ctx)
+        div = divergence_on_suspension(theta, ctx)
         dt, path = t / steps, [list(coords0)]
         for _ in range(steps):
-            path.append(rk4_flow(sf.ambient.evaluate_complex, path[-1], dt, 1))
+            path.append(rk4_flow(theta.evaluate_complex, path[-1], dt, 1))
         values = [div.evaluate_complex(c) for c in path]
         integral = 0j
         for a, b, c in zip(values[::2], values[1::2], values[2::2]):

@@ -34,7 +34,7 @@ from .poly import Poly, PolyRing
 from .scalars import GaussianRational
 from .surface import (NotTangentError, SamplingError, SamplingSpec,
                       SurfacePoint, SuspensionContext, basepoint_search,
-                      divergence_on_suspension, sample_zero_fiber,
+                      divergence_on_suspension, is_tangent, sample_zero_fiber,
                       smoothness_witness, tangent_basis)
 
 
@@ -52,13 +52,13 @@ class KernelFamily:
     generators: tuple[Poly, ...]
 
 
-def verify_kernel(theta, generators: Sequence[Poly]) -> KernelFamily:
+def verify_kernel(theta: VectorField,
+                  generators: Sequence[Poly]) -> KernelFamily:
     """Check that the field annihilates every generator, exactly."""
-    owner = getattr(theta, "ambient", theta)
     for k in generators:
-        if not owner.apply(k).is_zero:
+        if not theta.apply(k).is_zero:
             raise CertifyError(f"not annihilated by the field: {k}")
-    return KernelFamily(owner, tuple(generators))
+    return KernelFamily(theta, tuple(generators))
 
 
 def monomial_closure(generators: Sequence[Poly], ring: PolyRing,
@@ -254,8 +254,8 @@ class LiftedPair:
     alpha: VectorField
     beta: VectorField
     orientation: str               # "uv": (alpha_u, beta_v); "vu": mirrored
-    nu: object                     # SuspensionField
-    mu: object
+    nu: VectorField
+    mu: VectorField
     kernel_nu: KernelFamily
     kernel_mu: KernelFamily
     ideal: tuple[Poly, ...]
@@ -440,8 +440,8 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
         entry: dict = {"index": k,
                        "alpha": [str(c) for c in spec.alpha.coeffs],
                        "beta": [str(c) for c in spec.beta.coeffs]}
-        div_ok = divergence(spec.alpha, ctx.base_volume).is_zero and \
-            divergence(spec.beta, ctx.base_volume).is_zero
+        div_ok = divergence(spec.alpha).is_zero and \
+            divergence(spec.beta).is_zero
         entry["divergence_free"] = div_ok
         if not div_ok:
             problems.append(f"pair {k}: base fields are not volume preserving")
@@ -462,10 +462,10 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
             lifted = lift_pair(spec.alpha, spec.beta, spec.kernel_alpha,
                                spec.kernel_beta, ideal, ctx, orientation,
                                ideal_bound=degree_bound)
-            lifted_div_ok = (
-                lifted.nu.multiplier.is_zero and lifted.mu.multiplier.is_zero
-                and divergence_on_suspension(lifted.nu, ctx).is_zero
-                and divergence_on_suspension(lifted.mu, ctx).is_zero)
+            lifted_div_ok = all(
+                is_tangent(f, ctx).is_zero
+                and divergence_on_suspension(f, ctx).is_zero
+                for f in (lifted.nu, lifted.mu))
             if not lifted_div_ok:
                 problems.append(
                     f"pair {k} ({orientation}): lifted fields fail the "

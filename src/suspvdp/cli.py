@@ -9,7 +9,10 @@ Exit codes: 0 when every sub-check succeeded (for `criterion`, verdict
 certified-at-samples), 1 when a sub-check failed or stayed inconclusive,
 2 for scenario parse errors, input the subcommand cannot work on (no
 sample can be drawn, a kernel generator is not annihilated, a dictionary
-entry is not volume preserving) and internal faults.
+entry is not volume preserving) and internal faults; an internal fault
+also leaves its traceback in `fault.txt` in the output directory.  A
+numeric flow that overflows or leaves the surface is a failed row of the
+flow report, not a fault.
 
 Every run writes a JSON document and delimiter-separated tables into the
 output directory; those files and the PNG figures are byte-identical for
@@ -37,7 +40,8 @@ from .poly import ParseError
 from .report import (format_complex, render_curve_figure, render_flow_figure,
                      render_rank_figure, write_delimited, write_json)
 from .scenario import Scenario, ScenarioError, load_scenario
-from .surface import SamplingError, divergence_on_suspension, sample_points
+from .surface import (SamplingError, SuspensionError,
+                      divergence_on_suspension, is_tangent, sample_points)
 
 FLOW_TOL = 1e-9
 DET_TOL_SYMBOLIC = 1e-8
@@ -111,6 +115,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a fault.txt left by an earlier run would be taken for this one's
+        (Path(args.out) / "fault.txt").unlink(missing_ok=True)
         return args.handler(args)
     except (ScenarioError, ParseError, SamplingError, CertifyError,
             ApproxError) as exc:
@@ -118,6 +124,11 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:                      # internal fault
         print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback                          # only a fault needs it
+        try:
+            (_out_dir(args) / "fault.txt").write_text(traceback.format_exc())
+        except OSError as err:
+            print(f"could not write fault.txt: {err}", file=sys.stderr)
         return 2
 
 
@@ -160,12 +171,12 @@ def _scenario_lift_checks(scenario: Scenario) -> list[dict]:
     for k, spec in enumerate(scenario.pairs):
         failures = []
         for label, base in (("alpha", spec.alpha), ("beta", spec.beta)):
-            if not divergence(base, ctx.base_volume).is_zero:
+            if not divergence(base).is_zero:
                 failures.append(f"{label} is not volume preserving")
         for side in ("u", "v"):
             for label, base in (("alpha", spec.alpha), ("beta", spec.beta)):
                 lifted = lift(base, ctx, side)
-                if not lifted.multiplier.is_zero:
+                if not is_tangent(lifted, ctx).is_zero:
                     failures.append(f"{label} side-{side} lift not tangent")
                 elif not divergence_on_suspension(lifted, ctx).is_zero:
                     failures.append(
@@ -260,12 +271,11 @@ def _cmd_flow(args) -> int:
             and abs(complex(p.complex_coords()[1])) >= 0.25]
 
     reference = lift(theta, ctx, fs.side)
-    t0 = time.perf_counter()
-    rows = []
-    for p in kept:
+
+    def audit(p) -> dict:
         end = flow_map.apply(p, t)
         end_coords = [complex(c) for c in end.complex_coords()]
-        check = rk4_flow(reference.ambient.evaluate_complex,
+        check = rk4_flow(reference.evaluate_complex,
                          list(p.complex_coords()), complex(t),
                          2048 if flow_map.symbolic else 8192)
         deviation = max(abs(a - b) for a, b in zip(end_coords, check))
@@ -273,9 +283,21 @@ def _cmd_flow(args) -> int:
         det_error = abs(det - 1.0)
         residual = abs(ctx.defining.evaluate_complex(end_coords))
         ok = deviation <= tol and det_error <= det_tol and residual <= 1e-8
-        rows.append({"point": str(p), "deviation": deviation,
-                     "det_error": det_error, "surface_residual": residual,
-                     "ok": ok})
+        return {"point": str(p), "deviation": deviation,
+                "det_error": det_error, "surface_residual": residual,
+                "ok": ok}
+
+    t0 = time.perf_counter()
+    rows = []
+    for p in kept:
+        try:
+            rows.append(audit(p))
+        except (SuspensionError, ArithmeticError) as exc:
+            # a long flow can overflow or leave the surface: a failed row
+            rows.append({"point": str(p), "deviation": math.nan,
+                         "det_error": math.nan, "surface_residual": math.nan,
+                         "ok": False,
+                         "error": f"{type(exc).__name__}: {exc}"})
 
     elapsed = time.perf_counter() - t0
 
@@ -304,13 +326,16 @@ def _cmd_flow(args) -> int:
     if not args.no_figures:
         render_flow_figure(out / "flow_errors.png", rows)
 
+    def worst(key: str) -> float:                 # a failed (NaN) row is worst
+        values = [r[key] for r in rows]
+        return math.nan if not values or any(map(math.isnan, values)) \
+            else max(values)
+
     kind = "closed form" if flow_map.symbolic else "numeric fallback"
     print(f"flow: {kind}, side {fs.side}, t = {fs.time}, "
           f"{len(rows)} points audited")
-    worst_dev = max((r["deviation"] for r in rows), default=float("nan"))
-    worst_det = max((r["det_error"] for r in rows), default=float("nan"))
-    print(f"worst deviation {worst_dev:.3e} (tol {tol:.1e}), "
-          f"worst |det - 1| {worst_det:.3e} (tol {det_tol:.1e})")
+    print(f"worst deviation {worst('deviation'):.3e} (tol {tol:.1e}), "
+          f"worst |det - 1| {worst('det_error'):.3e} (tol {det_tol:.1e})")
     print(f"report written to {out}")
     return 0 if ok else 1
 

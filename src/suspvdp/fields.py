@@ -8,7 +8,10 @@ Conventions, fixed once and tested:
 * the exterior derivative wedges the new differential from the left;
 * the Lie derivative on forms is computed by Cartan's formula
   L = d i + i d, and an independent slot-by-slot evaluator
-  (`lie_derivative_direct`) exists purely to cross-check it.
+  (`lie_derivative_direct`) exists purely to cross-check it;
+* the divergence of a field is its coefficient trace, the divergence
+  against the standard volume form `volume_form`; `verify` cross-checks
+  it against Cartan's formula.
 
 Under these conventions the classical identities (antiderivation rule,
 d after d vanishing, Jacobi, the divergence product rule, and the
@@ -314,51 +317,23 @@ def lie_derivative_direct(theta: VectorField, a: DiffForm) -> DiffForm:
 
 
 # ---------------------------------------------------------------------------
-# volume forms and divergence
+# the standard volume form and divergence
 
 
-@dataclass(frozen=True)
-class VolumeForm:
-    """A top-degree form with coefficient not identically zero."""
-
-    form: DiffForm
-
-    def __post_init__(self):
-        if self.form.degree != self.form.ring.nvars:
-            raise FieldError("volume form must have top degree")
-        if self.form.is_zero:
-            raise FieldError("degenerate volume form")
-
-    @staticmethod
-    def standard(ring: PolyRing) -> "VolumeForm":
-        key = tuple(range(ring.nvars))
-        return VolumeForm(DiffForm(ring, ring.nvars, {key: ring.one()}))
-
-    @property
-    def ring(self) -> PolyRing:
-        return self.form.ring
-
-    @property
-    def coefficient(self) -> Poly:
-        return self.form.coeffs[tuple(range(self.ring.nvars))]
+def volume_form(ring: PolyRing) -> DiffForm:
+    """The standard top-degree form dx_1 ^ ... ^ dx_n of `ring`."""
+    return DiffForm(ring, ring.nvars, {tuple(range(ring.nvars)): ring.one()})
 
 
-def divergence(theta: VectorField, volume: VolumeForm) -> Poly:
-    """The function whose product with the volume form is the Lie
-    derivative of the volume form along `theta`."""
-    if theta.ring.variables != volume.ring.variables:
-        raise FieldError("mismatched rings")
-    lv = lie_derivative(theta, volume.form)
-    key = tuple(range(volume.ring.nvars))
-    num = lv.coeffs.get(key, volume.ring.zero())
-    if num.is_zero:
-        return volume.ring.zero()
-    quot = num.divide_exact(volume.coefficient)
-    if quot is None:
-        raise FieldError("divergence is not polynomial for this volume form")
-    return quot
+def divergence(theta: VectorField) -> Poly:
+    """The coefficient trace sum_j d coeffs[j] / dx_j, the divergence
+    against `volume_form` (the `divergence-leibniz` suite checks it against
+    Cartan's formula)."""
+    return sum((c.derivative(j) for j, c in enumerate(theta.coeffs)),
+               theta.ring.zero())
 
 
-def pair_to_form(nu: VectorField, mu: VectorField, volume: VolumeForm) -> DiffForm:
-    """Double contraction of the volume form: first `mu`, then `nu`."""
-    return interior_product(nu, interior_product(mu, volume.form))
+def pair_to_form(nu: VectorField, mu: VectorField) -> DiffForm:
+    """Double contraction of the standard volume form: first `mu`, then
+    `nu`."""
+    return interior_product(nu, interior_product(mu, volume_form(nu.ring)))

@@ -37,8 +37,8 @@ from typing import Callable, Sequence, TypeVar
 from .fields import VectorField
 from .poly import COMPLEX, EXACT, Evaluated, Poly, PolyError, PolyRing
 from .scalars import GaussianRational, gr
-from .surface import (SurfacePoint, SuspensionContext, SuspensionField,
-                      basepoint_rules, surface_point, tangent_field)
+from .surface import (SurfacePoint, SuspensionContext, basepoint_rules,
+                      is_tangent, surface_point)
 
 
 class LiftError(ValueError):
@@ -90,8 +90,9 @@ def extend_trivially(theta: VectorField, ctx: SuspensionContext) -> VectorField:
     return VectorField(ctx.ring, tuple(coeffs))
 
 
-def lift(theta: VectorField, ctx: SuspensionContext, side: str) -> SuspensionField:
-    """The tangent lift on the requested side ("u" or "v")."""
+def lift(theta: VectorField, ctx: SuspensionContext, side: str) -> VectorField:
+    """The tangent lift on the requested side ("u" or "v"), certified
+    tangent by `is_tangent`."""
     if side not in ("u", "v"):
         raise LiftError(f"side must be 'u' or 'v', not {side!r}")
     ext = extend_trivially(theta, ctx)
@@ -100,7 +101,9 @@ def lift(theta: VectorField, ctx: SuspensionContext, side: str) -> SuspensionFie
     scaled = ext.scale(mult)
     coeffs = list(scaled.coeffs)
     coeffs[0 if side == "u" else 1] = coeffs[0 if side == "u" else 1] + theta_f
-    return tangent_field(VectorField(ctx.ring, tuple(coeffs)), ctx)
+    lifted = VectorField(ctx.ring, tuple(coeffs))
+    is_tangent(lifted, ctx)
+    return lifted
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,7 @@ class LiftedFlowMap(Evaluated):
     side: str
     symbolic: bool
     components: tuple[Poly, ...] | None = None      # in ring (u,v,z...,t)
-    numeric_field: SuspensionField | None = None
+    numeric_field: VectorField | None = None
 
     def evaluated(self):
         return self.components[0].ring, self.components
@@ -193,7 +196,7 @@ class LiftedFlowMap(Evaluated):
             coords = self.evaluator(COMPLEX)(
                 point.complex_coords() + (complex(t),))
         else:
-            coords = rk4_flow(self.numeric_field.ambient.evaluate_complex,
+            coords = rk4_flow(self.numeric_field.evaluate_complex,
                               list(point.complex_coords()), complex(t),
                               FLOW_STEPS)
         return surface_point(self.ctx, coords,
@@ -430,31 +433,26 @@ def _worker_results(worker: tuple[int, int] | None,
 # pullback along kernel-scaled shears
 
 
-def _pullback_parts(mu, theta,
-                    g: Poly) -> tuple[VectorField, VectorField, Poly]:
-    """The ambient fields mu and theta (plain or tangent wrappers) and
-    mu(g), after checking that g lies in the kernel of theta.  They serve
+def _shear_factor(mu: VectorField, theta: VectorField, g: Poly) -> Poly:
+    """mu(g), after checking that g lies in the kernel of theta.  It serves
     the shear function g - c for every constant c, which changes neither
     the kernel condition nor mu(g): where g - c vanishes, the pullback of
     mu under the inverse time-1 flow of (g - c)*theta is mu + mu(g)*theta."""
-    mu = getattr(mu, "ambient", mu)
-    theta = getattr(theta, "ambient", theta)
     if not theta.apply(g).is_zero:
         raise LiftError("the shear function must lie in the kernel of the field")
-    return mu, theta, mu.apply(g)
+    return mu.apply(g)
 
 
-def shear_pullback(mu, theta, g: Poly,
+def shear_pullback(mu: VectorField, theta: VectorField, g: Poly,
                    point: SurfacePoint) -> list[GaussianRational]:
     """Value at `point` of the pullback of `mu` under the inverse time-1
     flow of g*theta, where g is in the kernel of theta and vanishes at the
     point:  mu(p) + mu(g)(p) * theta(p).
 
-    Accepts plain ambient fields or tangent wrappers.  Completeness of
-    g*theta is the caller's responsibility; it holds for the kernel-scaled
-    complete fields this package constructs.
+    Completeness of g*theta is the caller's responsibility; it holds for
+    the kernel-scaled complete fields this package constructs.
     """
-    mu, theta, mu_g = _pullback_parts(mu, theta, g)
+    mu_g = _shear_factor(mu, theta, g)
     if not point.exact:
         raise LiftError("pullback evaluation needs an exact point")
     coords = point.coords
@@ -561,7 +559,7 @@ class SpanningFamily:
     notes: dict = field(default_factory=dict)
 
 
-# the `_pullback_parts` (mu, theta, mu(g)) as indices into a plan's
+# a pullback's mu, theta and `_shear_factor` mu(g) as indices into a plan's
 # polynomials: where the shear function vanishes, the value is
 # mu + mu(g) * theta
 _Pullback = tuple[tuple[int, ...], tuple[int, ...], int]
@@ -693,13 +691,13 @@ def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]
                   ctx: SuspensionContext) -> SpanningPlan:
     """Lift every source pair and prepare its pullbacks, once; see
     `spanning_family` for what the plan evaluates at a basepoint.  Every
-    family vector is built from tangent fields with certified multipliers
-    (the lifts and the radial field), so it is tangent at any exact point
+    family vector is built from fields that `is_tangent` certified (the
+    lifts and the radial field), so it is tangent at any exact point
     of the surface."""
     ring = ctx.ring
     u = ring.var("u")
-    radial = tangent_field(VectorField(ring, (
-        u, -ring.var("v"), *[ring.zero()] * ctx.n)), ctx)
+    radial = VectorField(ring, (u, -ring.var("v"), *[ring.zero()] * ctx.n))
+    is_tangent(radial, ctx)
     polys: dict[Poly, int] = {}
 
     def slot(p: Poly) -> int:
@@ -708,8 +706,8 @@ def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]
     def slots(ps: Sequence[Poly]) -> tuple[int, ...]:
         return tuple(slot(p) for p in ps)
 
-    def pullback(mu, theta, g: Poly) -> _Pullback:
-        mu, theta, mu_g = _pullback_parts(mu, theta, g)
+    def pullback(mu: VectorField, theta: VectorField, g: Poly) -> _Pullback:
+        mu_g = _shear_factor(mu, theta, g)
         return slots(mu.coeffs), slots(theta.coeffs), slot(mu_g)
 
     rules = tuple((name, slots(ps)) for name, ps in
@@ -718,7 +716,7 @@ def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]
     for idx, (alpha, beta, gens) in enumerate(pairs):
         alpha_u, alpha_v = lift(alpha, ctx, "u"), lift(alpha, ctx, "v")
         beta_u, beta_v = lift(beta, ctx, "u"), lift(beta, ctx, "v")
-        lifted.append(tuple(slots(f.ambient.coeffs)
+        lifted.append(tuple(slots(f.coeffs)
                             for f in (alpha_u, alpha_v, beta_u, beta_v)))
         gens_slots.append(slots(gens))
         alpha_f, beta_f = alpha.apply(ctx.f_base), beta.apply(ctx.f_base)

@@ -26,9 +26,8 @@ from .fields import VectorField
 from .lifts import twist_field
 from .poly import ParseError, PolyRing
 from .surface import (NotTangentError, SamplingError, SamplingSpec,
-                      SuspensionContext, SuspensionError, SuspensionField,
-                      divergence_on_suspension, make_suspension,
-                      tangent_field)
+                      SuspensionContext, SuspensionError,
+                      divergence_on_suspension, make_suspension)
 
 
 class ScenarioError(ValueError):
@@ -49,7 +48,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class ApproxScenario:
     target: str                  # canonical text: twist, twist(h) or [..]
-    field: SuspensionField
+    field: VectorField           # ambient, tangent to the surface
     curve_degrees: tuple[int, ...] = (0, 1, 2)
 
 
@@ -346,20 +345,21 @@ def _parse_target(raw: str, ctx, line: int | None, offset: int):
     coefficients, which must be tangent and volume preserving.  The
     canonical text parses back to the same field."""
     if raw == "twist":
-        return raw, tangent_field(twist_field(ctx, ctx.base_ring.one()), ctx)
+        return raw, twist_field(ctx, ctx.base_ring.one())
     if raw.startswith("twist(") and raw.endswith(")"):
         h = _parse_poly(raw[len("twist("):-1], ctx.base_ring, line,
                         offset + len("twist("))
-        return f"twist({h})", tangent_field(twist_field(ctx, h), ctx)
+        return f"twist({h})", twist_field(ctx, h)
     coeffs = _coeff_list(raw, line, offset, ctx.ring.nvars, ctx.ring, "target")
+    theta = VectorField(ctx.ring, coeffs)
     try:
-        sf = tangent_field(VectorField(ctx.ring, coeffs), ctx)
+        div = divergence_on_suspension(theta, ctx)
     except NotTangentError:
         raise ScenarioError("approx target is not tangent to the surface",
                             line)
-    if not divergence_on_suspension(sf, ctx).is_zero:
+    if not div.is_zero:
         raise ScenarioError("approx target is not volume preserving", line)
-    return _coeff_text(sf.ambient), sf
+    return _coeff_text(theta), theta
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Suspension hypersurfaces uv = f(z) inside C^2 x C^n.
 
 The ambient coordinate order is (u, v, z1, ..., zn) and the ambient volume
-form is the standard one, du dv dz1 ... dzn.  The surface itself is never
-given an explicit volume form here: every divergence computation against
-the induced form is routed through the ambient divergence and the tangency
-multiplier (see `divergence_on_suspension`), which keeps the whole layer
-polynomial and exact.
+form is the standard one, du dv dz1 ... dzn.  A field is a plain ambient
+`VectorField`; `is_tangent` certifies it and returns its multiplier.  The
+surface itself is never given an explicit volume form: a divergence
+against the induced form is the ambient divergence minus that multiplier
+(`divergence_on_suspension`), which keeps the whole layer polynomial and
+exact.
 
 Membership in the ideal generated by the defining polynomial uv - f is
 decided by a normal form that rewrites every uv into f until no monomial
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fields import VectorField, VolumeForm, divergence
+from .fields import VectorField, divergence
 from .linalg import ExactMatrix, nullspace, span_solve
 from .poly import EXACT, Domain, Evaluated, Poly, PolyRing, compile_values
 from .scalars import GaussianRational, ZERO, _canonical, gr
@@ -58,8 +59,6 @@ class SuspensionContext(Evaluated):
     f_base: Poly       # the same polynomial in the base ring
     defining: Poly     # uv - f
     partials: tuple[Poly, ...]   # df/dz_j in the base ring
-    volume: VolumeForm
-    base_volume: VolumeForm
     _f_powers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def f_power(self, k: int) -> Poly:
@@ -127,29 +126,16 @@ def make_suspension(n: int, f) -> SuspensionContext:
     return SuspensionContext(
         n=n, ring=ring, base_ring=base_ring, f=f_amb, f_base=f_base,
         defining=defining,
-        partials=tuple(f_base.derivative(j) for j in range(n)),
-        volume=VolumeForm.standard(ring),
-        base_volume=VolumeForm.standard(base_ring))
+        partials=tuple(f_base.derivative(j) for j in range(n)))
 
 
 # ---------------------------------------------------------------------------
 # tangent fields
 
 
-@dataclass(frozen=True)
-class SuspensionField:
-    """An ambient field tangent to the surface, with the certified
-    multiplier q from  field(uv - f) = q * (uv - f)."""
-
-    ambient: VectorField
-    multiplier: Poly
-
-    def scale(self, h: Poly) -> "SuspensionField":
-        return SuspensionField(self.ambient.scale(h), self.multiplier * h)
-
-
 def is_tangent(theta: VectorField, ctx: SuspensionContext) -> Poly:
-    """Tangency multiplier of an ambient field, or NotTangentError."""
+    """Tangency multiplier q of an ambient field, with
+    theta(uv - f) = q * (uv - f), or NotTangentError."""
     if theta.ring.variables != ctx.ring.variables:
         raise SuspensionError("field lives in the wrong ring")
     value = theta.apply(ctx.defining)
@@ -160,21 +146,18 @@ def is_tangent(theta: VectorField, ctx: SuspensionContext) -> Poly:
     return q
 
 
-def tangent_field(theta: VectorField, ctx: SuspensionContext) -> SuspensionField:
-    return SuspensionField(theta, is_tangent(theta, ctx))
-
-
-def divergence_on_suspension(sf: SuspensionField, ctx: SuspensionContext) -> Poly:
-    """Divergence against the induced volume form on the surface, as the
-    normal form of (ambient divergence - tangency multiplier).
+def divergence_on_suspension(theta: VectorField,
+                             ctx: SuspensionContext) -> Poly:
+    """Divergence of a tangent field against the induced volume form on
+    the surface, as the normal form of (ambient divergence - tangency
+    multiplier); NotTangentError for a field that is not tangent.
 
     The induced form is characterised by wedging with d(uv - f) to give
     the ambient volume; the correction term below is exactly what that
     characterisation forces for a tangent field, so no explicit surface
     volume form is ever materialised.
     """
-    amb = divergence(sf.ambient, ctx.volume)
-    return ctx.normal_form(amb - sf.multiplier)
+    return ctx.normal_form(divergence(theta) - is_tangent(theta, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +297,8 @@ def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoi
     (in float mode only |u| >= 1/4 is kept).
 
     Points satisfy the surface equation exactly in exact mode and to
-    floating accuracy otherwise; sampling is pure given the seed.
+    floating accuracy otherwise, by construction, so neither kind is
+    checked again; sampling is pure given the seed.
     """
     rng = random.Random(spec.seed)
     scalar = _exact_scalar_draw(rng, spec)
@@ -329,8 +313,8 @@ def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoi
         else:
             z = [_rand_float_scalar(rng, spec) for _ in range(ctx.n)]
             u = _rand_float_scalar(rng, spec)
-            point = None if abs(u) < 0.25 else surface_point(
-                ctx, (u, ctx.f_base.evaluate_complex(z) / u, *z))
+            point = None if abs(u) < 0.25 else SurfacePoint(
+                (u, ctx.f_base.evaluate_complex(z) / u, *z), False)
         if point is not None:
             out.append(point)
     return out

@@ -3,6 +3,7 @@ and the flow and volume audits."""
 
 import cmath
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy
@@ -19,8 +20,8 @@ from suspvdp.lifts import twist_field
 from suspvdp.poly import COMPLEX
 from suspvdp.scalars import gr
 from suspvdp.scenario import load_scenario
-from suspvdp.surface import (SamplingSpec, make_suspension, sample_points,
-                             surface_point, tangent_field)
+from suspvdp.surface import (SamplingSpec, is_tangent, make_suspension,
+                             sample_points, surface_point)
 
 
 def plane_ctx():
@@ -46,7 +47,7 @@ def entry_index(dictionary, provenance):
 
 
 def twist_target(ctx, h_text="1"):
-    return tangent_field(twist_field(ctx, ctx.base_ring.parse(h_text)), ctx)
+    return twist_field(ctx, ctx.base_ring.parse(h_text))
 
 
 def test_dictionary_degree_zero_contents():
@@ -60,8 +61,21 @@ def test_dictionary_degree_zero_contents():
     # the guard in the builder already enforces these; re-check anyway
     from suspvdp.surface import divergence_on_suspension
     for e in d.entries:
-        assert e.field.multiplier.is_zero
+        assert is_tangent(e.field, ctx).is_zero
         assert divergence_on_suspension(e.field, ctx).is_zero
+
+
+def test_dictionary_rejects_entry_with_nonzero_multiplier():
+    # u*d_u + z1*d_z1 is tangent to u*v = z1 with multiplier 1, so it is
+    # not volume preserving and may not enter the dictionary
+    ctx = plane_ctx()
+    expanding = VectorField(ctx.ring, (
+        ctx.ring.parse("u"), ctx.ring.zero(), ctx.ring.parse("z1"),
+        ctx.ring.zero()))
+    assert is_tangent(expanding, ctx) == ctx.ring.one()
+    pair = replace(plane_pair(ctx), nu=expanding)
+    with pytest.raises(ApproxError, match="not tangent"):
+        build_dictionary(ctx, [pair], 0)
 
 
 def test_dictionary_dedupes_repeated_pairs():
@@ -96,7 +110,7 @@ def test_fit_recovers_bracket_direction():
     ctx = plane_ctx()
     d = build_dictionary(ctx, [plane_pair(ctx)], 0)
     # [nu_u, mu_v] = d_z2 here; feed d_z2 back in as the target
-    target = tangent_field(VectorField.coordinate(ctx.ring, "z2"), ctx)
+    target = VectorField.coordinate(ctx.ring, "z2")
     fit = fit_field(target, d, plane_samples(ctx))
     assert fit.sup_residual <= 1e-10
     bracket_i = entry_index(d, "bracket")
@@ -116,9 +130,9 @@ def test_fit_recovers_exact_combinations():
         coeffs = {i: rng.choice(pool) for i in chosen}
         amb_coeffs = [ctx.ring.zero() for _ in range(ctx.ring.nvars)]
         for i, c in coeffs.items():
-            for k, p in enumerate(d.entries[i].field.ambient.coeffs):
+            for k, p in enumerate(d.entries[i].field.coeffs):
                 amb_coeffs[k] = amb_coeffs[k] + p.scale(c)
-        target = tangent_field(VectorField(ctx.ring, tuple(amb_coeffs)), ctx)
+        target = VectorField(ctx.ring, tuple(amb_coeffs))
         fit = fit_field(target, d, samples)
         assert fit.sup_residual <= 1e-10, f"trial {trial}"
         # coefficients may differ when entries are dependent on the
@@ -127,7 +141,7 @@ def test_fit_recovers_exact_combinations():
         for p in fresh:
             coords = list(p.complex_coords())
             got = fitted(coords)
-            want = target.ambient.evaluate_complex(coords)
+            want = target.evaluate_complex(coords)
             frame_err = max(abs(a - b) for a, b in zip(got, want))
             assert frame_err <= 1e-8, f"trial {trial}: {frame_err}"
 
@@ -203,10 +217,10 @@ def test_stacked_projection_equals_per_column_products(name):
     for p, block, target_value in zip(samples, blocks, rhs):
         coords = p.complex_coords()
         frame_h = approx.tangent_frame(gradient(coords))
-        assert (frame_h @ numpy.array(target.ambient.evaluate_complex(
+        assert (frame_h @ numpy.array(target.evaluate_complex(
             coords))).tobytes() == target_value.tobytes()
         for key, sf in fields.items():
-            v = numpy.array(sf.ambient.evaluate_complex(coords))
+            v = numpy.array(sf.evaluate_complex(coords))
             assert (frame_h @ v).tobytes() == block[:, column[key]].tobytes()
 
 
@@ -231,9 +245,9 @@ def test_fit_rejects_bad_input():
     ctx = plane_ctx()
     d = build_dictionary(ctx, [plane_pair(ctx)], 0)
     samples = plane_samples(ctx, count=4)
-    expanding = tangent_field(VectorField(ctx.ring, (
+    expanding = VectorField(ctx.ring, (
         ctx.ring.parse("u"), ctx.ring.zero(), ctx.ring.parse("z1"),
-        ctx.ring.zero())), ctx)
+        ctx.ring.zero()))
     with pytest.raises(ApproxError):
         fit_field(expanding, d, samples)
     with pytest.raises(ApproxError):
@@ -299,8 +313,8 @@ def test_volume_audit_matches_divergence_integral():
     ctx = make_suspension(1, "z1")
     # u d_u + z1 d_z1 is tangent with surface divergence exactly 1, so the
     # weighted chart determinant of the time-t flow must be e^t
-    sf = tangent_field(VectorField(ctx.ring, (
-        ctx.ring.parse("u"), ctx.ring.zero(), ctx.ring.parse("z1"))), ctx)
+    sf = VectorField(ctx.ring, (
+        ctx.ring.parse("u"), ctx.ring.zero(), ctx.ring.parse("z1")))
     point = surface_point(ctx, [1.0, 0.5, 0.5], tol=1e-9)
     with volume_audit(sf, ctx, point) as wait:
         out = wait()

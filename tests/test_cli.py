@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -219,8 +220,8 @@ def test_each_run_parses_its_scenario_once(tmp_path, monkeypatch):
     for module in (surface_mod, scenario_mod):
         monkeypatch.setattr(module, "make_suspension",
                             counting("context", module.make_suspension))
-    monkeypatch.setattr(scenario_mod, "tangent_field",
-                        counting("target", scenario_mod.tangent_field))
+    monkeypatch.setattr(scenario_mod, "twist_field",
+                        counting("target", scenario_mod.twist_field))
     for command in ("criterion", "approx"):
         calls.clear()
         assert run([command, "--scenario", "plane", "--samples", "4",
@@ -237,6 +238,7 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "column" in err
+    assert not (tmp_path / "o" / "fault.txt").exists()
 
 
 UNANNIHILATED_KERNEL = """
@@ -278,6 +280,73 @@ def test_unusable_input_is_an_error_not_a_fault(tmp_path, capsys, command,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _bundled_text(name: str, old: str, new: str) -> str:
+    text = (resources.files("suspvdp") / "scenarios" / f"{name}.scn"
+            ).read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("command", ["approx", "flow"])
+def test_wide_float_region_gives_a_verdict(tmp_path, capsys, command):
+    # float draws over a wide region have residuals above 1e-12 only by
+    # rounding; they are built on the surface and not checked again
+    scn = tmp_path / "wide.scn"
+    scn.write_text(_bundled_text(
+        "hyperbola", "region = -2 .. 2\nexactness = exact",
+        "region = -1000 .. 1000\nexactness = float"))
+    out = tmp_path / "o"
+    code = run([command, "--scenario", str(scn), "--samples", "3",
+                "--out", str(out), "--no-figures"])
+    assert code == 1
+    assert "internal fault" not in capsys.readouterr().err
+    assert json.loads((out / f"{command}.json").read_text())["ok"] is False
+
+
+@pytest.mark.parametrize("time_text", ["1000", "2000"])
+def test_diverging_numeric_flow_is_a_failed_row(tmp_path, capsys, time_text):
+    # the rotation field's RK4 flow blows up at long times: overflow on
+    # the way, or a NaN end point off the surface
+    scn = tmp_path / "long.scn"
+    scn.write_text(_bundled_text("circle", "time = 1/4",
+                                 f"time = {time_text}"))
+    out = tmp_path / "o"
+    code = run(["flow", "--scenario", str(scn), "--samples", "2",
+                "--out", str(out), "--no-figures"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "internal fault" not in captured.err
+    assert "worst deviation nan" in captured.out
+    doc = json.loads((out / "flow.json").read_text())
+    assert doc["ok"] is False and doc["points_audited"] == 2
+    failed = [r for r in doc["rows"] if "error" in r]
+    assert failed and all(not r["ok"] for r in failed)
+    assert {r["error"].split(":")[0] for r in failed} <= {
+        "OverflowError", "SuspensionError"}
+    assert failed[0]["deviation"] == "nan"
+    assert len((out / "flow_errors.csv").read_text().splitlines()) == 3
+
+
+def test_internal_fault_leaves_a_traceback(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_vdp_criterion", broken)
+    out = tmp_path / "o"
+    code = run(["criterion", "--scenario", "plane", "--out", str(out),
+                "--no-figures"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "internal fault: RuntimeError: boom\n"
+    fault = (out / "fault.txt").read_text()
+    assert fault.startswith("Traceback (most recent call last):")
+    assert "in broken" in fault and fault.endswith("RuntimeError: boom\n")
+    monkeypatch.undo()
+    assert run(["criterion", "--scenario", "plane", "--samples", "4",
+                "--out", str(out), "--no-figures"]) == 0
+    assert not (out / "fault.txt").exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -26,8 +26,8 @@ from suspvdp.poly import (COMPLEX, EXACT, Poly, PolyError, PolyRing,
                           compile_complex_sum, compile_values)
 from suspvdp.scalars import ZERO, GaussianRational, gr
 from suspvdp.scenario import load_scenario
-from suspvdp.surface import (SamplingSpec, SuspensionField, basepoint_search,
-                             make_suspension, sample_points)
+from suspvdp.surface import (SamplingSpec, basepoint_search, make_suspension,
+                             sample_points)
 
 R = PolyRing(("u", "v", "z1", "z2"))
 
@@ -214,7 +214,7 @@ def test_fitted_evaluator_matches_loop_and_drops_zero_weights():
                             ("0", "u^2 - 3i*z2", "v", "0"),
                             ("z1*z2", "0", "u", "u*v"))]
     dictionary = Dictionary(ctx, [
-        DictionaryEntry(SuspensionField(f, ctx.ring.zero()), f"e{k}", "test")
+        DictionaryEntry(f, f"e{k}", "test")
         for k, f in enumerate(fields)])
     coeffs = [0.5 - 2j, 0j, -1.25 + 0.5j]
     fitted = fitted_evaluator(dictionary, coeffs)

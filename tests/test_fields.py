@@ -1,18 +1,16 @@
 import random
 
-import pytest
-
-from suspvdp.fields import (DiffForm, FieldError, VectorField, VolumeForm,
-                            divergence, exterior_derivative,
-                            interior_product, lie_bracket, lie_derivative,
+from suspvdp.fields import (DiffForm, VectorField, divergence,
+                            exterior_derivative, interior_product,
+                            lie_bracket, lie_derivative,
                             lie_derivative_direct, pair_to_form,
-                            sort_with_sign, wedge)
+                            sort_with_sign, volume_form, wedge)
 from suspvdp.poly import PolyRing
 from suspvdp.randgen import (rand_divergence_free_field, rand_field,
                              rand_form, rand_poly)
 
 R = PolyRing(("u", "v", "z1", "z2"))
-VOL = VolumeForm.standard(R)
+VOL = volume_form(R)
 
 
 def field(*texts):
@@ -135,7 +133,8 @@ def test_divergence_default_volume_is_coefficient_divergence():
         expected = R.zero()
         for i, c in enumerate(theta.coeffs):
             expected = expected + c.derivative(i)
-        assert divergence(theta, VOL) == expected
+        assert divergence(theta) == expected
+        assert lie_derivative(theta, VOL) == VOL.scale(expected)
 
 
 def test_divergence_product_rule():
@@ -143,35 +142,16 @@ def test_divergence_product_rule():
     for _ in range(40):
         theta = rand_field(R, rng, max_degree=3)
         h = rand_poly(R, rng, max_degree=3)
-        lhs = divergence(theta.scale(h), VOL)
-        rhs = h * divergence(theta, VOL) + theta.apply(h)
+        lhs = divergence(theta.scale(h))
+        rhs = h * divergence(theta) + theta.apply(h)
         assert lhs == rhs
-
-
-def test_divergence_with_polynomial_volume_coefficient():
-    w = R.parse("z1")
-    vol = VolumeForm(DiffForm(R, 4, {(0, 1, 2, 3): w}))
-    theta = field("0", "0", "z1^2", "0")
-    # L_theta(w dx) = (theta(w) + w * div0) dx with div0 = 2 z1
-    assert divergence(theta, vol) == R.parse("3*z1")
-    bad = field("0", "0", "z2", "0")
-    with pytest.raises(FieldError):
-        divergence(bad, vol)
-
-
-def test_degenerate_volume_rejected():
-    with pytest.raises(FieldError):
-        VolumeForm(DiffForm.zero(R, 4))
-    with pytest.raises(FieldError):
-        VolumeForm(DiffForm.zero(R, 2))
 
 
 def test_field_to_closed_form_example_and_closedness():
     ring2 = PolyRing(("u", "v"))
-    vol2 = VolumeForm.standard(ring2)
     theta = VectorField(ring2, (ring2.parse("u"), ring2.parse("-v")))
-    assert divergence(theta, vol2).is_zero
-    got = interior_product(theta, vol2.form)
+    assert divergence(theta).is_zero
+    got = interior_product(theta, volume_form(ring2))
     assert got == DiffForm(ring2, 1, {(0,): ring2.parse("v"), (1,): ring2.parse("u")})
     assert exterior_derivative(got).is_zero
 
@@ -180,15 +160,14 @@ def test_field_to_closed_form_closed_fuzz():
     rng = random.Random(31)
     for _ in range(30):
         theta = rand_divergence_free_field(R, rng, max_degree=3)
-        assert exterior_derivative(interior_product(theta, VOL.form)).is_zero
+        assert exterior_derivative(interior_product(theta, VOL)).is_zero
 
 
 def test_pair_to_form_example():
     ring3 = PolyRing(("u", "v", "z1"))
-    vol3 = VolumeForm.standard(ring3)
     nu = VectorField.coordinate(ring3, "u")
     mu = VectorField.coordinate(ring3, "v")
-    got = pair_to_form(nu, mu, vol3)
+    got = pair_to_form(nu, mu)
     assert got == DiffForm(ring3, 1, {(2,): -ring3.one()})
 
 
@@ -197,6 +176,6 @@ def test_bracket_contraction_identity_for_divergence_free_fields():
     for _ in range(40):
         nu = rand_divergence_free_field(R, rng, max_degree=3)
         mu = rand_divergence_free_field(R, rng, max_degree=3)
-        lhs = interior_product(lie_bracket(nu, mu), VOL.form)
-        rhs = exterior_derivative(pair_to_form(nu, mu, VOL))
+        lhs = interior_product(lie_bracket(nu, mu), VOL)
+        rhs = exterior_derivative(pair_to_form(nu, mu))
         assert lhs == rhs

@@ -11,7 +11,7 @@ from suspvdp.lifts import twist_field
 from suspvdp.scenario import (ApproxScenario, FlowScenario, Scenario,
                               ScenarioError, bundled_names, load_scenario,
                               parse_scenario, scenario_to_text)
-from suspvdp.surface import SamplingSpec, make_suspension, tangent_field
+from suspvdp.surface import SamplingSpec, is_tangent, make_suspension
 
 MINIMAL = """
 n = 2
@@ -24,7 +24,7 @@ beta = [0, 1]
 
 
 def _twist(ctx):
-    return tangent_field(twist_field(ctx, ctx.base_ring.one()), ctx)
+    return twist_field(ctx, ctx.base_ring.one())
 
 
 def test_bundled_names():
@@ -60,7 +60,7 @@ def test_polynomials_are_canonicalized():
     text = MINIMAL + "\n[approx]\ntarget = twist(1/2*z2 + z2)\n"
     s = parse_scenario(text)
     assert s.approx.target == "twist(3/2*z2)"
-    assert s.approx.field.multiplier.is_zero
+    assert is_tangent(s.approx.field, s.ctx).is_zero
     # ambient coefficient lists canonicalize and validate too
     text2 = MINIMAL + "\n[approx]\ntarget = [u, -v, 0, 0]\n"
     s2 = parse_scenario(text2)

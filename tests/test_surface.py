@@ -18,7 +18,7 @@ from suspvdp.surface import (NotTangentError, SamplingError, SamplingSpec,
                              make_suspension, sample_points,
                              sample_zero_fiber, smoothness_certificate,
                              smoothness_witness, surface_point,
-                             tangent_basis, tangent_field)
+                             tangent_basis)
 
 CTX = make_suspension(2, "z1")
 
@@ -103,8 +103,8 @@ def test_is_tangent_multipliers():
 
 def test_tangency_multiplier_certifies_product():
     ctx = CTX
-    sf = tangent_field(ambient_field(ctx, "u*z2", "-v*z2", "0", "u*v - z1"), ctx)
-    assert sf.ambient.apply(ctx.defining) == sf.multiplier * ctx.defining
+    theta = ambient_field(ctx, "u*z2", "-v*z2", "0", "u*v - z1")
+    assert theta.apply(ctx.defining) == is_tangent(theta, ctx) * ctx.defining
 
 
 def test_divergence_on_suspension_twist_family():
@@ -114,24 +114,23 @@ def test_divergence_on_suspension_twist_family():
         h = rand_poly(ctx.ring, rng, max_degree=3, indices=range(2, ctx.n + 2))
         twist = VectorField(ctx.ring, (
             h * ctx.ring.parse("u"), -h * ctx.ring.parse("v"), ctx.ring.zero(), ctx.ring.zero()))
-        sf = tangent_field(twist, ctx)
-        assert sf.multiplier.is_zero
-        assert divergence_on_suspension(sf, ctx).is_zero
+        assert is_tangent(twist, ctx).is_zero
+        assert divergence_on_suspension(twist, ctx).is_zero
 
 
 def test_divergence_uses_multiplier():
     ctx = CTX
     # u d_u + z1 d_z1 has multiplier 1 and ambient divergence 2; the
     # correction by the multiplier leaves surface divergence 1.
-    sf = tangent_field(ambient_field(ctx, "u", "0", "z1", "0"), ctx)
-    assert sf.multiplier == ctx.ring.one()
-    assert divergence_on_suspension(sf, ctx) == ctx.ring.one()
+    theta = ambient_field(ctx, "u", "0", "z1", "0")
+    assert is_tangent(theta, ctx) == ctx.ring.one()
+    assert divergence_on_suspension(theta, ctx) == ctx.ring.one()
     # fields vanishing on the surface have zero surface divergence
     for w in ("u", "v", "z2", "u*z1"):
         coeffs = [ctx.ring.parse("u*v - z1") * ctx.ring.parse(w), ctx.ring.zero(),
                   ctx.ring.zero(), ctx.ring.zero()]
-        sf0 = tangent_field(VectorField(ctx.ring, tuple(coeffs)), ctx)
-        assert divergence_on_suspension(sf0, ctx).is_zero
+        assert divergence_on_suspension(
+            VectorField(ctx.ring, tuple(coeffs)), ctx).is_zero
 
 
 def test_surface_point_validation():
