@@ -14,9 +14,10 @@ the fallback for pairs whose products only cover the surface algebra after
 reduction (the n=1 pair built from a single coordinate derivation needs
 this).
 
-The runner assembles the full check: divergence and kernel verification,
-certificates for both lifted orientations of every pair, smoothness
-witnesses for the zero fiber, and exact spanning ranks at sampled points.
+The runner assembles the full check: divergence, completeness and kernel
+verification, certificates for both lifted orientations of every pair,
+smoothness witnesses for the zero fiber, and exact spanning ranks at
+sampled points.
 Its verdict is deliberately capped at "certified-at-samples".
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 from .fields import VectorField, divergence
-from .lifts import SpanningFamily, lift, spanning_plan
+from .lifts import SpanningFamily, lift, shown_complete, spanning_plan
 from .linalg import ExactMatrix, exact_rank, solve_columns, span_solve
 from .poly import Poly, PolyRing
 from .scalars import GaussianRational
@@ -420,7 +421,7 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
                       assumptions: Assumptions, sampling: SamplingSpec,
                       degree_bound: int = 4) -> CriterionReport:
     """Run every finite hypothesis of the volume-density criterion on the
-    suspension: divergence and kernel checks, degree-truncated
+    suspension: divergence, completeness and kernel checks, degree-truncated
     certificates for both lifted orientations, zero-fiber smoothness
     witnesses, and exact spanning ranks at sampled admissible points.
 
@@ -445,6 +446,12 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
         entry["divergence_free"] = div_ok
         if not div_ok:
             problems.append(f"pair {k}: base fields are not volume preserving")
+        for label, base in (("alpha", spec.alpha), ("beta", spec.beta)):
+            if not shown_complete(base):
+                problems.append(
+                    f"pair {k}: {label} = [{', '.join(entry[label])}] is "
+                    "not shown complete (neither locally nilpotent within "
+                    "the series guard nor affine linear)")
         try:
             verify_kernel(spec.alpha, spec.kernel_alpha)
             verify_kernel(spec.beta, spec.kernel_beta)

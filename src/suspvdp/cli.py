@@ -53,7 +53,8 @@ CURVE_SLACK = 1e-12
 def _checked(convert, accept, expected: str):
     """An argparse type: the text converted, when `accept` takes the
     value.  The integer ranges are the ones scenario files enforce for
-    their own values; a tolerance must be finite and positive."""
+    their own values; a tolerance must be finite and positive; no part of
+    an output path may name anything but a directory."""
     def parse(text: str):
         try:
             value = convert(text)
@@ -69,6 +70,8 @@ def _checked(convert, accept, expected: str):
 _NONNEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _TOLERANCE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_OUT_DIR = _checked(Path, lambda p: all(
+    q.is_dir() for q in (p, *p.parents) if q.exists()), "a directory path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the sampling seed")
         p.add_argument("--tol", type=_TOLERANCE, default=None,
                        help="override the main tolerance of the subcommand")
-        p.add_argument("--out", default="suspvdp-out",
+        p.add_argument("--out", type=_OUT_DIR, default="suspvdp-out",
                        help="output directory for reports")
         p.add_argument("--no-figures", action="store_true",
                        help="skip figure rendering")
@@ -270,7 +273,7 @@ def _cmd_flow(args) -> int:
             if abs(complex(p.complex_coords()[0])) >= 0.25
             and abs(complex(p.complex_coords()[1])) >= 0.25]
 
-    reference = lift(theta, ctx, fs.side)
+    reference = flow_map.lifted
 
     def audit(p) -> dict:
         end = flow_map.apply(p, t)

@@ -10,13 +10,17 @@ base field then admits two distinguished tangent lifts,
 both of which are volume preserving on the surface; the test suite checks
 this divergence transfer exactly.
 
-Flows: for "shear chain" base fields (each coefficient independent of its
-own variable, dependencies acyclic) the flow is polynomial in time and is
-computed symbolically, including the time-remainder polynomial g with
-f(flow(x, t)) = f(x) + t * g(x, t).  The lifted flow is then the closed
-form (u + t*g(x, t*v), v, flow(x, t*v)) on side u, mirrored on side v.
-Everything else falls back to numeric integration, and the returned map is
-flagged accordingly.
+Flows: one exact flow serves every locally nilpotent field, the
+exponential series exp(t*xi)(x) = sum_k t^k xi^k(x) / k!, which is a
+polynomial in time when every xi^k(x) vanishes from some k on.  The side-u
+lift xi of a locally nilpotent base field theta is locally nilpotent too:
+xi(v) = 0, xi^k(z_j) = v^k theta^k(z_j) and xi^k(u) = v^(k-1) theta^k(f),
+so the lifted flow is the series of the lift itself (mirrored on side v).
+Shear chains, each coefficient free of its own variable and the
+dependencies acyclic, are the triangular case.  A lift whose series does
+not terminate within the guard falls back to numeric integration, and the
+returned map is flagged accordingly.  The same series on the base ring
+is the criterion's completeness witness (`shown_complete`).
 
 Independent numeric jobs, such as the probes of a chart determinant, run
 on every CPU of the affinity mask through `map_on_cpus`.
@@ -35,7 +39,7 @@ from itertools import accumulate
 from typing import Callable, Sequence, TypeVar
 
 from .fields import VectorField
-from .poly import COMPLEX, EXACT, Evaluated, Poly, PolyError, PolyRing
+from .poly import COMPLEX, EXACT, Evaluated, Poly, PolyError
 from .scalars import GaussianRational, gr
 from .surface import (SurfacePoint, SuspensionContext, basepoint_rules,
                       is_tangent, surface_point)
@@ -45,38 +49,10 @@ class LiftError(ValueError):
     pass
 
 
-class ShearChainError(LiftError):
-    """Raised where a symbolic flow is requested for a generic field."""
-
-
 class BasepointError(LiftError):
     def __init__(self, failures: list[str]):
         super().__init__("inadmissible basepoint: " + "; ".join(failures))
         self.failures = failures
-
-
-# ---------------------------------------------------------------------------
-# shear chains
-
-
-def _shear_order(theta: VectorField) -> list[int] | None:
-    """Topological order in which the flow integrates one variable at a
-    time, or None when no such order exists (self-dependence or a cycle)."""
-    support = [i for i, c in enumerate(theta.coeffs) if not c.is_zero]
-    deps = {}
-    for i in support:
-        if theta.coeffs[i].uses_variable(i):
-            return None
-        deps[i] = {j for j in support if theta.coeffs[i].uses_variable(j)}
-    order: list[int] = []
-    remaining = set(support)
-    while remaining:
-        ready = sorted(i for i in remaining if not (deps[i] & remaining))
-        if not ready:
-            return None
-        order.extend(ready)
-        remaining -= set(ready)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -107,63 +83,57 @@ def lift(theta: VectorField, ctx: SuspensionContext, side: str) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# symbolic flows
+# exact flows
+
+# A series past this many terms (all coordinates together) is given up
+# on: the iterates of a field that is not locally nilpotent grow without
+# end, and a closed form this large would cost more to build and to
+# evaluate than the numeric fallback.
+SERIES_TERMS = 2000
 
 
-@dataclass(frozen=True)
-class FlowRemainder:
-    """Symbolic flow data of a shear-chain base field: the flow ring is the
-    base ring with a trailing time variable, `solutions` are the flowed
-    coordinates, and f(flow(x,t)) = f(x) + t * remainder."""
+def exponential_flow(xi: VectorField) -> tuple[Poly, ...] | None:
+    """exp(t*xi)(x) = sum_k t^k xi^k(x) / k! for every coordinate x of
+    the field's ring, in that ring with a trailing time variable t; None
+    where some xi^k(x) is still nonzero at the guard.
 
-    base_field: VectorField
-    flow_ring: PolyRing
-    solutions: tuple[Poly, ...]
-    remainder: Poly
-
-
-def symbolic_flow(theta: VectorField) -> tuple[PolyRing, tuple[Poly, ...]] | None:
-    """Integrate a shear-chain field coordinate by coordinate; the result
-    is polynomial in the time variable t appended to the base ring."""
-    order = _shear_order(theta)
-    if order is None:
-        return None
-    ring = theta.ring
+    The guard on k is the index bound of a triangular field of the same
+    coefficient degree d on the same m variables: xi^k(x) = 0 for every
+    k > D_m, where D_1 = 1 and D_i = 1 + d * D_(i-1), so every shear chain
+    terminates within it.  A field whose iterates vanish is locally
+    nilpotent, and the series is its exact, complete flow."""
+    ring = xi.ring
     flow_ring = ring.with_extra("t")
-    t_index = flow_ring.nvars - 1
-    sols: list[Poly] = [flow_ring.var(name) for name in ring.variables]
+    degree = max(0, *(c.total_degree() for c in xi.coeffs))
+    cap = 1
+    for _ in range(ring.nvars - 1):
+        cap = 1 + degree * cap
+    size = 0
+    components = []
+    for i in range(ring.nvars):
+        iterate, terms, k = ring.var(i), {}, 0
+        while not iterate.is_zero:
+            size += len(iterate.terms)
+            if k > cap or size > SERIES_TERMS:
+                return None
+            factorial = math.factorial(k)
+            for e, c in iterate.terms.items():
+                terms[(*e, k)] = c / factorial
+            iterate, k = xi.apply(iterate), k + 1
+        # term order is float semantics (compiled evaluators sum in it):
+        # the coordinate, then by descending degree in the field's
+        # variables, ties by ascending exponents
+        order = sorted(terms, key=lambda e: (e[-1] > 0, -sum(e[:-1]), e))
+        components.append(Poly(flow_ring, {e: terms[e] for e in order}))
+    return tuple(components)
 
-    def integrate_t(p: Poly) -> Poly:
-        out = flow_ring.zero()
-        for e, c in p.terms.items():
-            d = list(e)
-            k = d[t_index]
-            d[t_index] = k + 1
-            out = out + flow_ring.monomial(d, c / (k + 1))
-        return out
 
-    for i in order:
-        images = {name: sols[j] for j, name in enumerate(ring.variables)}
-        along = theta.coeffs[i].substitute(flow_ring, images)
-        sols[i] = sols[i] + integrate_t(along)
-    return flow_ring, tuple(sols)
-
-
-def flow_remainder(theta: VectorField, ctx: SuspensionContext) -> FlowRemainder:
-    """The polynomial g with f(flow(x,t)) = f(x) + t*g(x,t); raises
-    ShearChainError for fields without a symbolic flow."""
-    got = symbolic_flow(theta)
-    if got is None:
-        raise ShearChainError(
-            "base field is not a shear chain; use the numeric fallback")
-    flow_ring, sols = got
-    images = {name: sols[j] for j, name in enumerate(theta.ring.variables)}
-    f_along = ctx.f_base.substitute(flow_ring, images)
-    diff = f_along - ctx.f_base.extend_to(flow_ring)
-    g = diff.divide_exact(flow_ring.var("t"))
-    if g is None:
-        raise LiftError("flow remainder is not divisible by t; this is a bug")
-    return FlowRemainder(theta, flow_ring, sols, g)
+def shown_complete(theta: VectorField) -> bool:
+    """Whether the field is shown complete: affine linear (every
+    coefficient of degree at most 1, flow exp(tA)) or locally nilpotent
+    within the guard of `exponential_flow`."""
+    return all(c.total_degree() <= 1 for c in theta.coeffs) or \
+        exponential_flow(theta) is not None
 
 
 FLOW_STEPS = 2048            # RK4 steps of a numeric lifted flow
@@ -173,15 +143,19 @@ FLOW_STEPS = 2048            # RK4 steps of a numeric lifted flow
 class LiftedFlowMap(Evaluated):
     """Time-t map of a lifted field on points of the surface.
 
-    `symbolic` distinguishes the closed form (exact-capable, polynomial in
-    all coordinates and t; its evaluators compute the components) from
-    the numeric fallback (FLOW_STEPS of RK4 on the ambient lift)."""
+    `components` holds the closed form, the exponential series of the
+    lift (exact-capable, polynomial in all coordinates and t; its
+    evaluators compute them); without it the map is the numeric fallback,
+    FLOW_STEPS of RK4 on the lift."""
 
     ctx: SuspensionContext
     side: str
-    symbolic: bool
+    lifted: VectorField
     components: tuple[Poly, ...] | None = None      # in ring (u,v,z...,t)
-    numeric_field: VectorField | None = None
+
+    @property
+    def symbolic(self) -> bool:
+        return self.components is not None
 
     def evaluated(self):
         return self.components[0].ring, self.components
@@ -196,7 +170,7 @@ class LiftedFlowMap(Evaluated):
             coords = self.evaluator(COMPLEX)(
                 point.complex_coords() + (complex(t),))
         else:
-            coords = rk4_flow(self.numeric_field.evaluate_complex,
+            coords = rk4_flow(self.lifted.evaluate_complex,
                               list(point.complex_coords()), complex(t),
                               FLOW_STEPS)
         return surface_point(self.ctx, coords,
@@ -216,28 +190,11 @@ def _end_point_tolerance(ctx: SuspensionContext,
 
 
 def lifted_flow(theta: VectorField, ctx: SuspensionContext, side: str) -> LiftedFlowMap:
-    """Closed-form flow of the side lift when the base flow is symbolic,
-    numeric fallback otherwise (flagged on the result)."""
-    if side not in ("u", "v"):
-        raise LiftError(f"side must be 'u' or 'v', not {side!r}")
-    try:
-        rem = flow_remainder(theta, ctx)
-    except ShearChainError:
-        return LiftedFlowMap(ctx, side, symbolic=False,
-                             numeric_field=lift(theta, ctx, side))
-    amb_t = ctx.ring.with_extra("t")
-    partner = amb_t.var("v" if side == "u" else "u")
-    scaled_time = {"t": amb_t.var("t") * partner}
-    sols_amb = [s.substitute(amb_t, scaled_time) for s in rem.solutions]
-    g_amb = rem.remainder.substitute(amb_t, scaled_time)
-    if side == "u":
-        comp_u = amb_t.var("u") + amb_t.var("t") * g_amb
-        comp_v = amb_t.var("v")
-    else:
-        comp_u = amb_t.var("u")
-        comp_v = amb_t.var("v") + amb_t.var("t") * g_amb
-    components = (comp_u, comp_v, *sols_amb)
-    return LiftedFlowMap(ctx, side, symbolic=True, components=components)
+    """The exponential series of the side lift where it terminates
+    (`exponential_flow`), the numeric fallback otherwise (flagged on the
+    result)."""
+    lifted = lift(theta, ctx, side)
+    return LiftedFlowMap(ctx, side, lifted, exponential_flow(lifted))
 
 
 def rk4_flow(eval_fn: Callable[[Sequence[complex]], Sequence[complex]],
@@ -449,8 +406,9 @@ def shear_pullback(mu: VectorField, theta: VectorField, g: Poly,
     flow of g*theta, where g is in the kernel of theta and vanishes at the
     point:  mu(p) + mu(g)(p) * theta(p).
 
-    Completeness of g*theta is the caller's responsibility; it holds for
-    the kernel-scaled complete fields this package constructs.
+    g*theta is complete where theta is, g being constant along theta's
+    orbits; the lift of a complete base field is complete, and the
+    criterion shows every base field it lifts complete (`shown_complete`).
     """
     mu_g = _shear_factor(mu, theta, g)
     if not point.exact:

@@ -21,7 +21,7 @@ import cmath
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .scalars import GaussianRational, gr, ONE, ZERO
 
@@ -285,7 +285,7 @@ class Poly(Evaluated):
             out[tuple(d)] = c * e[i]
         return Poly(self.ring, out)
 
-    # -- evaluation and substitution -----------------------------------------
+    # -- evaluation and re-embedding -----------------------------------------
 
     def evaluated(self):
         return self.ring, (self,)
@@ -295,43 +295,6 @@ class Poly(Evaluated):
 
     def evaluate_complex(self, values: Sequence[complex]) -> complex:
         return self.evaluator(COMPLEX)(values)[0]
-
-    def substitute(self, target: PolyRing,
-                   images: Mapping[str, "Poly"] | None = None) -> "Poly":
-        """Map this polynomial into `target`, sending each variable to
-        `images[name]` when given and to the same-named target variable
-        otherwise."""
-        images = images or {}
-        plan: list[Poly] = []
-        for name in self.ring.variables:
-            if name in images:
-                img = images[name]
-                if img.ring.variables != target.variables:
-                    raise PolyError("substitution image lives in the wrong ring")
-                plan.append(img)
-            else:
-                plan.append(target.var(name) if name in target.variables else None)
-        cache: dict[tuple[int, int], Poly] = {}
-
-        def power(i: int, k: int) -> Poly:
-            got = cache.get((i, k))
-            if got is None:
-                got = plan[i] ** k
-                cache[(i, k)] = got
-            return got
-
-        total = target.zero()
-        for e, c in self.terms.items():
-            term = target.const(c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                if plan[i] is None:
-                    raise PolyError(
-                        f"variable {self.ring.variables[i]!r} has no image in target ring")
-                term = term * power(i, k)
-            total = total + term
-        return total
 
     def extend_to(self, target: PolyRing) -> "Poly":
         """Reinterpret in `target`, matching variables by name; fails only

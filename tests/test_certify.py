@@ -231,6 +231,32 @@ def test_run_vdp_criterion_inconclusive_without_assertion():
     assert "explanation" in report.assumptions
 
 
+def test_run_vdp_criterion_refuses_an_incomplete_field():
+    # alpha is divergence-free with verified kernels and lifts, and the
+    # ranks are full only with pair 0, but z1' = z1^2 blows up in finite
+    # time: completeness is not shown, so nothing is certified
+    ctx = make_suspension(3, "z1")
+    ring = ctx.base_ring
+
+    def pair(alpha, beta, kernel_alpha, kernel_beta):
+        return PairSpec(VectorField.from_texts(ring, alpha),
+                        VectorField.from_texts(ring, beta),
+                        tuple(map(ring.parse, kernel_alpha)),
+                        tuple(map(ring.parse, kernel_beta)))
+
+    pairs = [pair(["z1^2", "-2*z1*z2", "0"], ["0", "0", "1"],
+                  ["z3", "z1^2*z2"], ["z1", "z2"]),
+             pair(["0", "1", "0"], ["0", "0", "1"], ["z1", "z3"], ["z1", "z2"]),
+             pair(["1", "0", "0"], ["0", "1", "0"], ["z2", "z3"], ["z1", "z3"])]
+    report = run_vdp_criterion(ctx, pairs, Assumptions(cohomology=True),
+                               SamplingSpec(count=4, seed=0), degree_bound=2)
+    assert report.verdict != "certified-at-samples"
+    assert report.problems == [
+        "pair 0: alpha = [z1^2, -2*z1*z2, 0] is not shown complete (neither "
+        "locally nilpotent within the series guard nor affine linear)"]
+    assert all(r["full"] for r in report.ranks)
+
+
 def test_run_vdp_criterion_empty_pairs_fails():
     ctx, _ = criterion_setup()
     report = run_vdp_criterion(ctx, [], Assumptions(cohomology=True),

@@ -100,6 +100,26 @@ def test_flow_plane(tmp_path):
     assert not (out / "flow_errors.png").exists()
 
 
+def test_flow_locally_nilpotent_field_takes_the_closed_form(tmp_path):
+    # not a shear chain, yet its lift's series terminates; the closed-form
+    # end points lie on the surface, and the run still fails on its
+    # fixed-step references (an RK4 deviation of up to 5.3e-8 against
+    # 1e-9, a central-difference determinant off by up to 8.1e-7 against
+    # 1e-8), which the audit's error control has yet to address
+    scn = tmp_path / "nilpotent.scn"
+    scn.write_text(_bundled_text(
+        "plane", "field = [1, 0]\nside = u\ntime = 1\n",
+        "field = [2*z2 - 2*z1^2, 1 + 4*z1*z2 - 4*z1^3]\nside = u\n"
+        "time = 1/2\n"))
+    out = tmp_path / "f"
+    code = run(["flow", "--scenario", str(scn), "--samples", "6",
+                "--out", str(out), "--no-figures"])
+    assert code == 1
+    doc = json.loads((out / "flow.json").read_text())
+    assert doc["symbolic"] is True and doc["points_audited"] == 6
+    assert all(r["surface_residual"] <= 1e-8 for r in doc["rows"])
+
+
 def test_flow_numeric_fallback(tmp_path):
     out = tmp_path / "f"
     code = run(["flow", "--scenario", "circle", "--samples", "5",
@@ -367,6 +387,22 @@ def test_out_of_range_override_is_a_usage_error(tmp_path, capsys, args):
     assert "internal fault" not in captured.err
     assert "certified-at-samples" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "below-file"])
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys, inside):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "o" if inside else taken
+    with pytest.raises(SystemExit) as exc:
+        run(["criterion", "--scenario", "plane", "--out", str(out),
+             "--no-figures"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --out: expected a directory path" in err
+    assert "internal fault" not in err and "fault.txt" not in err
+    assert taken.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 @pytest.mark.parametrize("command", ["flow", "approx"])

@@ -1,7 +1,7 @@
 """Golden reports: SHA-256 digests of the deterministic reports of three
 subcommands at the default seed, `criterion` on all four bundled
 scenarios, `approx` on plane and danielewski, and `flow` on both the
-closed-form and the numeric path.
+closed-form path (plane, danielewski, hyperbola) and the numeric one.
 
 The other report tests compare two runs of the same code with each other;
 these pin the bytes themselves, so a change that moves a float digit or a
@@ -57,6 +57,19 @@ GOLDEN = [
         "flow_audit.csv":
             "b4f271f6aa7b9378e6189150a72886324536b365752c6d14a69b61e3194f6a36",
     }),
+    # the closed-form flows on the other two exact scenarios
+    (["flow", "--scenario", "plane"], 0, {
+        "flow.json":
+            "f074335bbd2ee5543939bea5822e583430cc6b4b5b36adc27c12def2866df296",
+        "flow_errors.csv":
+            "37c0ac0c54d53d58009d8bdd31d690946c1c53877420549e1ade411a74161001",
+    }),
+    (["flow", "--scenario", "danielewski"], 0, {
+        "flow.json":
+            "df557ed9c1c61338e2a78f9f3645b0c768d33019a49f307d3dd430246b7bdb04",
+        "flow_errors.csv":
+            "e7293a8c1ed383e62a44642027759ea5c3d710500420fc4c88f22bc921a76ffb",
+    }),
     (["flow", "--scenario", "hyperbola"], 0, {
         "flow.json":
             "a10d1879a848cb10797b5934d62bf87b5eae54ef3656751b6dd433995e302433",
@@ -76,7 +89,7 @@ GOLDEN = [
 @pytest.mark.parametrize("args, code, digests", GOLDEN, ids=[
     "criterion-plane", "criterion-hyperbola", "criterion-circle",
     "criterion-danielewski", "approx-plane", "approx-danielewski",
-    "flow-hyperbola", "flow-circle-6"])
+    "flow-plane", "flow-danielewski", "flow-hyperbola", "flow-circle-6"])
 def test_reports_match_golden_digests(tmp_path, args, code, digests):
     # hyperbola and circle leave the cohomology hypothesis unasserted, so
     # their verdict is inconclusive and the exit code 1

@@ -1,5 +1,6 @@
 import cmath
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from suspvdp import lifts
 from suspvdp.fields import VectorField, divergence
 from suspvdp.lifts import (BasepointError, LiftError, LiftedFlowMap,
-                           ShearChainError, chart_determinant,
-                           chart_jacobian, chart_jacobian_determinant,
-                           cpu_blocks, extend_trivially, flow_remainder,
-                           lift, lifted_flow, rk4_flow, shear_pullback,
-                           spanning_family, symbolic_flow, twist_field)
+                           chart_determinant, chart_jacobian,
+                           chart_jacobian_determinant, cpu_blocks,
+                           exponential_flow, extend_trivially, lift,
+                           lifted_flow, rk4_flow, shear_pullback,
+                           shown_complete, spanning_family, twist_field)
 from suspvdp.linalg import ExactMatrix, exact_rank, solve_columns
 from suspvdp.poly import PolyError, PolyRing
 from suspvdp.randgen import rand_divergence_free_field, rand_poly
@@ -24,6 +25,18 @@ from suspvdp.surface import (SamplingSpec, SuspensionError,
 
 def base_field(ctx, *texts):
     return VectorField.from_texts(ctx.base_ring, texts)
+
+
+def compose(p, ring, images):
+    """p with each variable named in `images` replaced by its image, the
+    others by the same-named variable of `ring`."""
+    total = ring.zero()
+    for e, c in p.terms.items():
+        term = ring.const(c)
+        for name, k in zip(p.ring.variables, e):
+            term = term * images.get(name, ring.var(name)) ** k
+        total = total + term
+    return total
 
 
 def test_extend_trivially():
@@ -84,61 +97,136 @@ def test_lift_divergence_transfers_scaled():
     assert got_v == ctx.ring.parse("u")
 
 
+# locally nilpotent but no shear chain: nilpotency indices 3 and 5 on z1
+# and z2, and a lifted flow of degree 4 in t
+NILPOTENT_NON_TRIANGULAR = ["2*z2 - 2*z1^2", "1 + 4*z1*z2 - 4*z1^3"]
+
+# not locally nilpotent: (n, f, field)
+NOT_NILPOTENT = [
+    (2, "z1^2 + z2^2 - 1", ["z2", "-z1"]),
+    (2, "z1*z2 - 1", ["z2^3", "-z1^3"]),
+    (3, "z1*z2*z3 - 1", ["z2^2", "z3^2", "z1^2"]),
+]
+
+
 def test_flow_kind():
-    # shear chains have a symbolic flow, generic fields have none
+    # locally nilpotent fields have an exact series flow, others none
     ring = PolyRing(("z1", "z2"))
-    for texts in (["1", "0"], ["z2", "0"], ["1", "z1"]):
-        assert symbolic_flow(VectorField.from_texts(ring, texts)) is not None
+    for texts in (["1", "0"], ["z2", "0"], ["1", "z1"],
+                  NILPOTENT_NON_TRIANGULAR):
+        assert exponential_flow(VectorField.from_texts(ring, texts)) is not None
     for texts in (["z1", "0"], ["z2", "-z1"]):
-        assert symbolic_flow(VectorField.from_texts(ring, texts)) is None
+        assert exponential_flow(VectorField.from_texts(ring, texts)) is None
 
 
 def test_symbolic_flow_oracles():
     ring = PolyRing(("z1", "z2"))
-    flow_ring, sols = symbolic_flow(VectorField.from_texts(ring, ["z2", "0"]))
+    flow_ring = ring.with_extra("t")
+    sols = exponential_flow(VectorField.from_texts(ring, ["z2", "0"]))
     assert sols[0] == flow_ring.parse("z1 + t*z2")
     assert sols[1] == flow_ring.parse("z2")
 
-    # chained dependency integrates in topological order
-    flow_ring, sols = symbolic_flow(VectorField.from_texts(ring, ["1", "z1"]))
+    # a chained dependency: z2 picks up t*z1 and t^2/2
+    sols = exponential_flow(VectorField.from_texts(ring, ["1", "z1"]))
     assert sols[0] == flow_ring.parse("z1 + t")
     assert sols[1] == flow_ring.parse("z2 + z1*t + 1/2*t^2")
 
-    assert symbolic_flow(VectorField.from_texts(ring, ["z2", "-z1"])) is None
+    assert exponential_flow(VectorField.from_texts(ring, ["z2", "-z1"])) is None
+
+
+def test_exponential_flow_guard_is_the_triangular_bound():
+    # [1, z1^2, z2^2]: z3 has index 1 + 2*(1 + 2*1) = 7, the bound D_3 for
+    # degree 2 on three variables, and its series ends there
+    ring = PolyRing(("z1", "z2", "z3"))
+    sols = exponential_flow(VectorField.from_texts(ring, ["1", "z1^2", "z2^2"]))
+    assert max(e[-1] for e in sols[2].terms) == 7
+    # a field whose iterates outgrow the term guard is given up on
+    assert exponential_flow(
+        VectorField.from_texts(ring, ["z2^2", "z3^2", "z1^2"])) is None
+
+
+def test_exponential_flow_term_guard(monkeypatch):
+    # the series of [1, z1^3, z2^3] has 54 terms on the side-u lift
+    ctx = make_suspension(3, "z3")
+    lifted = lift(base_field(ctx, "1", "z1^3", "z2^3"), ctx, "u")
+    assert sum(len(c.terms) for c in exponential_flow(lifted)) == 54
+    monkeypatch.setattr(lifts, "SERIES_TERMS", 53)
+    assert exponential_flow(lifted) is None
 
 
 def test_flow_remainder_oracles():
-    ctx = make_suspension(1, "z1")
-    rem = flow_remainder(VectorField.from_texts(ctx.base_ring, ["1"]), ctx)
-    assert rem.remainder == rem.flow_ring.one()
-
-    ctx = make_suspension(1, "z1^2")
-    rem = flow_remainder(VectorField.from_texts(ctx.base_ring, ["1"]), ctx)
-    assert rem.remainder == rem.flow_ring.parse("2*z1 + t")
-
-    ctx = make_suspension(2, "z1*z2")
-    rem = flow_remainder(VectorField.from_texts(ctx.base_ring, ["z2", "0"]), ctx)
-    assert rem.remainder == rem.flow_ring.parse("z2^2")
+    # the side-u component is u + t*g(z, t*v), g the remainder of
+    # f(flow(z, t)) = f(z) + t*g(z, t) along the base flow
+    for n, f, texts, want in [
+            (1, "z1", ["1"], "u + t"),
+            (1, "z1^2", ["1"], "u + 2*z1*t + v*t^2"),
+            (2, "z1*z2", ["z2", "0"], "u + z2^2*t")]:
+        ctx = make_suspension(n, f)
+        fl = lifted_flow(base_field(ctx, *texts), ctx, "u")
+        assert fl.symbolic
+        assert fl.components[0] == fl.components[0].ring.parse(want)
 
 
 def test_flow_remainder_at_time_zero():
-    # g(x, 0) recovers the derivative of f along the field
+    # random shear chains take the closed form, which solves the lifted
+    # ODE on both sides; d/dt of the u component at t = 0, the remainder
+    # g(z, 0), recovers the derivative of f along the field
     ctx = make_suspension(2, "z1^3*z2 + z2^2 - 1")
     rng = random.Random(3)
     for _ in range(20):
         c1 = rand_poly(ctx.base_ring, rng, max_degree=3, indices=[1])
         c2 = ctx.base_ring.const(gr(rng.randint(-2, 2)))
         theta = VectorField(ctx.base_ring, (c1, c2))
-        rem = flow_remainder(theta, ctx)
-        at_zero = rem.remainder.substitute(rem.flow_ring,
-                                           {"t": rem.flow_ring.zero()})
-        assert at_zero == theta.apply(ctx.f_base).extend_to(rem.flow_ring)
+        for side in ("u", "v"):
+            fl = lifted_flow(theta, ctx, side)
+            assert fl.symbolic
+            assert all(r.is_zero for r in flow_ode_residuals(ctx, theta, side))
+        comp_u = lifted_flow(theta, ctx, "u").components[0]
+        ring = comp_u.ring
+        at_zero = compose(comp_u.derivative("t"), ring, {"t": ring.zero()})
+        assert at_zero == theta.apply(ctx.f_base).extend_to(ring)
 
 
 def test_flow_remainder_rejects_generic():
+    # the rotation's lift is not locally nilpotent: no series, the
+    # numeric fallback on the same lift
     ctx = make_suspension(2, "z1")
-    with pytest.raises(ShearChainError):
-        flow_remainder(base_field(ctx, "z2", "-z1"), ctx)
+    rot = base_field(ctx, "z2", "-z1")
+    assert exponential_flow(lift(rot, ctx, "u")) is None
+    fl = lifted_flow(rot, ctx, "u")
+    assert not fl.symbolic and fl.components is None
+
+
+def test_non_triangular_nilpotent_field_takes_the_closed_form():
+    ctx = make_suspension(2, "z1")
+    theta = base_field(ctx, *NILPOTENT_NON_TRIANGULAR)
+    for side in ("u", "v"):
+        fl = lifted_flow(theta, ctx, side)
+        assert fl.symbolic
+        assert max(e[-1] for c in fl.components for e in c.terms) == 4
+        assert all(r.is_zero for r in flow_ode_residuals(ctx, theta, side))
+
+
+@pytest.mark.parametrize("n, f, texts", NOT_NILPOTENT,
+                         ids=["rotation", "cubic", "cyclic-square"])
+def test_non_nilpotent_fields_fall_back_quickly(n, f, texts):
+    ctx = make_suspension(n, f)
+    theta = base_field(ctx, *texts)
+    for side in ("u", "v"):
+        start = time.perf_counter()
+        fl = lifted_flow(theta, ctx, side)
+        assert time.perf_counter() - start < 0.5
+        assert not fl.symbolic and fl.lifted == lift(theta, ctx, side)
+
+
+def test_shown_complete():
+    ring = PolyRing(("z1", "z2", "z3"))
+    for texts in (["1", "z1^3", "z2^3"],          # locally nilpotent
+                  ["z2", "-z1", "z3 + 1"]):       # affine linear
+        assert shown_complete(VectorField.from_texts(ring, texts)), texts
+    # z1' = z1^2 blows up in finite time
+    assert not shown_complete(
+        VectorField.from_texts(ring, ["z1^2", "-2*z1*z2", "0"]))
 
 
 def test_lifted_flow_closed_form():
@@ -159,7 +247,7 @@ def test_lifted_flow_identity_at_time_zero():
     fl = lifted_flow(VectorField.from_texts(ctx.base_ring, ["1"]), ctx, "u")
     ring = fl.components[0].ring
     frozen = {"t": ring.zero()}
-    stills = [c.substitute(ring, frozen) for c in fl.components]
+    stills = [compose(c, ring, frozen) for c in fl.components]
     assert stills == [ring.var("u"), ring.var("v"), ring.var("z1")]
 
 
@@ -172,7 +260,7 @@ def flow_ode_residuals(ctx, theta, side):
     out = []
     for comp, coeff in zip(fl.components, lift(theta, ctx, side).coeffs):
         lhs = comp.derivative(t_index)
-        rhs = coeff.substitute(ring, composed)
+        rhs = compose(coeff, ring, composed)
         out.append(lhs - rhs)
     return out
 
@@ -190,17 +278,15 @@ def test_flow_ode_identity():
 
 
 def test_time_derivative_of_remainder_term():
-    # d/dt of t*g(x, t*v) equals the f-derivative along the flowed base point
+    # d/dt of the remainder term t*g(z, t*v) of the side-u component
+    # equals the f-derivative along the field at the flowed base point
     ctx = make_suspension(2, "z1*z2")
     theta = base_field(ctx, "z2", "0")
-    rem = flow_remainder(theta, ctx)
-    amb_t = ctx.ring.with_extra("t")
-    tv = {"t": amb_t.var("t") * amb_t.var("v")}
-    g_amb = rem.remainder.substitute(amb_t, tv)
-    lhs = (amb_t.var("t") * g_amb).derivative(amb_t.nvars - 1)
-    sols = {name: s.substitute(amb_t, tv)
-            for name, s in zip(ctx.base_ring.variables, rem.solutions)}
-    rhs = theta.apply(ctx.f_base).substitute(amb_t, sols)
+    fl = lifted_flow(theta, ctx, "u")
+    ring = fl.components[0].ring
+    lhs = fl.components[0].derivative("t")
+    flowed = dict(zip(ctx.base_ring.variables, fl.components[2:]))
+    rhs = compose(theta.apply(ctx.f_base), ring, flowed)
     assert lhs == rhs
 
 
@@ -219,8 +305,7 @@ def test_numeric_flow_matches_closed_form():
     ctx = make_suspension(2, "z1*z2 - 1")
     theta = base_field(ctx, "z2", "0")
     closed = lifted_flow(theta, ctx, "u")
-    forced = LiftedFlowMap(ctx, "u", symbolic=False,
-                           numeric_field=lift(theta, ctx, "u"))
+    forced = LiftedFlowMap(ctx, "u", lift(theta, ctx, "u"))
     points = sample_points(ctx, SamplingSpec(count=5, seed=4,
                                              exactness="float"))
     for p in points:

@@ -112,14 +112,6 @@ def test_ring_mismatch_raises():
         R.parse("u") + other.parse("u")
 
 
-def test_substitute_composition():
-    base = PolyRing(("z1", "z2"))
-    ext = base.with_extra("t")
-    p = base.parse("z1^2 + z2")
-    image = {"z1": ext.parse("z1 + t"), "z2": ext.parse("z2")}
-    assert p.substitute(ext, image) == ext.parse("z1^2 + 2*z1*t + t^2 + z2")
-
-
 def test_extend_and_restrict():
     base = PolyRing(("z1", "z2"))
     p = base.parse("z1*z2 - 1")
