@@ -51,9 +51,7 @@ class ApproxError(ValueError):
 @dataclass(frozen=True)
 class DictionaryEntry:
     field: VectorField
-    label: str
-    provenance: str                  # kernel-multiple / twist-field / bracket
-    parents: tuple[int, int] | None = None
+    label: str      # a kernel multiple, a twist, or "[a, b]" for a bracket
 
 
 @dataclass
@@ -86,8 +84,7 @@ def build_dictionary(ctx: SuspensionContext, pairs: Sequence[LiftedPair],
     entries: list[DictionaryEntry] = []
     seen = set()
 
-    def push(theta: VectorField, label: str, provenance: str,
-             parents=None) -> int | None:
+    def push(theta: VectorField, label: str) -> int | None:
         key = _entry_key(theta)
         if key not in memo:
             if not is_tangent(theta, ctx).is_zero:
@@ -98,23 +95,19 @@ def build_dictionary(ctx: SuspensionContext, pairs: Sequence[LiftedPair],
         if key in seen:
             return None
         seen.add(key)
-        entries.append(DictionaryEntry(theta, label, provenance, parents))
+        entries.append(DictionaryEntry(theta, label))
         return len(entries) - 1
 
     for pi, pair in enumerate(pairs):
         nu_ids, mu_ids = [], []
-        closure_nu = monomial_closure(pair.kernel_nu.generators, ctx.ring,
-                                      degree)
-        closure_mu = monomial_closure(pair.kernel_mu.generators, ctx.ring,
-                                      degree)
+        closure_nu = monomial_closure(pair.kernel_nu, ctx.ring, degree)
+        closure_mu = monomial_closure(pair.kernel_mu, ctx.ring, degree)
         for k in closure_nu:
-            idx = push(pair.nu.scale(k), f"pair{pi}:({k})*nu",
-                       "kernel-multiple")
+            idx = push(pair.nu.scale(k), f"pair{pi}:({k})*nu")
             if idx is not None:
                 nu_ids.append(idx)
         for k in closure_mu:
-            idx = push(pair.mu.scale(k), f"pair{pi}:({k})*mu",
-                       "kernel-multiple")
+            idx = push(pair.mu.scale(k), f"pair{pi}:({k})*mu")
             if idx is not None:
                 mu_ids.append(idx)
         # same-family brackets are identically zero; only cross brackets
@@ -128,11 +121,11 @@ def build_dictionary(ctx: SuspensionContext, pairs: Sequence[LiftedPair],
                     memo[key] = None if bracket.is_zero else bracket
                 if memo[key] is not None:
                     label = f"[{entries[i].label}, {entries[j].label}]"
-                    push(memo[key], label, "bracket", parents=(i, j))
+                    push(memo[key], label)
 
     for e in ctx.base_ring.exponents_up_to(degree):
         h = ctx.base_ring.monomial(e)
-        push(twist_field(ctx, h), f"({h})*(u*d_u - v*d_v)", "twist-field")
+        push(twist_field(ctx, h), f"({h})*(u*d_u - v*d_v)")
 
     return Dictionary(ctx, entries)
 
@@ -202,17 +195,14 @@ def projected_system(target: VectorField, ctx: SuspensionContext,
     return rhs, column, blocks
 
 
-def fit_field(target: VectorField, dictionary: Dictionary,
-              samples: Sequence[SurfacePoint],
-              system: tuple | None = None) -> FitResult:
+def fit_field(dictionary: Dictionary, system: tuple) -> FitResult:
     """Least-squares coefficients reproducing the target at the samples,
     with errors measured inside the tangent space at each point.
-    `system` is a `projected_system` over dictionaries including this
-    one, shared between fits; without it the fit builds its own."""
+    `system` is a `projected_system` of the target and samples over
+    dictionaries including this one, shared between fits."""
     if not dictionary.entries:
         raise ApproxError("the dictionary is empty")
-    rhs_blocks, column, top = system or projected_system(
-        target, dictionary.ctx, samples, [dictionary])
+    rhs_blocks, column, top = system
     idx = [column[_term_key(e.field)] for e in dictionary.entries]
     # C order, as vstack gave: the layout picks the BLAS paths, so the bits
     a = numpy.concatenate([numpy.take(b, idx, axis=1) for b in top])
@@ -246,7 +236,7 @@ def residual_curve(target: VectorField, ctx: SuspensionContext,
     system = projected_system(target, ctx, samples, dicts)
     out = []
     for d, dictionary in zip(degrees, dicts):
-        fit = fit_field(target, dictionary, samples, system)
+        fit = fit_field(dictionary, system)
         out.append({"degree": d, "entries": len(dictionary),
                     "sup_residual": fit.sup_residual})
         if d == top_degree:

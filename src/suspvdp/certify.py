@@ -23,7 +23,6 @@ Its verdict is deliberately capped at "certified-at-samples".
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
@@ -44,22 +43,17 @@ class CertifyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# kernel families
-
-
-@dataclass(frozen=True)
-class KernelFamily:
-    owner: VectorField
-    generators: tuple[Poly, ...]
+# kernels
 
 
 def verify_kernel(theta: VectorField,
-                  generators: Sequence[Poly]) -> KernelFamily:
-    """Check that the field annihilates every generator, exactly."""
+                  generators: Sequence[Poly]) -> tuple[Poly, ...]:
+    """The generators, after checking that the field annihilates every
+    one of them, exactly."""
     for k in generators:
         if not theta.apply(k).is_zero:
             raise CertifyError(f"not annihilated by the field: {k}")
-    return KernelFamily(theta, tuple(generators))
+    return tuple(generators)
 
 
 def monomial_closure(generators: Sequence[Poly], ring: PolyRing,
@@ -107,8 +101,8 @@ def monomial_closure(generators: Sequence[Poly], ring: PolyRing,
 class SemiCompatCertificate:
     """Witnessed degree-truncated certificate for one ordered pair."""
 
-    kernel_nu: KernelFamily
-    kernel_mu: KernelFamily
+    kernel_nu: tuple[Poly, ...]
+    kernel_mu: tuple[Poly, ...]
     ideal: tuple[Poly, ...]
     degree_bound: int
     mode: str                      # "plain" or "quotient"
@@ -148,8 +142,9 @@ def _monomial_universe(ring: PolyRing, max_degree: int,
     return sorted(out, key=lambda p: (p.total_degree(), p.key()))
 
 
-def semicompat_certificate(kernel_nu: KernelFamily, kernel_mu: KernelFamily,
-                           ideal: Sequence[Poly], degree_bound: int,
+def semicompat_certificate(kernel_nu: Sequence[Poly],
+                           kernel_mu: Sequence[Poly], ideal: Sequence[Poly],
+                           degree_bound: int,
                            ctx: SuspensionContext | None = None
                            ) -> SemiCompatCertificate:
     """Certify that, up to the degree bound, the span of kernel products
@@ -179,10 +174,8 @@ def _certificate_in_mode(kernel_nu, kernel_mu, ideal, degree_bound, ctx,
     reducer = ctx.normal_form if mode == "quotient" else None
     reduce = reducer if reducer is not None else (lambda p: p)
 
-    closure_nu = monomial_closure(kernel_nu.generators, ring, degree_bound,
-                                  reducer)
-    closure_mu = monomial_closure(kernel_mu.generators, ring, degree_bound,
-                                  reducer)
+    closure_nu = monomial_closure(kernel_nu, ring, degree_bound, reducer)
+    closure_mu = monomial_closure(kernel_mu, ring, degree_bound, reducer)
     products: list[tuple[Poly, Poly, Poly]] = []
     seen = set()
     for a in closure_nu:
@@ -257,8 +250,8 @@ class LiftedPair:
     orientation: str               # "uv": (alpha_u, beta_v); "vu": mirrored
     nu: VectorField
     mu: VectorField
-    kernel_nu: KernelFamily
-    kernel_mu: KernelFamily
+    kernel_nu: tuple[Poly, ...]
+    kernel_mu: tuple[Poly, ...]
     ideal: tuple[Poly, ...]
 
 
@@ -290,17 +283,6 @@ def lift_pair(alpha: VectorField, beta: VectorField,
 # spanning ranks
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    full_rank: int
-    rows: int
-
-    @property
-    def full(self) -> bool:
-        return self.rank == self.full_rank
-
-
 def wedge_rows(vector_pairs, dim):
     rows = []
     for a, b, scale in vector_pairs:
@@ -312,7 +294,7 @@ def wedge_rows(vector_pairs, dim):
     return rows
 
 
-def spanning_rank(family: SpanningFamily, ctx: SuspensionContext) -> RankReport:
+def spanning_rank(family: SpanningFamily, ctx: SuspensionContext) -> int:
     """Exact rank of the scaled wedges of an evaluated family inside the
     second exterior power of the tangent space at its basepoint."""
     point = family.basepoint
@@ -333,10 +315,7 @@ def spanning_rank(family: SpanningFamily, ctx: SuspensionContext) -> RankReport:
                 f"family vector is not tangent at the basepoint: {sp.label}")
         pairs.append((a, b, sp.ideal_value))
     rows = wedge_rows(pairs, dim)
-    full = math.comb(dim, 2)
-    if not rows:
-        return RankReport(0, full, 0)
-    return RankReport(exact_rank(ExactMatrix.from_rows(rows)), full, len(rows))
+    return exact_rank(ExactMatrix.from_rows(rows)) if rows else 0
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +405,15 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
     witnesses, and exact spanning ranks at sampled admissible points.
 
     The verdict is "certified-at-samples" only when every sub-check
-    passed and the undecidable topological hypothesis is asserted true;
-    sub-check failures are recorded, never thrown.
+    passed, the undecidable topological hypothesis is asserted true and
+    every base field is shown complete (`lifts.shown_complete`).  A
+    completeness that is not shown is undecided, not refuted: it is listed
+    under the assumptions and caps the verdict at "inconclusive".
+    Sub-check failures are recorded, never thrown.
     """
     t0 = time.perf_counter()
     problems: list[str] = []
+    unshown: list[str] = []        # base fields not shown complete
     pair_reports: list[dict] = []
     timings: dict = {}
 
@@ -446,12 +429,10 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
         entry["divergence_free"] = div_ok
         if not div_ok:
             problems.append(f"pair {k}: base fields are not volume preserving")
-        for label, base in (("alpha", spec.alpha), ("beta", spec.beta)):
-            if not shown_complete(base):
-                problems.append(
-                    f"pair {k}: {label} = [{', '.join(entry[label])}] is "
-                    "not shown complete (neither locally nilpotent within "
-                    "the series guard nor affine linear)")
+        unshown += [f"pair {k}: {label} = [{', '.join(entry[label])}]"
+                    for label, base in (("alpha", spec.alpha),
+                                        ("beta", spec.beta))
+                    if not shown_complete(base)]
         try:
             verify_kernel(spec.alpha, spec.kernel_alpha)
             verify_kernel(spec.beta, spec.kernel_beta)
@@ -523,12 +504,10 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
     for point in points:
         rank = screen.rank(point)
         if rank is None:
-            report = spanning_rank(plan.at(point), ctx)
-            rank = report.rank
-            if not report.full:
+            rank = spanning_rank(plan.at(point), ctx)
+            if rank < screen.full:
                 problems.append(
-                    f"spanning rank {report.rank} < {report.full_rank} at "
-                    f"{point}")
+                    f"spanning rank {rank} < {screen.full} at {point}")
         ranks.append({"point": str(point), "rank": rank,
                       "full": rank == screen.full})
     timings["ranks"] = time.perf_counter() - t1
@@ -556,13 +535,22 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
 
     assumptions_dict = {"cohomology": assumptions.cohomology,
                         "note": assumptions.note}
-    if problems:
-        verdict = "failed"
-    elif assumptions.cohomology is not True:
-        verdict = "inconclusive"
-        assumptions_dict["explanation"] = (
+    undecided = []
+    if assumptions.cohomology is not True:
+        undecided.append(
             "the topological vanishing hypothesis is undecidable here and "
             "was not asserted; certify it externally and set the flag")
+    if unshown:
+        assumptions_dict["completeness"] = unshown
+        undecided.append(
+            f"completeness is not shown for {' and '.join(unshown)} "
+            "(neither locally nilpotent within the series guard nor affine "
+            "linear); certify it externally")
+    if problems:
+        verdict = "failed"
+    elif undecided:
+        verdict = "inconclusive"
+        assumptions_dict["explanation"] = "; ".join(undecided)
     else:
         verdict = "certified-at-samples"
 

@@ -32,7 +32,7 @@ import marshal
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -408,7 +408,8 @@ def shear_pullback(mu: VectorField, theta: VectorField, g: Poly,
 
     g*theta is complete where theta is, g being constant along theta's
     orbits; the lift of a complete base field is complete, and the
-    criterion shows every base field it lifts complete (`shown_complete`).
+    criterion certifies only when every base field it lifts is shown
+    complete (`shown_complete`).
     """
     mu_g = _shear_factor(mu, theta, g)
     if not point.exact:
@@ -514,7 +515,6 @@ class SpanningPair:
 class SpanningFamily:
     basepoint: SurfacePoint
     pairs: list[SpanningPair]
-    notes: dict = field(default_factory=dict)
 
 
 # a pullback's mu, theta and `_shear_factor` mu(g) as indices into a plan's
@@ -602,7 +602,6 @@ class SpanningPlan(Evaluated):
             raise BasepointError(["ideal vanishes at the basepoint"])
 
         family: list[SpanningPair] = []
-        notes: dict = {"twist": None, "shear": None}
         for idx, (gens, (alpha_u, alpha_v, beta_u, beta_v)) in enumerate(
                 zip(self.gens, self.lifted)):
             value = ideal_value(gens)
@@ -619,10 +618,7 @@ class SpanningPlan(Evaluated):
             family.append(SpanningPair(
                 f"pair{cand.idx}:shear-pullback" + (":swapped" if cand.swapped else ""),
                 pulled(shear_a), pulled(shear_b), ideal_value(cand.gens)))
-            notes["shear"] = {"pair": cand.idx, "swapped": cand.swapped}
             break
-        else:
-            notes["shear"] = "no source pair moves f at the basepoint"
 
         # twist pullback: needs alpha(f) = 0 but beta(f) != 0 and alpha != 0
         for cand in self.candidates:
@@ -636,13 +632,9 @@ class SpanningPlan(Evaluated):
             family.append(SpanningPair(
                 f"pair{cand.idx}:twist-pullback" + (":swapped" if cand.swapped else ""),
                 pulled(twist_a), pulled(twist_b), ideal_value(cand.gens)))
-            notes["twist"] = {"pair": cand.idx, "swapped": cand.swapped,
-                              "variable": self.ctx.base_ring.variables[j]}
             break
-        else:
-            notes["twist"] = "no source pair is stationary for f at the basepoint"
 
-        return SpanningFamily(basepoint=point, pairs=family, notes=notes)
+        return SpanningFamily(basepoint=point, pairs=family)
 
 
 def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]]],
@@ -654,7 +646,7 @@ def spanning_plan(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Poly]
     of the surface."""
     ring = ctx.ring
     u = ring.var("u")
-    radial = VectorField(ring, (u, -ring.var("v"), *[ring.zero()] * ctx.n))
+    radial = twist_field(ctx, ctx.base_ring.one())
     is_tangent(radial, ctx)
     polys: dict[Poly, int] = {}
 
@@ -709,7 +701,8 @@ def spanning_family(pairs: Sequence[tuple[VectorField, VectorField, Sequence[Pol
     * up to two pullback pairs, one along a shear by (u - u0) times a
       side-v lift, one along a twist by z_j - z_j(p), for the first base
       index j where the first-slot field is nonzero at the basepoint p
-      (see the notes for which source pairs fed them).
+      (each pair's label names the source pair that fed it, and whether
+      its fields were swapped).
 
     Source pairs come with their proposed ideal generators (base ring);
     every wedge is weighted by a nonvanishing ideal value at the point.

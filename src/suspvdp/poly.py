@@ -168,9 +168,6 @@ class Poly(Evaluated):
         i = var if isinstance(var, int) else self.ring.index(var)
         return any(e[i] for e in self.terms)
 
-    def coefficient(self, exponents: Sequence[int]) -> GaussianRational:
-        return self.terms.get(tuple(exponents), ZERO)
-
     def key(self) -> tuple:
         """Hashable canonical identity (for dedup sets)."""
         return tuple(sorted(self.terms.items()))
@@ -314,31 +311,6 @@ class Poly(Evaluated):
             out[tuple(d)] = c
         return Poly(target, out)
 
-    def divide_exact(self, den: "Poly") -> "Poly | None":
-        """Exact quotient self/den, or None if den does not divide self."""
-        self._check_ring(den)
-        if den.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self.terms)
-        quot: dict[tuple[int, ...], GaussianRational] = {}
-        den_lead = max(den.terms, key=_grlex_key)
-        den_lead_c = den.terms[den_lead]
-        while rem:
-            lead = max(rem, key=_grlex_key)
-            diff = tuple(a - b for a, b in zip(lead, den_lead))
-            if any(k < 0 for k in diff):
-                return None
-            c = rem[lead] / den_lead_c
-            quot[diff] = c
-            for e, k in den.terms.items():
-                tgt = tuple(a + b for a, b in zip(diff, e))
-                s = rem.get(tgt, ZERO) - c * k
-                if s.is_zero:
-                    rem.pop(tgt, None)
-                else:
-                    rem[tgt] = s
-        return Poly(self.ring, quot)
-
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -346,10 +318,6 @@ class Poly(Evaluated):
 
     def __repr__(self) -> str:
         return f"Poly({self.ring.variables}, {format_poly(self)!r})"
-
-
-def _grlex_key(e: tuple[int, ...]) -> tuple:
-    return (sum(e), e)
 
 
 # ---------------------------------------------------------------------------

@@ -72,27 +72,29 @@ class SuspensionContext(Evaluated):
 
     def normal_form(self, p: Poly) -> Poly:
         """Canonical representative of p modulo (uv - f)."""
-        if p.ring.variables != self.ring.variables:
-            raise SuspensionError("polynomial lives in the wrong ring")
-        out = self.ring.zero()
-        for e, c in p.terms.items():
-            k = min(e[U], e[V])
-            if k == 0:
-                out = out + self.ring.monomial(e, c)
-            else:
-                d = list(e)
-                d[U] -= k
-                d[V] -= k
-                out = out + self.ring.monomial(d, c) * self.f_power(k)
-        return out
+        return self.reduce(p)[0]
 
     def reduce(self, p: Poly) -> tuple[Poly, Poly]:
         """Normal form together with the cofactor: p = q*(uv - f) + nf(p).
 
-        p - nf(p) lies in the ideal, so dividing it by uv - f is exact.
+        A term m*(uv)^k, with m free of uv, rewrites to m*f^k, and its
+        part of q is m*sum_{j<k} (uv)^(k-1-j) f^j, since (uv)^k - f^k is
+        that sum times uv - f.
         """
-        nf = self.normal_form(p)
-        return nf, (p - nf).divide_exact(self.defining)
+        if p.ring.variables != self.ring.variables:
+            raise SuspensionError("polynomial lives in the wrong ring")
+        nf = q = self.ring.zero()
+        for e, c in p.terms.items():
+            k = min(e[U], e[V])
+            d = list(e)
+            m = self.ring.monomial(d, c)
+            for j in range(k):       # strip one uv: c*u^(a-1-j)*v^(b-1-j)*z^e
+                d[U] -= 1
+                d[V] -= 1
+                m = self.ring.monomial(d, c)
+                q = q + (m * self.f_power(j) if j else m)
+            nf = nf + (m * self.f_power(k) if k else m)
+        return nf, q
 
     # -- pointwise data ----------------------------------------------------
 
@@ -170,14 +172,6 @@ class SurfacePoint:
 
     coords: tuple
     exact: bool
-
-    @property
-    def u(self):
-        return self.coords[U]
-
-    @property
-    def v(self):
-        return self.coords[V]
 
     @property
     def z(self) -> tuple:
@@ -359,10 +353,9 @@ def sample_zero_fiber(ctx: SuspensionContext,
 
 @dataclass
 class SmoothnessReport:
-    checked: int
     zero_fiber: int
     singular_points: list
-    certificate: dict | None = None
+    certificate: dict | None
 
     @property
     def ok(self) -> bool:
@@ -370,11 +363,10 @@ class SmoothnessReport:
 
 
 def smoothness_witness(ctx: SuspensionContext, z_samples: Iterable,
-                       certificate_degree: int | None = None) -> SmoothnessReport:
-    """Check d f != 0 at every sampled zero of f; optionally search for an
-    exact combination  g0*f + sum_j gj*df/dzj = 1  up to a degree bound,
-    which certifies smoothness everywhere rather than just on samples."""
-    z_samples = list(z_samples)
+                       certificate_degree: int) -> SmoothnessReport:
+    """Check d f != 0 at every sampled zero of f, and search for an exact
+    combination  g0*f + sum_j gj*df/dzj = 1  up to a degree bound, which
+    certifies smoothness everywhere rather than just on samples."""
     singular = []
     zero_count = 0
     for z in z_samples:
@@ -383,11 +375,9 @@ def smoothness_witness(ctx: SuspensionContext, z_samples: Iterable,
         zero_count += 1
         if all(p.evaluate_exact(z).is_zero for p in ctx.partials):
             singular.append(tuple(z))
-    cert = None
-    if certificate_degree is not None:
-        cert = smoothness_certificate(ctx, certificate_degree)
-    return SmoothnessReport(checked=len(z_samples), zero_fiber=zero_count,
-                            singular_points=singular, certificate=cert)
+    return SmoothnessReport(
+        zero_fiber=zero_count, singular_points=singular,
+        certificate=smoothness_certificate(ctx, certificate_degree))
 
 
 def smoothness_certificate(ctx: SuspensionContext, degree_bound: int) -> dict | None:

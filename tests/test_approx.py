@@ -39,11 +39,25 @@ def plane_samples(ctx, count=12, seed=3):
     return sample_points(ctx, SamplingSpec(count=count, seed=seed))
 
 
-def entry_index(dictionary, provenance):
+def entry_kind(label):
+    """What a dictionary label names: a bracket of two entries, a kernel
+    multiple of a lifted field, or a twist field."""
+    if label.startswith("["):
+        return "bracket"
+    return "kernel-multiple" if label.startswith("pair") else "twist-field"
+
+
+def entry_index(dictionary, kind):
     hits = [i for i, e in enumerate(dictionary.entries)
-            if e.provenance == provenance]
-    assert hits, f"no entry with provenance {provenance}"
+            if entry_kind(e.label) == kind]
+    assert hits, f"no entry of kind {kind}"
     return hits[0]
+
+
+def fit_alone(target, dictionary, samples):
+    """The fit of `dictionary` on a projected system of its own."""
+    return fit_field(dictionary, approx.projected_system(
+        target, dictionary.ctx, samples, [dictionary]))
 
 
 def twist_target(ctx, h_text="1"):
@@ -54,10 +68,10 @@ def test_dictionary_degree_zero_contents():
     ctx = plane_ctx()
     d = build_dictionary(ctx, [plane_pair(ctx)], 0)
     assert len(d) == 4
-    assert sorted({e.provenance for e in d.entries}) == [
+    assert sorted({entry_kind(e.label) for e in d.entries}) == [
         "bracket", "kernel-multiple", "twist-field"]
     bracket = d.entries[entry_index(d, "bracket")]
-    assert bracket.parents is not None
+    assert bracket.label == "[pair0:(1)*nu, pair0:(1)*mu]"
     # the guard in the builder already enforces these; re-check anyway
     from suspvdp.surface import divergence_on_suspension
     for e in d.entries:
@@ -98,7 +112,7 @@ def test_dictionary_grows_with_degree():
 def test_fit_recovers_twist_with_unit_coefficient():
     ctx = plane_ctx()
     d = build_dictionary(ctx, [plane_pair(ctx)], 0)
-    fit = fit_field(twist_target(ctx), d, plane_samples(ctx))
+    fit = fit_alone(twist_target(ctx), d, plane_samples(ctx))
     assert fit.sup_residual <= 1e-10
     twist_i = entry_index(d, "twist-field")
     for i, c in enumerate(fit.coefficients):
@@ -111,7 +125,7 @@ def test_fit_recovers_bracket_direction():
     d = build_dictionary(ctx, [plane_pair(ctx)], 0)
     # [nu_u, mu_v] = d_z2 here; feed d_z2 back in as the target
     target = VectorField.coordinate(ctx.ring, "z2")
-    fit = fit_field(target, d, plane_samples(ctx))
+    fit = fit_alone(target, d, plane_samples(ctx))
     assert fit.sup_residual <= 1e-10
     bracket_i = entry_index(d, "bracket")
     assert abs(fit.coefficients[bracket_i] - 1.0) <= 1e-8
@@ -133,7 +147,7 @@ def test_fit_recovers_exact_combinations():
             for k, p in enumerate(d.entries[i].field.coeffs):
                 amb_coeffs[k] = amb_coeffs[k] + p.scale(c)
         target = VectorField(ctx.ring, tuple(amb_coeffs))
-        fit = fit_field(target, d, samples)
+        fit = fit_alone(target, d, samples)
         assert fit.sup_residual <= 1e-10, f"trial {trial}"
         # coefficients may differ when entries are dependent on the
         # surface; the fitted field itself must still match pointwise
@@ -179,7 +193,7 @@ def complex_bits(values):
 
 
 def entry_identities(dictionary):
-    return [(e.label, e.provenance, e.parents, approx._term_key(e.field))
+    return [(e.label, approx._term_key(e.field))
             for e in dictionary.entries]
 
 
@@ -193,7 +207,7 @@ def test_shared_curve_fits_equal_standalone_fits_bit_for_bit(name):
         alone = build_dictionary(ctx, pairs, d)
         assert entry_identities(build_dictionary(ctx, pairs, d, memo)) == \
             entry_identities(alone)
-        fit = fit_field(target, alone, samples)
+        fit = fit_alone(target, alone, samples)
         assert (row["degree"], row["entries"]) == (d, len(alone))
         assert row["sup_residual"].hex() == fit.sup_residual.hex()
         if d == max(degrees):
@@ -249,11 +263,12 @@ def test_fit_rejects_bad_input():
         ctx.ring.parse("u"), ctx.ring.zero(), ctx.ring.parse("z1"),
         ctx.ring.zero()))
     with pytest.raises(ApproxError):
-        fit_field(expanding, d, samples)
+        approx.projected_system(expanding, ctx, samples, [d])
     with pytest.raises(ApproxError):
-        fit_field(twist_target(ctx), Dictionary(ctx, []), samples)
+        fit_field(Dictionary(ctx, []), approx.projected_system(
+            twist_target(ctx), ctx, samples, [d]))
     with pytest.raises(ApproxError):
-        fit_field(twist_target(ctx), d, [])
+        approx.projected_system(twist_target(ctx), ctx, [], [d])
 
 
 def test_fit_is_deterministic():
@@ -261,12 +276,12 @@ def test_fit_is_deterministic():
     d = build_dictionary(ctx, [plane_pair(ctx)], 2)
     samples = plane_samples(ctx)
     target = twist_target(ctx, "z1")
-    a = fit_field(target, d, samples)
-    b = fit_field(target, d, samples)
+    a = fit_alone(target, d, samples)
+    b = fit_alone(target, d, samples)
     assert a.coefficients == b.coefficients
     assert a.residuals == b.residuals
     # sample order changes the rows but not the quality of the fit
-    c = fit_field(target, d, list(reversed(samples)))
+    c = fit_alone(target, d, list(reversed(samples)))
     assert abs(a.sup_residual - c.sup_residual) <= 1e-9
 
 
@@ -275,7 +290,7 @@ def test_flow_audit_in_span_target():
     d = build_dictionary(ctx, [plane_pair(ctx)], 0)
     target = twist_target(ctx)
     samples = plane_samples(ctx)
-    fit = fit_field(target, d, samples)
+    fit = fit_alone(target, d, samples)
     audits = flow_deviation_audit(target, d, fit, samples[:3])
     assert len(audits) == 3
     for a in audits:
@@ -289,7 +304,7 @@ def test_flow_audit_out_of_span_target():
     d = build_dictionary(ctx, [plane_pair(ctx)], 0)
     target = twist_target(ctx, "z2")
     samples = plane_samples(ctx)
-    fit = fit_field(target, d, samples)
+    fit = fit_alone(target, d, samples)
     assert fit.sup_residual > 1e-3
     audits = flow_deviation_audit(target, d, fit, samples[:3])
     for a in audits:
@@ -301,7 +316,7 @@ def test_flow_audit_rows_equal_a_serial_run(monkeypatch):
     d = build_dictionary(ctx, [plane_pair(ctx)], 1)
     target = twist_target(ctx, "z2")
     samples = plane_samples(ctx)
-    fit = fit_field(target, d, samples)
+    fit = fit_alone(target, d, samples)
     spread = flow_deviation_audit(target, d, fit, samples[:5])
     monkeypatch.setattr(approx, "map_on_cpus",
                         lambda fn, jobs: [fn(j) for j in jobs])

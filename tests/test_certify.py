@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from suspvdp.certify import (Assumptions, CertifyError, KernelFamily,
-                             PairSpec, RankReport, _certificate_in_mode,
-                             lift_ideal, lift_pair, monomial_closure,
-                             run_vdp_criterion, semicompat_certificate,
-                             spanning_rank, verify_kernel)
+from suspvdp.certify import (Assumptions, CertifyError, PairSpec,
+                             _certificate_in_mode, lift_ideal, lift_pair,
+                             monomial_closure, run_vdp_criterion,
+                             semicompat_certificate, spanning_rank,
+                             verify_kernel)
 from suspvdp.fields import VectorField
 from suspvdp.lifts import SpanningPair, lift, spanning_family
 from suspvdp.poly import PolyRing
@@ -23,8 +23,8 @@ def coord_field(ring, name):
 def test_verify_kernel():
     ring = PolyRing(("z1", "z2"))
     d1 = coord_field(ring, "z1")
-    fam = verify_kernel(d1, [ring.parse("z2"), ring.parse("z2^2")])
-    assert len(fam.generators) == 2
+    gens = [ring.parse("z2"), ring.parse("z2^2")]
+    assert verify_kernel(d1, gens) == tuple(gens)
     with pytest.raises(CertifyError):
         verify_kernel(d1, [ring.parse("z1")])
 
@@ -174,17 +174,16 @@ def test_spanning_rank_full():
     p = surface_point(ctx, [gr(1), gr(1), gr(1), gr(0)])
     fam = spanning_family([(spec.alpha, spec.beta, [ctx.base_ring.one()])],
                           ctx, p)
-    report = spanning_rank(fam, ctx)
-    assert report.rank == 3 and report.full and report.full_rank == 3
+    assert spanning_rank(fam, ctx) == 3
 
     # rank is invariant under permutation and nonzero rescaling
     fam.pairs.reverse()
-    assert spanning_rank(fam, ctx).rank == 3
+    assert spanning_rank(fam, ctx) == 3
     fam.pairs[0] = SpanningPair(
         fam.pairs[0].label,
         tuple(c * gr(2) for c in fam.pairs[0].a),
         fam.pairs[0].b, fam.pairs[0].ideal_value * gr(-3))
-    assert spanning_rank(fam, ctx).rank == 3
+    assert spanning_rank(fam, ctx) == 3
 
 
 def test_spanning_rank_zero_ideal_value_drops_pair():
@@ -194,7 +193,7 @@ def test_spanning_rank_zero_ideal_value_drops_pair():
                           ctx, p)
     fam.pairs = [SpanningPair(sp.label, sp.a, sp.b, ZERO)
                  for sp in fam.pairs]
-    assert spanning_rank(fam, ctx).rank == 0
+    assert spanning_rank(fam, ctx) == 0
 
 
 def test_spanning_rank_rejects_non_tangent():
@@ -228,13 +227,17 @@ def test_run_vdp_criterion_inconclusive_without_assertion():
     report = run_vdp_criterion(ctx, [spec], Assumptions(),
                                SamplingSpec(count=3, seed=5), degree_bound=2)
     assert report.verdict == "inconclusive"
-    assert "explanation" in report.assumptions
+    assert report.assumptions["explanation"] == (
+        "the topological vanishing hypothesis is undecidable here and was "
+        "not asserted; certify it externally and set the flag")
+    # every field is shown complete, so no completeness key is listed
+    assert "completeness" not in report.assumptions
 
 
-def test_run_vdp_criterion_refuses_an_incomplete_field():
-    # alpha is divergence-free with verified kernels and lifts, and the
-    # ranks are full only with pair 0, but z1' = z1^2 blows up in finite
-    # time: completeness is not shown, so nothing is certified
+def n3_report(alpha, kernel_alpha):
+    """The criterion on u*v = z1 over C^3 with cohomology asserted: pair 0
+    is (alpha, d_z3), and the coordinate pairs after it make every rank
+    full only together with pair 0."""
     ctx = make_suspension(3, "z1")
     ring = ctx.base_ring
 
@@ -244,17 +247,39 @@ def test_run_vdp_criterion_refuses_an_incomplete_field():
                         tuple(map(ring.parse, kernel_alpha)),
                         tuple(map(ring.parse, kernel_beta)))
 
-    pairs = [pair(["z1^2", "-2*z1*z2", "0"], ["0", "0", "1"],
-                  ["z3", "z1^2*z2"], ["z1", "z2"]),
+    pairs = [pair(alpha, ["0", "0", "1"], kernel_alpha, ["z1", "z2"]),
              pair(["0", "1", "0"], ["0", "0", "1"], ["z1", "z3"], ["z1", "z2"]),
              pair(["1", "0", "0"], ["0", "1", "0"], ["z2", "z3"], ["z1", "z3"])]
-    report = run_vdp_criterion(ctx, pairs, Assumptions(cohomology=True),
-                               SamplingSpec(count=4, seed=0), degree_bound=2)
-    assert report.verdict != "certified-at-samples"
-    assert report.problems == [
-        "pair 0: alpha = [z1^2, -2*z1*z2, 0] is not shown complete (neither "
-        "locally nilpotent within the series guard nor affine linear)"]
+    return run_vdp_criterion(ctx, pairs, Assumptions(cohomology=True),
+                             SamplingSpec(count=4, seed=0), degree_bound=2)
+
+
+def assert_completeness_undecided(report, unshown):
+    assert report.verdict == "inconclusive"
+    assert report.problems == []
+    assert report.assumptions["completeness"] == [unshown]
+    assert report.assumptions["explanation"] == (
+        f"completeness is not shown for {unshown} (neither locally "
+        "nilpotent within the series guard nor affine linear); certify it "
+        "externally")
     assert all(r["full"] for r in report.ranks)
+
+
+def test_run_vdp_criterion_refuses_an_incomplete_field():
+    # alpha is divergence-free with verified kernels and lifts, but
+    # z1' = z1^2 blows up in finite time.  The tool cannot show that, so
+    # completeness stays undecided and nothing is certified
+    report = n3_report(["z1^2", "-2*z1*z2", "0"], ["z3", "z1^2*z2"])
+    assert_completeness_undecided(
+        report, "pair 0: alpha = [z1^2, -2*z1*z2, 0]")
+
+
+def test_run_vdp_criterion_leaves_an_unshown_complete_field_undecided():
+    # z1' = z1*z3, z2' = -z2*z3 is complete, with flow z1*e^(t*z3),
+    # z2*e^(-t*z3), but neither affine linear nor locally nilpotent: the
+    # tool cannot show it complete, and that refutes nothing
+    report = n3_report(["z1*z3", "-z2*z3", "0"], ["z3", "z1*z2"])
+    assert_completeness_undecided(report, "pair 0: alpha = [z1*z3, -z2*z3, 0]")
 
 
 def test_run_vdp_criterion_empty_pairs_fails():

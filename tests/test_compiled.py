@@ -214,7 +214,7 @@ def test_fitted_evaluator_matches_loop_and_drops_zero_weights():
                             ("0", "u^2 - 3i*z2", "v", "0"),
                             ("z1*z2", "0", "u", "u*v"))]
     dictionary = Dictionary(ctx, [
-        DictionaryEntry(f, f"e{k}", "test")
+        DictionaryEntry(f, f"e{k}")
         for k, f in enumerate(fields)])
     coeffs = [0.5 - 2j, 0j, -1.25 + 0.5j]
     fitted = fitted_evaluator(dictionary, coeffs)

@@ -535,7 +535,7 @@ def test_spanning_family_rank_three():
     labels = [pair.label for pair in fam.pairs]
     assert any("shear-pullback" in s for s in labels)
     assert any("twist-pullback" in s for s in labels)
-    assert fam.notes["twist"]["swapped"] is True
+    assert "pair0:twist-pullback:swapped" in labels
     assert wedge_rank(ctx, p, fam) == 3
 
 

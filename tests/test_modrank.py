@@ -138,7 +138,7 @@ def test_screened_rank_equals_exact_rank(seed, n, small_prime):
         screen = RankScreen(plan)
     for point in points:
         got = screen.rank(point)
-        want = spanning_rank(plan.at(point), ctx).rank
+        want = spanning_rank(plan.at(point), ctx)
         assert got is None or got == want
     counts = screen.counts()
     assert counts["screened"] + counts["fallback"] == len(points)
@@ -199,4 +199,4 @@ def test_vanishing_witness_sends_the_point_to_the_exact_path(monkeypatch):
     refused = RankScreen(plan)
     assert [refused.rank(p) for p in points] == [None, None, None]
     assert refused.counts()["fallback_reasons"] == {"witness": 3}
-    assert [spanning_rank(plan.at(p), ctx).rank for p in points] == [3, 3, 3]
+    assert [spanning_rank(plan.at(p), ctx) for p in points] == [3, 3, 3]

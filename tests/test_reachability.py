@@ -12,6 +12,14 @@ docstring (`bench/layers.py` names its spans in strings).
 Names are matched by whole word, not resolved to their definition: a
 method that shares its name with another routine, such as `at`, counts as
 used when any of them is used, so the guard cannot see it.
+
+Data is held to the same rule.  Each class-level field (an annotated or
+assigned name in a class body) and each `@property` that is not a dunder
+must be read as an attribute, `.name`, somewhere in `src/` or `bench/`;
+a keyword of a constructor call builds a field but does not read it.  A
+class that serialises itself through `vars(self)` reads all its fields
+there.  The match is again by name, so a field that shares its name with
+another attribute that is read passes.
 """
 
 import ast
@@ -58,6 +66,10 @@ def _used_words(tree: ast.Module) -> set[str]:
     return words
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _registered(node, local: set[str]) -> bool:
     return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
                and d.func.id in local for d in node.decorator_list)
@@ -72,9 +84,7 @@ def _definitions(path: Path, tree: ast.Module):
                if isinstance(n, ast.ClassDef)]
     for prefix, body in scopes:
         for node in body:
-            if (isinstance(node, _DEFINITIONS)
-                    and not (node.name.startswith("__")
-                             and node.name.endswith("__"))
+            if (isinstance(node, _DEFINITIONS) and not _is_dunder(node.name)
                     and not _registered(node, local)):
                 yield f"{prefix}.{node.name}", node.name
 
@@ -87,3 +97,50 @@ def test_every_definition_is_reached_outside_the_tests():
                  for qualified, name in _definitions(path, tree)
                  if name not in used and qualified not in EXCEPTIONS]
     assert not unreached, unreached
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _serialises_itself(cls: ast.ClassDef) -> bool:
+    return any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "vars"
+               and any(isinstance(a, ast.Name) and a.id == "self"
+                       for a in node.args)
+               for node in ast.walk(cls))
+
+
+def _members(path: Path, tree: ast.Module):
+    """(qualified name, name) of each class-level field and property of
+    the classes that do not serialise themselves, dunders left out."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or _serialises_itself(cls):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            else:
+                targets = []
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "property"
+                    for d in node.decorator_list):
+                names.append(node.name)
+            for name in names:
+                if not _is_dunder(name):
+                    yield f"{path.stem}.{cls.name}.{name}", name
+
+
+def test_every_field_and_property_is_read_outside_the_tests():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SEARCHED}
+    read = set().union(*map(_read_attributes, trees.values()))
+    unread = [qualified
+              for path, tree in trees.items() if path.parent == PACKAGE
+              for qualified, name in _members(path, tree)
+              if name not in read]
+    assert not unread, unread
