@@ -28,10 +28,11 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 from .fields import VectorField, divergence
-from .lifts import SpanningFamily, lift, shown_complete, spanning_plan
-from .linalg import ExactMatrix, exact_rank, solve_columns, span_solve
+from .lifts import (BasepointError, SpanningFamily, lift, shown_complete,
+                    spanning_plan)
+from .linalg import ExactMatrix, exact_rank, span_solve
 from .poly import Poly, PolyRing
-from .scalars import GaussianRational
+from .scalars import ZERO, GaussianRational
 from .surface import (NotTangentError, SamplingError, SamplingSpec,
                       SurfacePoint, SuspensionContext, basepoint_search,
                       divergence_on_suspension, is_tangent, sample_zero_fiber,
@@ -101,10 +102,6 @@ def monomial_closure(generators: Sequence[Poly], ring: PolyRing,
 class SemiCompatCertificate:
     """Witnessed degree-truncated certificate for one ordered pair."""
 
-    kernel_nu: tuple[Poly, ...]
-    kernel_mu: tuple[Poly, ...]
-    ideal: tuple[Poly, ...]
-    degree_bound: int
     mode: str                      # "plain" or "quotient"
     success: bool
     products: list[tuple[Poly, Poly, Poly]]   # (a, b, reduced product)
@@ -214,10 +211,8 @@ def _certificate_in_mode(kernel_nu, kernel_mu, ideal, degree_bound, ctx,
     witnesses = span_solve([prod for _, _, prod in products], targets)
     unreachable = [str(t) for t, w in zip(targets, witnesses) if w is None]
     return SemiCompatCertificate(
-        kernel_nu=kernel_nu, kernel_mu=kernel_mu, ideal=ideal,
-        degree_bound=degree_bound, mode=mode, success=not unreachable,
-        products=products, targets=targets, witnesses=witnesses,
-        unreachable=unreachable)
+        mode=mode, success=not unreachable, products=products,
+        targets=targets, witnesses=witnesses, unreachable=unreachable)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +240,6 @@ def lift_ideal(ideal: Sequence[Poly], ctx: SuspensionContext,
 class LiftedPair:
     """Opposite-side lifts of a base pair with their kernels and ideal."""
 
-    alpha: VectorField
-    beta: VectorField
     orientation: str               # "uv": (alpha_u, beta_v); "vu": mirrored
     nu: VectorField
     mu: VectorField
@@ -273,7 +266,7 @@ def lift_pair(alpha: VectorField, beta: VectorField,
     gens_mu = [ctx.ring.var(partner[side_b])]
     gens_mu += [k.extend_to(ctx.ring) for k in kernel_beta]
     return LiftedPair(
-        alpha=alpha, beta=beta, orientation=orientation, nu=nu, mu=mu,
+        orientation=orientation, nu=nu, mu=mu,
         kernel_nu=verify_kernel(nu, gens_nu),
         kernel_mu=verify_kernel(mu, gens_mu),
         ideal=tuple(lift_ideal(ideal, ctx, ideal_bound)))
@@ -283,39 +276,24 @@ def lift_pair(alpha: VectorField, beta: VectorField,
 # spanning ranks
 
 
-def wedge_rows(vector_pairs, dim):
-    rows = []
-    for a, b, scale in vector_pairs:
-        coords = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                coords.append(scale * (a[i] * b[j] - a[j] * b[i]))
-        rows.append(coords)
-    return rows
-
-
 def spanning_rank(family: SpanningFamily, ctx: SuspensionContext) -> int:
     """Exact rank of the scaled wedges of an evaluated family inside the
-    second exterior power of the tangent space at its basepoint."""
+    second exterior power of the tangent space at its basepoint, ranked
+    in the chart (v, z) of `SpanningFamily.wedge_rows`.  Each vector is
+    first rebuilt exactly from its chart coordinates a[1:] and the
+    tangent basis; one that this does not reproduce is not tangent."""
     point = family.basepoint
     basis = tangent_basis(ctx, point)
-    dim = len(basis)
-    columns = ExactMatrix.from_rows(
-        [[vec[i] for vec in basis] for i in range(len(point.coords))])
-    pairs = []
-    raw = []
+    if point.coords[1].is_zero:
+        raise BasepointError(["v_nonzero"])
     for sp in family.pairs:
-        raw.append(list(sp.a))
-        raw.append(list(sp.b))
-    sols = solve_columns(columns, raw)
-    for k, sp in enumerate(family.pairs):
-        a, b = sols[2 * k], sols[2 * k + 1]
-        if a is None or b is None:
-            raise NotTangentError(
-                f"family vector is not tangent at the basepoint: {sp.label}")
-        pairs.append((a, b, sp.ideal_value))
-    rows = wedge_rows(pairs, dim)
-    return exact_rank(ExactMatrix.from_rows(rows)) if rows else 0
+        for vec in (sp.a, sp.b):
+            rebuilt = [sum((c * e[i] for c, e in zip(vec[1:], basis)), ZERO)
+                       for i in range(len(vec))]
+            if rebuilt != list(vec):
+                raise NotTangentError(
+                    f"family vector is not tangent at the basepoint: {sp.label}")
+    return exact_rank(ExactMatrix.from_rows(family.wedge_rows()))
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,23 @@ class SpanningFamily:
     basepoint: SurfacePoint
     pairs: list[SpanningPair]
 
+    def wedge_rows(self) -> list[list]:
+        """One row per pair: the wedge a^b scaled by the ideal value, in
+        the chart (v, z) of the tangent space, built with + and * alone,
+        so the exact rank and the screen mod p rank the same matrix.
+
+        At a basepoint v != 0, so the tangent basis of
+        `surface.tangent_basis` pivots on the u column and the coordinates
+        of a tangent vector a in it are a[1:]; the family's vectors are
+        tangent, being values of certified tangent fields at an exact
+        point of the surface."""
+        rows = []
+        for sp in self.pairs:
+            a, b, scale = sp.a[1:], sp.b[1:], sp.ideal_value
+            rows.append([scale * (a[i] * b[j] - a[j] * b[i])
+                         for i in range(len(a)) for j in range(i + 1, len(a))])
+        return rows
+
 
 # a pullback's mu, theta and `_shear_factor` mu(g) as indices into a plan's
 # polynomials: where the shear function vanishes, the value is

@@ -3,8 +3,8 @@
 Exact Gauss-Jordan elimination over Q(i) with the leftmost-nonzero pivot
 rule; row operations touch only the nonzero columns of the pivot row, so
 sparse systems cost little more than their nonzeros.  There are no
-numerical heuristics anywhere: rank, solving and nullspace computations
-are exact, which is what makes the downstream certificates trustworthy.
+numerical heuristics anywhere: rank and solving are exact, which is what
+makes the downstream certificates trustworthy.
 """
 
 from __future__ import annotations
@@ -82,23 +82,6 @@ def exact_rank(m: ExactMatrix) -> int:
     return len(_eliminate(out, out.ncols))
 
 
-def nullspace(m: ExactMatrix) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column."""
-    reduced = m.copy()
-    cols = m.ncols
-    pivot_of_col = {c: r for r, c in _eliminate(reduced, cols)}
-    basis = []
-    for free in range(cols):
-        if free in pivot_of_col:
-            continue
-        vec = [ZERO] * cols
-        vec[free] = ONE
-        for c, r in pivot_of_col.items():
-            vec[c] = -reduced.entries[r][free]
-        basis.append(vec)
-    return basis
-
-
 def solve_columns(a: ExactMatrix, targets: list[Vector]) -> list[Vector | None]:
     """Solve a*x = t for each target column t, exactly.
 
@@ -110,8 +93,6 @@ def solve_columns(a: ExactMatrix, targets: list[Vector]) -> list[Vector | None]:
     ncols = a.ncols
     aug = ExactMatrix([list(row) + [t[i] for t in targets]
                        for i, row in enumerate(a.entries)])
-    if not a.entries:
-        aug = ExactMatrix([])
     pivots = _eliminate(aug, ncols)
     pivot_rows = {r for r, _ in pivots}
     out: list[Vector | None] = []

@@ -12,14 +12,11 @@ report is the one the exact computation would write.
 spanning plan with the plan's evaluator over `residues(P, R)` (its
 coefficients reduced once per plan; the exact fallback `SpanningPlan.at`
 passes `poly.EXACT` instead) and builds the family with the plan's own
-routine, `SpanningPlan.family`.  Every value stays the residue of the
-exact value, since the family is built with + and * alone.  A
+routine, `SpanningPlan.family`, and its wedges with the family's own
+`wedge_rows`, the rows the exact fallback ranks.  Every value stays the
+residue of the exact value, since both are built with + and * alone.  A
 zero test there accepts only a nonzero residue, since a zero residue
-need not be an exact zero.  At a basepoint v != 0, so the tangent basis
-of `surface.tangent_basis` pivots on the u column and the coordinates of
-a tangent vector a in it are a[1:]; the family's vectors are tangent,
-being values of certified tangent fields at an exact point of the
-surface.
+need not be an exact zero.
 
 Witness: the rows that the elimination pivots on form a square minor,
 and `minor_determinant` recomputes its determinant mod P by cofactor
@@ -38,7 +35,6 @@ import functools
 import itertools
 import math
 
-from .certify import wedge_rows
 from .lifts import SpanningPlan
 from .poly import Domain
 from .scalars import GaussianRational
@@ -165,8 +161,7 @@ class RankScreen:
         coords = [residue(c, p, r) for c in point.coords]
         values = [v % p for v in self.evaluate(coords)]
         family = self.plan.family(point, values, _nonzero)
-        rows = wedge_rows([(sp.a[1:], sp.b[1:], sp.ideal_value)
-                           for sp in family.pairs], self.plan.ctx.n + 1)
+        rows = family.wedge_rows()
         pivots = pivot_rows(rows, p)
         if len(pivots) < self.full:
             raise Undecided("rank")

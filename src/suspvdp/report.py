@@ -284,14 +284,14 @@ def render_curve_figure(path, rows) -> bool:
     return True
 
 
-def render_rank_figure(path, rows, full_rank: int | None = None) -> bool:
-    """Spanning rank at each sampled point."""
+def render_rank_figure(path, rows, full_rank: int) -> bool:
+    """Spanning rank at each sampled point, with the full rank drawn as a
+    reference line."""
     if not rows:
         return False
-    hline = (None if full_rank is None
-             else (full_rank, f"full rank {full_rank}"))
     _plot(path, range(len(rows)), "sample point index", "rank", log=False,
-          bars=[r["rank"] for r in rows], hline=hline)
+          bars=[r["rank"] for r in rows],
+          hline=(full_rank, f"full rank {full_rank}"))
     return True
 
 

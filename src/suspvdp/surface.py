@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import VectorField, divergence
-from .linalg import ExactMatrix, nullspace, span_solve
+from .linalg import span_solve
 from .poly import EXACT, Domain, Evaluated, Poly, PolyRing, compile_values
-from .scalars import GaussianRational, ZERO, _canonical, gr
+from .scalars import GaussianRational, ONE, ZERO, _canonical, gr
 
 
 class SuspensionError(ValueError):
@@ -208,13 +208,22 @@ def surface_point(ctx: SuspensionContext, coords: Sequence,
 
 
 def tangent_basis(ctx: SuspensionContext, point: SurfacePoint) -> list[list[GaussianRational]]:
-    """Exact basis of the kernel of d(uv - f) at an exact point."""
+    """Exact basis of the kernel of d(uv - f) at an exact point, in
+    closed form: with the pivot on the first nonzero entry g_p of the
+    gradient, the vector e_j - (g_j/g_p)*e_p for each other j in
+    ascending order."""
     if not point.exact:
         raise SuspensionError("exact tangent bases need exact points")
     grad = ctx.defining_gradient(EXACT)(point.coords)
-    if all(g.is_zero for g in grad):
+    pivot = next((k for k, g in enumerate(grad) if not g.is_zero), None)
+    if pivot is None:
         raise SuspensionError("singular point: the defining gradient vanishes")
-    basis = nullspace(ExactMatrix([grad]))
+    basis = []
+    for j, g in enumerate(grad):
+        if j != pivot:
+            vec = [ZERO] * len(grad)
+            vec[j], vec[pivot] = ONE, -(g / grad[pivot])
+            basis.append(vec)
     return basis
 
 

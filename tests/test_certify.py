@@ -9,7 +9,8 @@ from suspvdp.certify import (Assumptions, CertifyError, PairSpec,
                              semicompat_certificate, spanning_rank,
                              verify_kernel)
 from suspvdp.fields import VectorField
-from suspvdp.lifts import SpanningPair, lift, spanning_family
+from suspvdp.lifts import (BasepointError, SpanningFamily, SpanningPair, lift,
+                           spanning_family)
 from suspvdp.poly import PolyRing
 from suspvdp.scalars import ZERO, gr
 from suspvdp.surface import (NotTangentError, SamplingSpec, make_suspension,
@@ -205,6 +206,17 @@ def test_spanning_rank_rejects_non_tangent():
                                 fam.pairs[0].b, gr(1))
     with pytest.raises(NotTangentError):
         spanning_rank(fam, ctx)
+
+
+def test_spanning_rank_refuses_a_basepoint_with_v_zero():
+    # the wedges are ranked in the chart (v, z), which needs v != 0
+    ctx, _ = criterion_setup()
+    p = surface_point(ctx, [gr(2), gr(0), gr(0), gr(3)])
+    e_u, e_z2 = (gr(1), ZERO, ZERO, ZERO), (ZERO, ZERO, ZERO, gr(1))
+    fam = SpanningFamily(p, [SpanningPair("tangent", e_u, e_z2, gr(1))])
+    with pytest.raises(BasepointError) as err:
+        spanning_rank(fam, ctx)
+    assert err.value.failures == ["v_nonzero"]
 
 
 def test_run_vdp_criterion_certified():

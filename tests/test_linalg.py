@@ -1,8 +1,7 @@
 import itertools
 import random
 
-from suspvdp.linalg import (ExactMatrix, _eliminate, exact_rank, nullspace,
-                            solve_columns)
+from suspvdp.linalg import ExactMatrix, _eliminate, exact_rank, solve_columns
 from suspvdp.scalars import GaussianRational, gr, I, ONE, ZERO
 
 
@@ -76,23 +75,6 @@ def test_rref_pivots_are_leftmost():
     assert reduced.entries[0] == [ONE, ZERO, ONE]
     assert reduced.entries[1] == [ZERO, ONE, gr(2)]
     assert reduced.entries[2] == [ZERO, ZERO, ZERO]
-    # column 2 is the free one, read off the normalized pivot rows
-    assert nullspace(m) == [[-ONE, gr(-2), ONE]]
-
-
-def test_nullspace_spans_kernel():
-    rng = random.Random(5)
-    pool = [ZERO, ONE, -ONE, I, gr(2)]
-    for _ in range(40):
-        m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), pool)
-        basis = nullspace(m)
-        assert len(basis) == m.ncols - exact_rank(m)
-        for vec in basis:
-            for row in m.entries:
-                s = gr(0)
-                for a, x in zip(row, vec):
-                    s = s + a * x
-                assert s.is_zero
 
 
 def test_solve_columns_consistency():

@@ -5,11 +5,13 @@ must fall back to the exact path, and the reports must not depend on
 which of the two decided a point.
 """
 
+import ast
 import hashlib
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -200,3 +202,20 @@ def test_vanishing_witness_sends_the_point_to_the_exact_path(monkeypatch):
     assert [refused.rank(p) for p in points] == [None, None, None]
     assert refused.counts()["fallback_reasons"] == {"witness": 3}
     assert [spanning_rank(plan.at(p), ctx) for p in points] == [3, 3, 3]
+
+
+def test_the_screen_imports_nothing_from_certify():
+    """The screen ranks the family's own wedge rows: it depends on lifts,
+    poly, scalars and surface, and on nothing of the exact runner."""
+    path = Path(__file__).resolve().parents[1] / "src/suspvdp/modrank.py"
+    local = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("suspvdp")):
+            module = (node.module or "").removeprefix("suspvdp").strip(".")
+            local |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            local |= {a.name.removeprefix("suspvdp.") for a in node.names
+                      if a.name.startswith("suspvdp")}
+    assert "certify" not in local
+    assert local <= {"lifts", "poly", "scalars", "surface"}

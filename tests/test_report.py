@@ -122,7 +122,8 @@ def test_figures_are_valid_deterministic_png(tmp_path):
                             for d in range(3)]),
         "ranks_constant": (lambda p, rows: render_rank_figure(
             p, rows, full_rank=3), [{"rank": 3}] * 5),
-        "ranks_one_point": (render_rank_figure, [{"rank": 2}]),
+        "ranks_one_point": (lambda p, rows: render_rank_figure(
+            p, rows, full_rank=3), [{"rank": 2}]),
         "flow": (render_flow_figure,
                  [{"deviation": 1e-10, "det_error": 1e-9},
                   {"deviation": 0.0, "det_error": 2e-9}]),

@@ -162,9 +162,14 @@ def test_tangent_basis_example():
     for vec in basis:
         pairing = sum((g * x for g, x in zip(grad, vec)), gr(0))
         assert pairing.is_zero
-    # basis is linearly independent by construction (one free var each)
-    from suspvdp.linalg import ExactMatrix, exact_rank
-    assert exact_rank(ExactMatrix(basis)) == 3
+    # e_j - (g_j/g_u)*e_u for v, z1, z2: independent, one free column each
+    assert basis == [[gr(-1), gr(1), ZERO, ZERO], [gr(1), ZERO, gr(1), ZERO],
+                     [ZERO, ZERO, ZERO, gr(1)]]
+    # at v = 0 the pivot moves to the v column: e_u, e_z1 + e_v/2, e_z2
+    q = surface_point(ctx, (gr(2), gr(0), gr(0), gr(3)))
+    assert tangent_basis(ctx, q) == [
+        [gr(1), ZERO, ZERO, ZERO], [ZERO, gr(Fraction(1, 2)), gr(1), ZERO],
+        [ZERO, ZERO, ZERO, gr(1)]]
 
 
 def test_sampling_deterministic_and_on_surface():
