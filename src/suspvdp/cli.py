@@ -44,6 +44,8 @@ from .surface import (SamplingError, SuspensionError,
                       divergence_on_suspension, is_tangent, sample_points)
 
 FLOW_TOL = 1e-9
+REFERENCE_STEPS_SYMBOLIC = 2048       # RK4 steps of a flow audit reference
+REFERENCE_STEPS_NUMERIC = 8192
 DET_TOL_SYMBOLIC = 1e-8
 DET_TOL_NUMERIC = 1e-6
 VOLUME_TOL = 1e-6
@@ -80,36 +82,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="volume-density checks on suspensions u*v = f(z)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the options each reads besides --scenario, --samples, --seed, --out
     specs = [
-        ("verify", "run the exact identity suites", False, _cmd_verify),
-        ("criterion", "run the full criterion on a scenario", True,
-         _cmd_criterion),
-        ("flow", "audit closed-form vs numeric lifted flows", True,
-         _cmd_flow),
-        ("approx", "dictionary fit and residual curve", True, _cmd_approx),
+        ("verify", "run the exact identity suites", _cmd_verify, ()),
+        ("criterion", "run the full criterion on a scenario", _cmd_criterion,
+         ("--degree-bound", "--no-figures")),
+        ("flow", "audit closed-form vs numeric lifted flows", _cmd_flow,
+         ("--tol", "--no-figures", "--exact")),
+        ("approx", "dictionary fit and residual curve", _cmd_approx,
+         ("--degree-bound", "--tol", "--no-figures", "--exact")),
     ]
-    for name, help_text, needs_scenario, handler in specs:
+    tol_help = {
+        "flow": f"bound on the worst deviation from RK4 (default {FLOW_TOL})",
+        "approx": f"bound on the volume-audit error (default {VOLUME_TOL})"}
+    for name, help_text, handler, options in specs:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", required=needs_scenario,
+        p.add_argument("--scenario", required=name != "verify",
                        help="scenario file path or bundled name")
-        p.add_argument("--degree-bound", type=_NONNEGATIVE, default=None,
-                       help="override the scenario degree bound")
-        p.add_argument("--samples", type=_POSITIVE, default=None,
-                       help="override the sample count (verify: trials)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the sampling seed")
-        p.add_argument("--tol", type=_TOLERANCE, default=None,
-                       help="override the main tolerance of the subcommand")
+        if "--degree-bound" in options:
+            p.add_argument("--degree-bound", type=_NONNEGATIVE,
+                           help="override the scenario degree bound")
+        p.add_argument("--samples", type=_POSITIVE, help=(
+            "trials per suite (default 200)" if name == "verify"
+            else "override the scenario sample count"))
+        p.add_argument("--seed", type=int, help=(
+            "seed of the suites (default 0)" if name == "verify"
+            else "override the sampling seed"))
+        if "--tol" in options:
+            p.add_argument("--tol", type=_TOLERANCE, help=tol_help[name])
         p.add_argument("--out", type=_OUT_DIR, default="suspvdp-out",
                        help="output directory for reports")
-        p.add_argument("--no-figures", action="store_true",
-                       help="skip figure rendering")
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--exact", dest="exactness", action="store_const",
-                          const="exact", default=None,
-                          help="force exact rational sampling")
-        mode.add_argument("--float", dest="exactness", action="store_const",
-                          const="float", help="force floating-point sampling")
+        if "--no-figures" in options:
+            p.add_argument("--no-figures", action="store_true",
+                           help="skip figure rendering")
+        if "--exact" in options:
+            mode = p.add_mutually_exclusive_group()
+            for const, kind in (("exact", "exact rational"),
+                                ("float", "floating-point")):
+                mode.add_argument(f"--{const}", dest="exactness", const=const,
+                                  action="store_const",
+                                  help=f"force {kind} sampling")
         p.set_defaults(handler=handler)
     return parser
 
@@ -149,18 +161,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _scenario(args) -> Scenario | None:
-    """The scenario with the sampling and degree-bound flags applied."""
-    if args.scenario is None:
-        return None
+def _scenario(args) -> Scenario:
+    """The scenario with the subcommand's sampling and degree-bound options."""
     scenario = load_scenario(args.scenario)
     flags = {"count": args.samples, "seed": args.seed,
-             "exactness": args.exactness}
+             "exactness": getattr(args, "exactness", None)}
     sampling = replace(scenario.sampling,
                        **{k: v for k, v in flags.items() if v is not None})
-    degree_bound = scenario.degree_bound if args.degree_bound is None \
-        else args.degree_bound
-    return replace(scenario, sampling=sampling, degree_bound=degree_bound)
+    bound = getattr(args, "degree_bound", None)
+    return replace(scenario, sampling=sampling, degree_bound=(
+        scenario.degree_bound if bound is None else bound))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +209,8 @@ def _cmd_verify(args) -> int:
     results = run_checks(trials=trials, seed=seed)
     suites = [{"name": r.name, "trials": r.trials, "failures": r.failures,
                "ok": r.ok} for r in results]
-    scenario = _scenario(args)
-    if scenario is not None:
-        suites += _scenario_lift_checks(scenario)
+    if args.scenario is not None:       # read for its surface and pairs only
+        suites += _scenario_lift_checks(load_scenario(args.scenario))
 
     ok = all(s["ok"] for s in suites)
     out = _out_dir(args)
@@ -265,7 +274,8 @@ def _cmd_flow(args) -> int:
     theta, t = fs.field, fs.time
     flow_map = lifted_flow(theta, ctx, fs.side)
     tol = FLOW_TOL if args.tol is None else args.tol
-    det_tol = DET_TOL_SYMBOLIC if flow_map.symbolic else DET_TOL_NUMERIC
+    det_tol, steps = (DET_TOL_SYMBOLIC, REFERENCE_STEPS_SYMBOLIC) \
+        if flow_map.symbolic else (DET_TOL_NUMERIC, REFERENCE_STEPS_NUMERIC)
 
     points = sample_points(ctx, scenario.sampling)
     # the chart determinant needs both fiber coordinates away from zero
@@ -279,8 +289,7 @@ def _cmd_flow(args) -> int:
         end = flow_map.apply(p, t)
         end_coords = [complex(c) for c in end.complex_coords()]
         check = rk4_flow(reference.evaluate_complex,
-                         list(p.complex_coords()), complex(t),
-                         2048 if flow_map.symbolic else 8192)
+                         list(p.complex_coords()), complex(t), steps)
         deviation = max(abs(a - b) for a, b in zip(end_coords, check))
         det = chart_jacobian_determinant(flow_map, p, t)
         det_error = abs(det - 1.0)

@@ -199,7 +199,7 @@ def lifted_flow(theta: VectorField, ctx: SuspensionContext, side: str) -> Lifted
 
 def rk4_flow(eval_fn: Callable[[Sequence[complex]], Sequence[complex]],
              start: Sequence[complex], t_total: complex,
-             steps: int = 2048) -> list[complex]:
+             steps: int) -> list[complex]:
     """Classical fourth-order integration along the straight time segment
     from 0 to t_total (complex time is traversed linearly).
 

@@ -116,7 +116,8 @@ def span_solve(columns, targets) -> list[Vector | None]:
     polynomials: one row per monomial of their joint support, in sorted
     order, then `solve_columns`.  Returns one coefficient vector per target
     (None where the target is outside the span)."""
-    support = sorted({e for p in (*columns, *targets) for e in p.terms})
+    # where every polynomial is zero, one zero row keeps the matrix's width
+    support = sorted({e for p in (*columns, *targets) for e in p.terms}) or [()]
     row_of = {e: i for i, e in enumerate(support)}
     matrix = ExactMatrix([[ZERO] * len(columns) for _ in support])
     for j, p in enumerate(columns):

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, report files, determinism."""
 
+import argparse
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -34,8 +36,7 @@ def run(args):
 
 def test_verify_exits_zero(tmp_path):
     out = tmp_path / "v"
-    code = run(["verify", "--samples", "25", "--out", str(out),
-                "--no-figures"])
+    code = run(["verify", "--samples", "25", "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "verify.json").read_text())
     assert doc["ok"] is True
@@ -47,7 +48,7 @@ def test_verify_exits_zero(tmp_path):
 def test_verify_with_scenario_adds_lift_checks(tmp_path):
     out = tmp_path / "v"
     code = run(["verify", "--scenario", "danielewski", "--samples", "10",
-                "--out", str(out), "--no-figures"])
+                "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "verify.json").read_text())
     names = [s["name"] for s in doc["suites"]]
@@ -429,6 +430,73 @@ def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         run([])
     assert exc.value.code == 2
+
+
+# every option each subcommand reads, and no other
+OPTIONS = {
+    "verify": {"--scenario", "--samples", "--seed", "--out"},
+    "criterion": {"--scenario", "--degree-bound", "--samples", "--seed",
+                  "--out", "--no-figures"},
+    "flow": {"--scenario", "--samples", "--seed", "--tol", "--out",
+             "--no-figures", "--exact", "--float"},
+    "approx": {"--scenario", "--degree-bound", "--samples", "--seed", "--tol",
+               "--out", "--no-figures", "--exact", "--float"},
+}
+
+
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_each_subcommand_offers_exactly_the_options_it_reads():
+    subparsers = _subparsers()
+    offered = {name: {s for a in p._actions for s in a.option_strings}
+               - {"-h", "--help"} for name, p in subparsers.items()}
+    assert offered == OPTIONS
+    # --exact and --float set one value: 25 settable values in all
+    values = {name: {a.dest for a in p._actions} - {"help"}
+              for name, p in subparsers.items()}
+    assert sum(map(len, values.values())) == 25
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("criterion", ["--tol", "1e-3"]), ("criterion", ["--exact"]),
+    ("criterion", ["--float"]),
+    ("verify", ["--degree-bound", "3"]), ("verify", ["--tol", "1e-3"]),
+    ("verify", ["--exact"]), ("verify", ["--float"]),
+    ("verify", ["--no-figures"]),
+    ("flow", ["--degree-bound", "3"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
+        tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--scenario", "plane", *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_the_benchmark_workloads_still_parse(tmp_path, monkeypatch):
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))   # bench/run.py imports layers
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  bench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", module)   # dataclasses
+    spec.loader.exec_module(module)
+    assert len(module.WORKLOADS) == 4
+    parser = cli.build_parser()
+    for workload in module.WORKLOADS.values():
+        args = parser.parse_args([*workload.argv, "--seed", "5",
+                                  "--no-figures", "--out", str(tmp_path)])
+        assert args.seed == 5 and args.no_figures
+        assert args.handler is getattr(cli, f"_cmd_{args.command}")
 
 
 def _loaded_after(module: str, candidates: tuple[str, ...]) -> list[str]:

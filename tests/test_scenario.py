@@ -89,7 +89,7 @@ def test_pairs_and_sampling_overrides():
     assert got.sampling == SamplingSpec(count=7, seed=99)
     assert got.degree_bound == s.degree_bound
     got = _scenario(parser.parse_args(
-        ["criterion", "--scenario", "plane", "--float",
+        ["approx", "--scenario", "plane", "--float",
          "--degree-bound", "5"]))
     assert got.sampling == SamplingSpec(count=50, exactness="float")
     assert got.degree_bound == 5
