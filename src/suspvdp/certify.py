@@ -251,8 +251,7 @@ class LiftedPair:
 def lift_pair(alpha: VectorField, beta: VectorField,
               kernel_alpha: Sequence[Poly], kernel_beta: Sequence[Poly],
               ideal: Sequence[Poly], ctx: SuspensionContext,
-              orientation: str = "uv",
-              ideal_bound: int = 4) -> LiftedPair:
+              orientation: str = "uv", *, ideal_bound: int) -> LiftedPair:
     """Lift a base pair to opposite sides; the fiber coordinate of the
     opposite side joins each kernel, and the ideal is closed under
     multiplication by powers of u and v (normal-formed)."""
@@ -376,7 +375,7 @@ def _certificate_search(pair: LiftedPair, ctx: SuspensionContext,
 
 def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
                       assumptions: Assumptions, sampling: SamplingSpec,
-                      degree_bound: int = 4) -> CriterionReport:
+                      degree_bound: int) -> CriterionReport:
     """Run every finite hypothesis of the volume-density criterion on the
     suspension: divergence, completeness and kernel checks, degree-truncated
     certificates for both lifted orientations, zero-fiber smoothness

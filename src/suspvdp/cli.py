@@ -15,7 +15,7 @@ numeric flow that overflows or leaves the surface is a failed row of the
 flow report, not a fault.
 
 Every run writes a JSON document and delimiter-separated tables into the
-output directory; those files and the PNG figures are byte-identical for
+output directory; those files and the SVG figures are byte-identical for
 identical scenario and seed.  Timings go into a separate sidecar, and
 figures are rendered unless --no-figures turns them off.
 """
@@ -251,7 +251,7 @@ def _cmd_criterion(args) -> int:
     write_delimited(out / "ranks.csv", ["point", "rank", "full"],
                     [(r["point"], r["rank"], r["full"]) for r in report.ranks])
     if not args.no_figures and report.ranks:
-        render_rank_figure(out / "ranks.png", report.ranks,
+        render_rank_figure(out / "ranks.svg", report.ranks,
                            full_rank=math.comb(ctx.n + 1, 2))
 
     print(f"verdict: {report.verdict}")
@@ -336,7 +336,7 @@ def _cmd_flow(args) -> int:
                     [(r["point"], r["deviation"], r["det_error"],
                       r["surface_residual"], r["ok"]) for r in rows])
     if not args.no_figures:
-        render_flow_figure(out / "flow_errors.png", rows)
+        render_flow_figure(out / "flow_errors.svg", rows)
 
     def worst(key: str) -> float:                 # a failed (NaN) row is worst
         values = [r[key] for r in rows]
@@ -433,7 +433,7 @@ def _cmd_approx(args) -> int:
                     ["point_index", "t", "deviation", "allowed", "ok"],
                     audit_rows)
     if not args.no_figures:
-        render_curve_figure(out / "residuals.png", curve)
+        render_curve_figure(out / "residuals.svg", curve)
 
     for row in curve:
         print(f"degree {row['degree']}: {row['entries']} entries, "

@@ -1,12 +1,11 @@
 """Report writers: deterministic JSON documents, delimiter-separated
-tables, and PNG figures.
+tables, and SVG figures.
 
 JSON, the tables and the figures must be byte-identical for identical
 scenario and seed, so nothing time- or environment-dependent goes into
 them (timings travel in a separate sidecar file that makes no
-determinism promise).  Figures are drawn by a small rasteriser built on
-`zlib` and `struct` alone, and are rendered only from the command-line
-report path.
+determinism promise).  Figures are SVG text that any viewer draws, and
+are rendered only from the command-line report path.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import csv
 import itertools
 import json
 import math
-import struct
-import zlib
 from pathlib import Path
 from typing import Sequence
 
@@ -70,102 +67,14 @@ def _cell(v):
 
 
 # ---------------------------------------------------------------------------
-# figures: a small PNG rasteriser on the standard library alone
+# figures: SVG text
 
 _SIZE = (640, 440)
 _FRAME = (110, 40, 620, 370)        # plot area: left, top, right, bottom
 _LOG_FLOOR = 1e-17                  # zeros are clamped here on log axes
-_INK, _PAPER, _GRID = (0, 0, 0), (255, 255, 255), (221, 221, 221)
-_BLUE, _ORANGE = (0x1f, 0x77, 0xb4), (0xff, 0x7f, 0x0e)
-_BAR, _RED = (0x44, 0x77, 0xaa), (0xcc, 0x33, 0x11)
-
-# 5x7 glyphs for the characters the figures print: seven rows, top to
-# bottom, each one base-32 digit whose five bits are the pixels left to
-# right.  A character outside the table is drawn as a hollow box.
-_FONT = {
-    "0": "ehjlphe", "1": "4c4444e", "2": "eh1248v", "3": "v2421he",
-    "4": "26aiv22", "5": "vgu11he", "6": "68guhhe", "7": "v124888",
-    "8": "ehhehhe", "9": "ehhf12c", " ": "0000000", "-": "000v000",
-    "|": "4444444", "a": "00e1fhf", "c": "00egghe", "d": "11djhhf",
-    "e": "00ehvge", "f": "698s888", "g": "0fhhf1e", "i": "40c444e",
-    "k": "ggikoki", "l": "c44444e", "m": "00qllhh", "n": "00mphhh",
-    "o": "00ehhhe", "p": "00uhugg", "r": "00mpggg", "s": "00ege1u",
-    "t": "88s8896", "u": "00hhhjd", "v": "00hhha4", "w": "00hhlla",
-    "x": "00ha4ah", "y": "00hhf1e",
-}
-_BOX = "vhhhhhv"
-_SCALE = 2                          # screen pixels per glyph pixel
-
-
-class _Canvas:
-    """An RGB raster with clipped box, line, marker and text drawing."""
-
-    def __init__(self, width: int, height: int):
-        self.width, self.height = width, height
-        self.pixels = bytearray(bytes(_PAPER) * (width * height))
-
-    def box(self, x0, y0, x1, y1, color):
-        """Fill the box between two corners, both inclusive."""
-        x0, x1 = max(min(x0, x1), 0), min(max(x0, x1), self.width - 1)
-        y0, y1 = max(min(y0, y1), 0), min(max(y0, y1), self.height - 1)
-        if x0 > x1:
-            return
-        run = bytes(color) * (x1 - x0 + 1)
-        for y in range(y0, y1 + 1):
-            i = 3 * (y * self.width + x0)
-            self.pixels[i:i + len(run)] = run
-
-    def line(self, x0, y0, x1, y1, color, width=2, dash=0):
-        """Stroke a segment with square pens; `dash` is the on/off length."""
-        n = max(abs(x1 - x0), abs(y1 - y0), 1)
-        for k in range(n + 1):
-            if dash and (k // dash) % 2:
-                continue
-            x = x0 + round((x1 - x0) * k / n)
-            y = y0 + round((y1 - y0) * k / n)
-            self.box(x, y, x + width - 1, y + width - 1, color)
-
-    def marker(self, x, y, shape, color):
-        """A filled disc ("o") or square ("s") of radius 4 around (x, y)."""
-        r = 4
-        for dy in range(-r, r + 1):
-            half = r if shape == "s" else math.isqrt(r * r - dy * dy)
-            self.box(x - half, y + dy, x + half, y + dy, color)
-
-    def text(self, x, y, s, upward=False):
-        """Draw `s` from its top-left corner at (x, y); upward text starts
-        at its bottom-left corner and reads from bottom to top."""
-        for c, ch in enumerate(s):
-            for gy, row in enumerate(_FONT.get(ch, _BOX)):
-                bits = int(row, 32)
-                for gx in range(5):
-                    if bits >> (4 - gx) & 1:
-                        dx, dy = 6 * c + gx, gy
-                        if upward:
-                            dx, dy = gy, -dx - 1
-                        px, py = x + _SCALE * dx, y + _SCALE * dy
-                        self.box(px, py, px + _SCALE - 1, py + _SCALE - 1,
-                                 _INK)
-
-    def png(self) -> bytes:
-        """The raster as 8-bit RGB PNG: unfiltered rows, fixed zlib level."""
-        stride = 3 * self.width
-        raw = b"".join(b"\0" + self.pixels[y * stride:(y + 1) * stride]
-                       for y in range(self.height))
-        header = struct.pack(">IIBBBBB", self.width, self.height,
-                             8, 2, 0, 0, 0)      # 8-bit RGB, no interlace
-        return (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", header)
-                + _chunk(b"IDAT", zlib.compress(raw, 9))
-                + _chunk(b"IEND", b""))
-
-
-def _chunk(kind: bytes, data: bytes) -> bytes:
-    return (struct.pack(">I", len(data)) + kind + data
-            + struct.pack(">I", zlib.crc32(kind + data)))
-
-
-def _text_width(s: str) -> int:
-    return _SCALE * (6 * len(s) - 1)
+_GRID, _BLUE, _ORANGE = "#dddddd", "#1f77b4", "#ff7f0e"
+_BAR, _RED = "#4477aa", "#cc3311"
+_FONT_SIZE, _ADVANCE = 20, 12       # monospace glyphs advance 0.6 em
 
 
 def _axis(lo, hi, p0, p1, log=False):
@@ -184,15 +93,38 @@ def _int_ticks(lo, hi) -> list[int]:
                       math.floor(hi / step) * step + 1, step))
 
 
+def _element(tag, text=None, **attrs) -> str:
+    """One SVG element, its text escaped; `stroke_width` -> stroke-width."""
+    pairs = "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
+    if text is None:
+        return f"<{tag}{pairs}/>"
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<{tag}{pairs}>{text}</{tag}>"
+
+
+def _line(x0, y0, x1, y1, color, width=2, dash=False) -> str:
+    extra = {"stroke_dasharray": 8} if dash else {}
+    return _element("line", x1=x0, y1=y0, x2=x1, y2=y1, stroke=color,
+                    stroke_width=width, **extra)
+
+
+def _marker(x, y, shape, color) -> str:
+    """A filled disc ("o") or square ("s") of radius 4 around (x, y)."""
+    if shape == "s":
+        return _element("rect", x=x - 4, y=y - 4, width=8, height=8,
+                        fill=color)
+    return _element("circle", cx=x, cy=y, r=4, fill=color)
+
+
 def _plot(path, xs, xlabel, ylabel, *, log, series=(), bars=(), hline=None,
           xticks=None) -> None:
-    """Draw one figure and write it to `path` as PNG.
+    """Draw one figure and write it to `path` as SVG.
 
     `series` holds (ys, colour, marker, legend label or None) lines; `bars`
     holds one height per x; `hline` is (value, legend label).  Log y axes
     clamp zeros to 1e-17; non-finite values are left out of the figure.
+    Text is monospace, so a label is `_ADVANCE` pixels per character wide.
     """
-    canvas = _Canvas(*_SIZE)
     left, top, right, bottom = _FRAME
 
     xlo, xhi = min(xs), max(xs)
@@ -216,61 +148,69 @@ def _plot(path, xs, xlabel, ylabel, *, log, series=(), bars=(), hline=None,
     ymap = _axis(ylo, yhi, bottom, top, log=log)
     xticks = [(t, str(t)) for t in (xticks or _int_ticks(xlo, xhi))]
 
+    out = [_element("rect", width="100%", height="100%", fill="white")]
     if log:
-        for t, _ in xticks:
-            canvas.line(xmap(t), top, xmap(t), bottom, _GRID, width=1)
-        for t, _ in yticks:
-            canvas.line(left, ymap(t), right, ymap(t), _GRID, width=1)
+        out += [_line(xmap(t), top, xmap(t), bottom, _GRID, width=1)
+                for t, _ in xticks]
+        out += [_line(left, ymap(t), right, ymap(t), _GRID, width=1)
+                for t, _ in yticks]
     for x, h in zip(xs, bars):
-        canvas.box(xmap(x - 0.4), ymap(h), xmap(x + 0.4) - 1, ymap(0), _BAR)
+        x0, y0, y1 = xmap(x - 0.4), ymap(h), ymap(0)
+        out.append(_element("rect", x=x0, y=min(y0, y1),
+                            width=xmap(x + 0.4) - x0, height=abs(y1 - y0),
+                            fill=_BAR))
     legend = []
     if hline is not None:
         y = ymap(hline[0])
-        canvas.line(left, y, right, y, _RED, dash=8)
+        out.append(_line(left, y, right, y, _RED, dash=True))
         legend.append((hline[1], _RED, None))
     for ys, color, shape, label in series:
         points = [(xmap(x), ymap(max(y, _LOG_FLOOR) if log else y))
                   for x, y in zip(xs, ys) if math.isfinite(y)]
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            canvas.line(x0, y0, x1, y1, color)
-        for x, y in points:
-            canvas.marker(x, y, shape, color)
+        out.append(_element("polyline", points=" ".join(
+            f"{x},{y}" for x, y in points), fill="none", stroke=color,
+            stroke_width=2))
+        out += [_marker(x, y, shape, color) for x, y in points]
         if label is not None:
             legend.append((label, color, shape))
 
-    for x0, y0, x1, y1 in ((left, top, right, top),
-                           (left, bottom, right, bottom),
-                           (left, top, left, bottom),
-                           (right, top, right, bottom)):
-        canvas.line(x0, y0, x1, y1, _INK, width=1)
+    out.append(_element("rect", x=left, y=top, width=right - left,
+                        height=bottom - top, fill="none", stroke="black"))
     edge = -math.inf
     for t, label in xticks:
         x = xmap(t)
-        canvas.box(x, bottom, x, bottom + 5, _INK)
-        lx = x - _text_width(label) // 2
-        if lx > edge + 8:                   # drop labels that would overlap
-            canvas.text(lx, bottom + 10, label)
-            edge = lx + _text_width(label)
+        out.append(_line(x, bottom, x, bottom + 5, "black", width=1))
+        half = _ADVANCE * len(label) // 2
+        if x - half > edge + 8:             # drop labels that would overlap
+            out.append(_element("text", label, x=x, y=bottom + 24,
+                                text_anchor="middle"))
+            edge = x + half
     for t, label in yticks:
         y = ymap(t)
-        canvas.box(left - 5, y, left, y, _INK)
-        canvas.text(left - 10 - _text_width(label), y - 7, label)
-    canvas.text((left + right - _text_width(xlabel)) // 2, bottom + 40, xlabel)
-    canvas.text(12, (top + bottom + _text_width(ylabel)) // 2, ylabel,
-                upward=True)
+        out.append(_line(left - 5, y, left, y, "black", width=1))
+        out.append(_element("text", label, x=left - 10, y=y + 7,
+                            text_anchor="end"))
+    out.append(_element("text", xlabel, x=(left + right) // 2, y=bottom + 54,
+                        text_anchor="middle"))
+    mid = (top + bottom) // 2
+    out.append(_element("text", ylabel, x=26, y=mid, text_anchor="middle",
+                        transform=f"rotate(-90 26 {mid})"))
 
     x, y = right, top // 2
     for label, color, shape in reversed(legend):
-        x -= 38 + _text_width(label)
-        canvas.line(x, y, x + 28, y, color, dash=0 if shape else 8)
+        x -= 38 + _ADVANCE * len(label)
+        out.append(_line(x, y, x + 28, y, color, dash=not shape))
         if shape:
-            canvas.marker(x + 14, y, shape, color)
-        canvas.text(x + 38, y - 7, label)
+            out.append(_marker(x + 14, y, shape, color))
+        out.append(_element("text", label, x=x + 38, y=y + 7))
         x -= 24
 
+    head = ('<svg xmlns="http://www.w3.org/2000/svg" width="{0}" height="{1}" '
+            'viewBox="0 0 {0} {1}" font-family="monospace" font-size="{2}">'
+            ).format(*_SIZE, _FONT_SIZE)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(canvas.png())
+    path.write_text("\n".join([head, *out, "</svg>"]) + "\n")
 
 
 def render_curve_figure(path, rows) -> bool:

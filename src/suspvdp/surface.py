@@ -230,7 +230,7 @@ def tangent_basis(ctx: SuspensionContext, point: SurfacePoint) -> list[list[Gaus
 # ---------------------------------------------------------------------------
 # sampling
 
-MAX_ATTEMPTS = 10000         # draws per sampling run or basepoint search
+MAX_REJECTIONS = 10000       # rejected draws per sampling run or search
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,8 @@ def _draw_exact(ctx: SuspensionContext, scalar) -> SurfacePoint | None:
 
 def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoint]:
     """Seeded draws on the chart u != 0: pick z and u, then v = f(z)/u
-    (in float mode only |u| >= 1/4 is kept).
+    (in float mode only |u| >= 1/4 is kept); `MAX_REJECTIONS` rejected
+    draws end the run, however many points were kept.
 
     Points satisfy the surface equation exactly in exact mode and to
     floating accuracy otherwise, by construction, so neither kind is
@@ -306,11 +307,11 @@ def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoi
     rng = random.Random(spec.seed)
     scalar = _exact_scalar_draw(rng, spec)
     out: list[SurfacePoint] = []
-    attempts = 0
+    rejected = 0
     while len(out) < spec.count:
-        attempts += 1
-        if attempts > MAX_ATTEMPTS:
-            raise SamplingError(f"exhausted {MAX_ATTEMPTS} sampling attempts")
+        if rejected == MAX_REJECTIONS:
+            raise SamplingError(f"sampling stopped after {MAX_REJECTIONS} "
+                                f"rejected draws (u too close to 0)")
         if spec.exactness == "exact":
             point = _draw_exact(ctx, scalar)
         else:
@@ -318,7 +319,9 @@ def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoi
             u = _rand_float_scalar(rng, spec)
             point = None if abs(u) < 0.25 else SurfacePoint(
                 (u, ctx.f_base.evaluate_complex(z) / u, *z), False)
-        if point is not None:
+        if point is None:
+            rejected += 1
+        else:
             out.append(point)
     return out
 
@@ -468,17 +471,18 @@ def basepoint_search(ctx: SuspensionContext, spec: SamplingSpec,
                      ) -> tuple[list[SurfacePoint], RejectionReport]:
     """Rejection-sample `spec.count` exact points at which
     `basepoint_check` finds nothing.  Each rejection is recorded under
-    the first condition that failed."""
+    the first condition that failed; `MAX_REJECTIONS` of them end the
+    search, however many points were admitted."""
     scalar = _exact_scalar_draw(random.Random(spec.seed), spec)
     failures_at = basepoint_check(ctx, ideals)
     report = RejectionReport()
     found: list[SurfacePoint] = []
     while len(found) < spec.count:
-        report.attempts += 1
-        if report.attempts > MAX_ATTEMPTS:
+        if report.attempts - len(found) == MAX_REJECTIONS:
             raise SamplingError(
-                f"no admissible basepoint in {MAX_ATTEMPTS} attempts; "
-                f"rejections: {report.rejected}", report)
+                f"basepoint search stopped after {MAX_REJECTIONS} rejected "
+                f"draws; rejections: {report.rejected}", report)
+        report.attempts += 1
         point = _draw_exact(ctx, scalar)
         if point is None:
             report.reject("u_nonzero")

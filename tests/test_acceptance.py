@@ -212,7 +212,7 @@ def test_criterion_7_approx_recovery_and_residual_curves():
     alpha, beta = coordinate_pair(ctx)
     pair = lift_pair(alpha, beta, (ctx.base_ring.parse("z2"),),
                      (ctx.base_ring.parse("z1"),), (ctx.base_ring.one(),),
-                     ctx)
+                     ctx, ideal_bound=4)
     d = build_dictionary(ctx, [pair], 2)
     samples = sample_points(ctx, SamplingSpec(count=12, seed=5))
     rng = random.Random(7)

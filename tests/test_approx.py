@@ -32,7 +32,8 @@ def plane_pair(ctx):
     alpha = VectorField.coordinate(ctx.base_ring, "z1")
     beta = VectorField.coordinate(ctx.base_ring, "z2")
     return lift_pair(alpha, beta, (ctx.base_ring.parse("z2"),),
-                     (ctx.base_ring.parse("z1"),), (ctx.base_ring.one(),), ctx)
+                     (ctx.base_ring.parse("z1"),), (ctx.base_ring.one(),), ctx,
+                     ideal_bound=4)
 
 
 def plane_samples(ctx, count=12, seed=3):

@@ -297,7 +297,7 @@ def test_run_vdp_criterion_leaves_an_unshown_complete_field_undecided():
 def test_run_vdp_criterion_empty_pairs_fails():
     ctx, _ = criterion_setup()
     report = run_vdp_criterion(ctx, [], Assumptions(cohomology=True),
-                               SamplingSpec(count=3, seed=5))
+                               SamplingSpec(count=3, seed=5), degree_bound=4)
     assert report.verdict == "failed"
 
 

@@ -98,7 +98,7 @@ def test_flow_plane(tmp_path):
     doc = json.loads((out / "flow.json").read_text())
     assert doc["ok"] is True and doc["symbolic"] is True
     assert (out / "flow_errors.csv").exists()
-    assert not (out / "flow_errors.png").exists()
+    assert not (out / "flow_errors.svg").exists()
 
 
 def test_flow_locally_nilpotent_field_takes_the_closed_form(tmp_path):
@@ -146,7 +146,7 @@ def test_approx_plane_with_figures(tmp_path):
     assert doc["sup_residual"] <= 1e-10      # twist target is in the span
     assert doc["volume_audit"]["ok"] is True
     assert (out / "residuals.csv").exists()
-    assert (out / "residuals.png").exists()
+    assert (out / "residuals.svg").exists()
     assert (out / "flow_audit.csv").exists()
     # the sidecar records how the audits' jobs were split over processes
     timings = json.loads((out / "timings.json").read_text())
@@ -289,7 +289,7 @@ region = 0 .. 1/10
 @pytest.mark.parametrize("command, text, message", [
     ("approx", UNANNIHILATED_KERNEL, "not annihilated by the field: z1"),
     ("approx", BAD_PAIR, "dictionary entry has divergence"),
-    ("flow", EMPTY_CHART, "exhausted 10000 sampling attempts"),
+    ("flow", EMPTY_CHART, "stopped after 10000 rejected draws"),
 ], ids=["kernel-not-annihilated", "base-field-not-divergence-free",
         "no-sample-off-u-zero"])
 def test_unusable_input_is_an_error_not_a_fault(tmp_path, capsys, command,
@@ -514,11 +514,13 @@ def _loaded_after(module: str, candidates: tuple[str, ...]) -> list[str]:
 
 def test_cli_import_leaves_stage_modules_unloaded():
     # the rank screen, the identity suites and the random generators are
-    # imported by the stages that run them, and the audits fork their
-    # workers without a process pool, which keeps start-up short
+    # imported by the stages that run them, the audits fork their workers
+    # without a process pool, and the figures escape their text without
+    # xml.sax (which loads urllib.request), which keeps start-up short
     assert _loaded_after("suspvdp.cli", (
         "suspvdp.modrank", "suspvdp.identities", "suspvdp.randgen",
-        "multiprocessing", "concurrent.futures")) == []
+        "multiprocessing", "concurrent.futures", "xml",
+        "urllib.request")) == []
 
 
 def test_the_cpu_map_loads_no_pool_and_no_pickle():

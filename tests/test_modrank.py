@@ -121,8 +121,8 @@ def random_case(seed: int, n: int):
                                            parts=1) for _ in range(2)]
     gens = [ctx.base_ring.one()]
     try:
-        # a search bound of 200 draws keeps a hopeless case short
-        with mock.patch.object(surface, "MAX_ATTEMPTS", 200):
+        # a bound of 200 rejected draws keeps a hopeless case short
+        with mock.patch.object(surface, "MAX_REJECTIONS", 200):
             points, _ = basepoint_search(
                 ctx, SamplingSpec(count=4, seed=seed), ideals=[gens])
     except SamplingError:

@@ -1,9 +1,10 @@
 """Report writers: JSON determinism, coercions, tables, figures."""
 
-import struct
-import zlib
+import math
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+from suspvdp import report
 from suspvdp.report import (format_complex, jsonable, render_curve_figure,
                             render_flow_figure, render_rank_figure,
                             write_delimited, write_json)
@@ -56,83 +57,76 @@ def test_write_delimited(tmp_path):
 def test_figures_render(tmp_path):
     curve = [{"degree": 0, "sup_residual": 0.5},
              {"degree": 1, "sup_residual": 1e-12}]
-    assert render_curve_figure(tmp_path / "curve.png", curve)
-    assert (tmp_path / "curve.png").stat().st_size > 0
+    assert render_curve_figure(tmp_path / "curve.svg", curve)
+    assert (tmp_path / "curve.svg").stat().st_size > 0
 
     ranks = [{"rank": 3}, {"rank": 2}]
-    assert render_rank_figure(tmp_path / "ranks.png", ranks, full_rank=3)
+    assert render_rank_figure(tmp_path / "ranks.svg", ranks, full_rank=3)
 
     rows = [{"deviation": 1e-10, "det_error": 1e-9},
-            {"deviation": 0.0, "det_error": 2e-9}]
-    assert render_flow_figure(tmp_path / "flow.png", rows)
+            {"deviation": float("nan"), "det_error": 2e-9}]
+    assert render_flow_figure(tmp_path / "flow.svg", rows)
+    # a non-finite value is left out of its series, not drawn
+    lines = _svg(tmp_path / "flow.svg").iter(SVG + "polyline")
+    assert [len(line.get("points").split()) for line in lines] == [1, 2]
 
     # empty inputs degrade to "nothing rendered"
-    assert not render_curve_figure(tmp_path / "no.png", [])
-    assert not (tmp_path / "no.png").exists()
+    assert not render_curve_figure(tmp_path / "no.svg", [])
+    assert not (tmp_path / "no.svg").exists()
 
 
-def _png_pixels(path):
-    """Parse a PNG with the standard library alone: check the signature,
-    every chunk CRC and the IHDR against the inflated IDAT; return the
-    set of distinct pixels."""
-    data = path.read_bytes()
-    assert data[:8] == b"\x89PNG\r\n\x1a\n"
-    pos, chunks = 8, []
-    while pos < len(data):
-        (length,) = struct.unpack(">I", data[pos:pos + 4])
-        kind, body = data[pos + 4:pos + 8], data[pos + 8:pos + 8 + length]
-        (crc,) = struct.unpack(">I", data[pos + 8 + length:pos + 12 + length])
-        assert crc == zlib.crc32(kind + body), kind
-        chunks.append((kind, body))
-        pos += 12 + length
-    assert pos == len(data)
-    assert chunks[0][0] == b"IHDR" and chunks[-1] == (b"IEND", b"")
-    width, height, depth, colour, _, _, interlace = struct.unpack(
-        ">IIBBBBB", chunks[0][1])
-    assert (depth, interlace) == (8, 0) and colour in (2, 6)
-    bpp = 3 if colour == 2 else 4
-    raw = zlib.decompress(b"".join(b for k, b in chunks if k == b"IDAT"))
-    stride = width * bpp
-    assert len(raw) == height * (1 + stride)
-    pixels, prev = set(), bytes(stride)
-    for y in range(height):
-        kind, line = raw[y * (1 + stride)], bytearray(
-            raw[y * (1 + stride) + 1:(y + 1) * (1 + stride)])
-        assert kind <= 4
-        for i in range(stride if kind else 0):      # undo the row filter
-            a = line[i - bpp] if i >= bpp else 0
-            b, c = prev[i], prev[i - bpp] if i >= bpp else 0
-            pred = (0, a, b, (a + b) // 2,
-                    min((a, b, c), key=lambda v: abs(a + b - c - v)))[kind]
-            line[i] = (line[i] + pred) & 0xFF
-        pixels.update(bytes(line[i:i + bpp]) for i in range(0, stride, bpp))
-        prev = bytes(line)
-    return pixels
+SVG = "{http://www.w3.org/2000/svg}"
 
 
-def test_figures_are_valid_deterministic_png(tmp_path):
+def _svg(path):
+    """The parsed root of a figure, checked to be a 640x440 <svg>."""
+    root = ET.parse(path).getroot()
+    assert root.tag == SVG + "svg"
+    assert (root.get("width"), root.get("height")) == ("640", "440")
+    return root
+
+
+def _ranks(path, rows):
+    return render_rank_figure(path, rows, full_rank=3)
+
+
+def test_figures_are_valid_deterministic_svg(tmp_path):
+    # name: (renderer, rows, series keys, legend labels)
     cases = {
         "curve": (render_curve_figure,
                   [{"degree": 0, "sup_residual": 0.5},
-                   {"degree": 1, "sup_residual": 0.0}]),
+                   {"degree": 1, "sup_residual": 0.0}],
+                  ["sup_residual"], []),
         "curve_one_point": (render_curve_figure,
-                            [{"degree": 0, "sup_residual": 1e-3}]),
+                            [{"degree": 0, "sup_residual": 1e-3}],
+                            ["sup_residual"], []),
         "curve_constant": (render_curve_figure,
                            [{"degree": d, "sup_residual": 1e-9}
-                            for d in range(3)]),
-        "ranks_constant": (lambda p, rows: render_rank_figure(
-            p, rows, full_rank=3), [{"rank": 3}] * 5),
-        "ranks_one_point": (lambda p, rows: render_rank_figure(
-            p, rows, full_rank=3), [{"rank": 2}]),
+                            for d in range(3)], ["sup_residual"], []),
+        "ranks_constant": (_ranks, [{"rank": 3}] * 5, [], ["full rank 3"]),
+        "ranks_one_point": (_ranks, [{"rank": 2}], [], ["full rank 3"]),
         "flow": (render_flow_figure,
                  [{"deviation": 1e-10, "det_error": 1e-9},
-                  {"deviation": 0.0, "det_error": 2e-9}]),
+                  {"deviation": 0.0, "det_error": 2e-9}],
+                 ["deviation", "det_error"], ["flow deviation", "|det - 1|"]),
         "flow_one_point": (render_flow_figure,
-                           [{"deviation": 0.0, "det_error": 0.0}]),
+                           [{"deviation": 0.0, "det_error": 0.0}],
+                           ["deviation", "det_error"],
+                           ["flow deviation", "|det - 1|"]),
     }
-    for name, (render, rows) in cases.items():
-        first, second = tmp_path / f"{name}.png", tmp_path / f"{name}2.png"
+    for name, (render, rows, keys, legend) in cases.items():
+        first, second = tmp_path / f"{name}.svg", tmp_path / f"{name}2.svg"
         assert render(first, rows) is True
         assert render(second, rows) is True
         assert first.read_bytes() == second.read_bytes(), name
-        assert len(_png_pixels(first)) > 1, name
+        root = _svg(first)
+        bars = [r for r in root.iter(SVG + "rect")
+                if r.get("fill") == report._BAR]
+        assert len(bars) == (0 if keys else len(rows)), name
+        lines = list(root.iter(SVG + "polyline"))
+        assert len(lines) == len(keys), name
+        for line, key in zip(lines, keys):
+            finite = [r[key] for r in rows if math.isfinite(r[key])]
+            assert len(line.get("points").split()) == len(finite), name
+        texts = {t.text for t in root.iter(SVG + "text")}
+        assert set(legend) <= texts, name

@@ -193,6 +193,21 @@ def test_sampling_float_mode():
         assert abs(ctx.defining.evaluate_complex(p.coords)) <= 1e-12
 
 
+@pytest.mark.parametrize("exactness", ["exact", "float"])
+def test_sampling_cap_counts_only_rejected_draws(monkeypatch, exactness):
+    # more points than the cap: admitted draws do not use it up
+    monkeypatch.setattr(surface, "MAX_REJECTIONS", 50)
+    spec = SamplingSpec(count=60, seed=0, exactness=exactness)
+    assert len(sample_points(CTX, spec)) == 60
+
+
+def test_basepoint_cap_counts_only_rejected_draws(monkeypatch):
+    monkeypatch.setattr(surface, "MAX_REJECTIONS", 50)
+    pts, report = basepoint_search(CTX, SamplingSpec(count=60, seed=0))
+    assert len(pts) == 60
+    assert report.attempts == 60 + sum(report.rejected.values())
+
+
 def test_sampling_chart_relation():
     # z1 = 2, u = 1 forces v = 2 on uv = z1
     ctx = CTX
@@ -253,10 +268,11 @@ def test_basepoint_search_reports_conditions(monkeypatch):
     ctx2 = make_suspension(2, "z1 - 1 - i")
     tight = SamplingSpec(count=1, seed=5,
                          region=(Fraction(1), Fraction(5, 4)))
-    monkeypatch.setattr(surface, "MAX_ATTEMPTS", 50)
+    monkeypatch.setattr(surface, "MAX_REJECTIONS", 50)
     with pytest.raises(SamplingError) as err:
         basepoint_search(ctx2, tight)
-    assert err.value.report.attempts == 51
+    assert "after 50 rejected draws" in str(err.value)
+    assert err.value.report.attempts == 50
     assert err.value.report.rejected == {"v_nonzero": 50}
 
 
