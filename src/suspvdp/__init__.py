@@ -2,12 +2,12 @@
 suspension hypersurfaces u*v = f(z1..zn).
 
 The layers, bottom up: exact Gaussian-rational scalars and polynomials
-(`scalars`, `poly`, `linalg`), polynomial vector calculus (`fields`),
+(`scalars`, `poly`, `linalg`), polynomial vector fields (`fields`),
 the suspension surface with its induced volume (`surface`), complete
 lifts and their flows (`lifts`), degree-truncated certificates and the
-criterion runner (`certify`), the numeric approximation harness
-(`approx`), randomized identity suites (`identities`), and the scenario
-format, report writers and command line (`scenario`, `report`, `cli`).
+criterion runner (`certify`) with its rank screen (`modrank`), the
+numeric approximation harness (`approx`), and the scenario format,
+report writers and command line (`scenario`, `report`, `cli`).
 """
 
 __version__ = "0.1.0"

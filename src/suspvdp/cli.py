@@ -1,9 +1,9 @@
 """Command line: scenarios in, reports out.
 
-Four subcommands: `verify` runs the exact identity suites, `criterion`
-runs the full volume-density criterion, `flow` audits closed-form
-against numeric integration of lifted flows, and `approx` fits targets
-against the bracket dictionary and draws the residual curve.
+Three subcommands: `criterion` runs the full volume-density criterion,
+`flow` audits closed-form against numeric integration of lifted flows,
+and `approx` fits targets against the bracket dictionary and draws the
+residual curve.
 
 Exit codes: 0 when every sub-check succeeded (for `criterion`, verdict
 certified-at-samples), 1 when a sub-check failed or stayed inconclusive,
@@ -33,15 +33,13 @@ from pathlib import Path
 from .approx import (AUDIT_CHECKPOINTS, ApproxError, flow_deviation_audit,
                      residual_curve, volume_audit)
 from .certify import Assumptions, CertifyError, lift_pair, run_vdp_criterion
-from .fields import divergence
-from .lifts import (chart_jacobian_determinant, cpu_blocks, lift,
-                    lifted_flow, rk4_flow)
+from .lifts import (chart_jacobian_determinant, cpu_blocks, lifted_flow,
+                    rk4_flow)
 from .poly import ParseError
 from .report import (format_complex, render_curve_figure, render_flow_figure,
                      render_rank_figure, write_delimited, write_json)
 from .scenario import Scenario, ScenarioError, load_scenario
-from .surface import (SamplingError, SuspensionError,
-                      divergence_on_suspension, is_tangent, sample_points)
+from .surface import SamplingError, SuspensionError, sample_points
 
 FLOW_TOL = 1e-9
 REFERENCE_STEPS_SYMBOLIC = 2048       # RK4 steps of a flow audit reference
@@ -84,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the options each reads besides --scenario, --samples, --seed, --out
     specs = [
-        ("verify", "run the exact identity suites", _cmd_verify, ()),
         ("criterion", "run the full criterion on a scenario", _cmd_criterion,
          ("--degree-bound", "--no-figures")),
         ("flow", "audit closed-form vs numeric lifted flows", _cmd_flow,
@@ -97,17 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
         "approx": f"bound on the volume-audit error (default {VOLUME_TOL})"}
     for name, help_text, handler, options in specs:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", required=name != "verify",
+        p.add_argument("--scenario", required=True,
                        help="scenario file path or bundled name")
         if "--degree-bound" in options:
             p.add_argument("--degree-bound", type=_NONNEGATIVE,
                            help="override the scenario degree bound")
-        p.add_argument("--samples", type=_POSITIVE, help=(
-            "trials per suite (default 200)" if name == "verify"
-            else "override the scenario sample count"))
-        p.add_argument("--seed", type=int, help=(
-            "seed of the suites (default 0)" if name == "verify"
-            else "override the sampling seed"))
+        p.add_argument("--samples", type=_POSITIVE,
+                       help="override the scenario sample count")
+        p.add_argument("--seed", type=int, help="override the sampling seed")
         if "--tol" in options:
             p.add_argument("--tol", type=_TOLERANCE, help=tol_help[name])
         p.add_argument("--out", type=_OUT_DIR, default="suspvdp-out",
@@ -171,62 +165,6 @@ def _scenario(args) -> Scenario:
     bound = getattr(args, "degree_bound", None)
     return replace(scenario, sampling=sampling, degree_bound=(
         scenario.degree_bound if bound is None else bound))
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _scenario_lift_checks(scenario: Scenario) -> list[dict]:
-    """Exact, deterministic per-pair checks on the scenario's surface."""
-    ctx = scenario.ctx
-    out = []
-    for k, spec in enumerate(scenario.pairs):
-        failures = []
-        for label, base in (("alpha", spec.alpha), ("beta", spec.beta)):
-            if not divergence(base).is_zero:
-                failures.append(f"{label} is not volume preserving")
-        for side in ("u", "v"):
-            for label, base in (("alpha", spec.alpha), ("beta", spec.beta)):
-                lifted = lift(base, ctx, side)
-                if not is_tangent(lifted, ctx).is_zero:
-                    failures.append(f"{label} side-{side} lift not tangent")
-                elif not divergence_on_suspension(lifted, ctx).is_zero:
-                    failures.append(
-                        f"{label} side-{side} lift has nonzero divergence")
-        out.append({"name": f"scenario-pair{k}-lifts", "trials": 4,
-                    "failures": failures, "ok": not failures})
-    return out
-
-
-def _cmd_verify(args) -> int:
-    # imported here: the suites and their random generators are only for
-    # verify, and every other subcommand would pay for compiling them
-    from .identities import run_checks
-
-    trials = 200 if args.samples is None else args.samples
-    seed = 0 if args.seed is None else args.seed
-    results = run_checks(trials=trials, seed=seed)
-    suites = [{"name": r.name, "trials": r.trials, "failures": r.failures,
-               "ok": r.ok} for r in results]
-    if args.scenario is not None:       # read for its surface and pairs only
-        suites += _scenario_lift_checks(load_scenario(args.scenario))
-
-    ok = all(s["ok"] for s in suites)
-    out = _out_dir(args)
-    write_json(out / "verify.json", {"ok": ok, "seed": seed,
-                                     "trials": trials, "suites": suites})
-    write_json(out / "timings.json",
-               {"suites": {r.name: r.elapsed for r in results}})
-    write_delimited(out / "suites.csv", ["suite", "trials", "ok"],
-                    [(s["name"], s["trials"], s["ok"]) for s in suites])
-    for s in suites:
-        mark = "pass" if s["ok"] else "FAIL"
-        print(f"{s['name']}: {mark} ({s['trials']} trials)")
-        for f in s["failures"]:
-            print(f"  {f}")
-    print(f"report written to {out}")
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 """Seeded random generators for polynomials, fields and forms.
 
-Shared by the randomized identity suites and the test suite.  Everything
+Shared by the identity suites and the other tests.  Everything
 takes an explicit `random.Random` so runs are reproducible; coefficients
 are drawn from a small exact pool, keeping the symbolic checks fast.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import DiffForm, VectorField
-from .poly import Poly, PolyRing
-from .scalars import GaussianRational, gr
+from forms import DiffForm
+from suspvdp.fields import VectorField
+from suspvdp.poly import Poly, PolyRing
+from suspvdp.scalars import GaussianRational, gr
 
 COEFF_POOL = (
     gr(1), gr(-1), gr(0, 1), gr(0, -1),
@@ -52,7 +54,6 @@ def rand_field(ring: PolyRing, rng: random.Random, max_degree: int = 4,
 
 def rand_form(ring: PolyRing, rng: random.Random, degree: int,
               max_poly_degree: int = 4, max_terms: int = 2) -> DiffForm:
-    import itertools
     coeffs = {}
     keys = list(itertools.combinations(range(ring.nvars), degree))
     rng.shuffle(keys)
@@ -67,8 +68,8 @@ def rand_divergence_free_field(ring: PolyRing, rng: random.Random,
                                max_degree: int = 4, parts: int = 2) -> VectorField:
     """Sum of rotational pieces dh/dx_j * d/dx_i - dh/dx_i * d/dx_j, which
     are divergence-free for any h by equality of mixed partials."""
-    out = VectorField.zero(ring)
     n = ring.nvars
+    out = VectorField(ring, (ring.zero(),) * n)
     if n < 2:
         return out
     for _ in range(parts):

@@ -11,23 +11,23 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+from randgen import rand_divergence_free_field
 from suspvdp.approx import (build_dictionary, fit_field, projected_system,
                             residual_curve)
 from suspvdp.certify import (Assumptions, PairSpec, lift_pair,
                              run_vdp_criterion, semicompat_certificate)
 from suspvdp.cli import main as cli_main
 from suspvdp.fields import VectorField
-from suspvdp.identities import run_checks
 from suspvdp.lifts import (chart_jacobian_determinant, lift, lifted_flow,
                            rk4_flow, shear_pullback, spanning_family)
 from suspvdp.linalg import ExactMatrix, exact_rank, solve_columns
 from suspvdp.poly import PolyRing
-from suspvdp.randgen import rand_divergence_free_field
 from suspvdp.scalars import gr
 from suspvdp.scenario import bundled_names, load_scenario
 from suspvdp.surface import (SamplingSpec, divergence_on_suspension, is_tangent,
                              make_suspension, sample_points, surface_point,
                              tangent_basis)
+from test_identities import suite_failures
 
 CORE_SUITES = ["cartan", "dd-zero", "antiderivation", "jacobi",
                "divergence-leibniz", "bracket-form"]
@@ -44,11 +44,10 @@ def coordinate_pair(ctx):
 
 
 def test_criterion_1_exact_identities_zero_tolerance():
-    results = run_checks(CORE_SUITES, trials=200, seed=20260816)
-    total = sum(r.elapsed for r in results)
-    for r in results:
-        assert r.trials == 200, r.name
-        assert r.ok, r.failures
+    start = time.perf_counter()
+    for name in CORE_SUITES:
+        assert suite_failures(name, 200, 20260816) == [], name
+    total = time.perf_counter() - start
     assert total < 60.0, f"identity suites took {total:.1f}s"
     announce(1, "6 exact suites x 200 random inputs each, zero failures, "
              f"{total:.2f}s (< 60s)")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy
 import pytest
 
+from forms import coordinate_field
 from suspvdp import approx
 from suspvdp.approx import (AUDIT_CHECKPOINTS, ApproxError, Dictionary,
                             build_dictionary, fit_field, fitted_evaluator,
@@ -29,8 +30,8 @@ def plane_ctx():
 
 
 def plane_pair(ctx):
-    alpha = VectorField.coordinate(ctx.base_ring, "z1")
-    beta = VectorField.coordinate(ctx.base_ring, "z2")
+    alpha = coordinate_field(ctx.base_ring, "z1")
+    beta = coordinate_field(ctx.base_ring, "z2")
     return lift_pair(alpha, beta, (ctx.base_ring.parse("z2"),),
                      (ctx.base_ring.parse("z1"),), (ctx.base_ring.one(),), ctx,
                      ideal_bound=4)
@@ -125,7 +126,7 @@ def test_fit_recovers_bracket_direction():
     ctx = plane_ctx()
     d = build_dictionary(ctx, [plane_pair(ctx)], 0)
     # [nu_u, mu_v] = d_z2 here; feed d_z2 back in as the target
-    target = VectorField.coordinate(ctx.ring, "z2")
+    target = coordinate_field(ctx.ring, "z2")
     fit = fit_alone(target, d, plane_samples(ctx))
     assert fit.sup_residual <= 1e-10
     bracket_i = entry_index(d, "bracket")

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from forms import coordinate_field
 from suspvdp.certify import (Assumptions, CertifyError, PairSpec,
                              _certificate_in_mode, lift_ideal, lift_pair,
                              monomial_closure, run_vdp_criterion,
@@ -17,13 +18,9 @@ from suspvdp.surface import (NotTangentError, SamplingSpec, make_suspension,
                              surface_point)
 
 
-def coord_field(ring, name):
-    return VectorField.coordinate(ring, ring.index(name))
-
-
 def test_verify_kernel():
     ring = PolyRing(("z1", "z2"))
-    d1 = coord_field(ring, "z1")
+    d1 = coordinate_field(ring, "z1")
     gens = [ring.parse("z2"), ring.parse("z2^2")]
     assert verify_kernel(d1, gens) == tuple(gens)
     with pytest.raises(CertifyError):
@@ -55,8 +52,8 @@ def test_monomial_closure_with_reduction():
 
 
 def base_kernels(ring):
-    knu = verify_kernel(coord_field(ring, "z1"), [ring.parse("z2")])
-    kmu = verify_kernel(coord_field(ring, "z2"), [ring.parse("z1")])
+    knu = verify_kernel(coordinate_field(ring, "z1"), [ring.parse("z2")])
+    kmu = verify_kernel(coordinate_field(ring, "z2"), [ring.parse("z1")])
     return knu, kmu
 
 
@@ -71,7 +68,7 @@ def test_semicompat_toy_success():
 
 def test_semicompat_failure_is_not_an_exception():
     ring = PolyRing(("z1", "z2"))
-    d1 = coord_field(ring, "z1")
+    d1 = coordinate_field(ring, "z1")
     k = verify_kernel(d1, [ring.parse("z2")])
     cert = semicompat_certificate(k, k, [ring.one()], 2)
     assert not cert.success
@@ -92,7 +89,7 @@ def test_semicompat_success_is_pinned_to_requested_degree():
     # already fails here; a certificate claim is only as strong as the
     # bound it was requested at
     ring = PolyRing(("z1", "z2"))
-    d1 = coord_field(ring, "z1")
+    d1 = coordinate_field(ring, "z1")
     k = verify_kernel(d1, [ring.parse("z2")])
     assert semicompat_certificate(k, k, [ring.one()], 0).success
     bad = [semicompat_certificate(k, k, [ring.one()], d).success
@@ -106,7 +103,7 @@ def test_semicompat_monotone_in_kernel_enlargement():
     knu, kmu = base_kernels(ring)
     for d in range(4):
         base = semicompat_certificate(knu, kmu, [ring.one()], d)
-        bigger_nu = verify_kernel(coord_field(ring, "z1"),
+        bigger_nu = verify_kernel(coordinate_field(ring, "z1"),
                                   [ring.parse("z2"), ring.parse("z2^3")])
         grown = semicompat_certificate(bigger_nu, kmu, [ring.one()], d)
         assert grown.success or not base.success

@@ -34,27 +34,6 @@ def run(args):
     return main(args)
 
 
-def test_verify_exits_zero(tmp_path):
-    out = tmp_path / "v"
-    code = run(["verify", "--samples", "25", "--out", str(out)])
-    assert code == 0
-    doc = json.loads((out / "verify.json").read_text())
-    assert doc["ok"] is True
-    assert {s["name"] for s in doc["suites"]} >= {"cartan", "jacobi"}
-    assert (out / "suites.csv").exists()
-    assert (out / "timings.json").exists()
-
-
-def test_verify_with_scenario_adds_lift_checks(tmp_path):
-    out = tmp_path / "v"
-    code = run(["verify", "--scenario", "danielewski", "--samples", "10",
-                "--out", str(out)])
-    assert code == 0
-    doc = json.loads((out / "verify.json").read_text())
-    names = [s["name"] for s in doc["suites"]]
-    assert "scenario-pair0-lifts" in names
-
-
 def test_criterion_plane_certifies(tmp_path):
     out = tmp_path / "c"
     code = run(["criterion", "--scenario", "plane", "--samples", "8",
@@ -375,7 +354,7 @@ def test_internal_fault_leaves_a_traceback(tmp_path, capsys, monkeypatch):
     ["criterion", "--samples", "-3"],
     ["criterion", "--degree-bound", "-1"],
     ["approx", "--degree-bound", "-1"],
-    ["verify", "--samples", "-1"],
+    ["flow", "--samples", "-1"],
 ])
 def test_out_of_range_override_is_a_usage_error(tmp_path, capsys, args):
     out = tmp_path / "o"
@@ -432,9 +411,19 @@ def test_missing_subcommand_usage_error():
     assert exc.value.code == 2
 
 
+def test_unknown_subcommand_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'verify'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # every option each subcommand reads, and no other
 OPTIONS = {
-    "verify": {"--scenario", "--samples", "--seed", "--out"},
     "criterion": {"--scenario", "--degree-bound", "--samples", "--seed",
                   "--out", "--no-figures"},
     "flow": {"--scenario", "--samples", "--seed", "--tol", "--out",
@@ -456,18 +445,15 @@ def test_each_subcommand_offers_exactly_the_options_it_reads():
     offered = {name: {s for a in p._actions for s in a.option_strings}
                - {"-h", "--help"} for name, p in subparsers.items()}
     assert offered == OPTIONS
-    # --exact and --float set one value: 25 settable values in all
+    # --exact and --float set one value: 21 settable values in all
     values = {name: {a.dest for a in p._actions} - {"help"}
               for name, p in subparsers.items()}
-    assert sum(map(len, values.values())) == 25
+    assert sum(map(len, values.values())) == 21
 
 
 @pytest.mark.parametrize("command, flag", [
     ("criterion", ["--tol", "1e-3"]), ("criterion", ["--exact"]),
     ("criterion", ["--float"]),
-    ("verify", ["--degree-bound", "3"]), ("verify", ["--tol", "1e-3"]),
-    ("verify", ["--exact"]), ("verify", ["--float"]),
-    ("verify", ["--no-figures"]),
     ("flow", ["--degree-bound", "3"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
@@ -513,13 +499,12 @@ def _loaded_after(module: str, candidates: tuple[str, ...]) -> list[str]:
 
 
 def test_cli_import_leaves_stage_modules_unloaded():
-    # the rank screen, the identity suites and the random generators are
-    # imported by the stages that run them, the audits fork their workers
-    # without a process pool, and the figures escape their text without
-    # xml.sax (which loads urllib.request), which keeps start-up short
+    # the rank screen is imported by the stage that runs it, the audits
+    # fork their workers without a process pool, and the figures escape
+    # their text without xml.sax (which loads urllib.request), which keeps
+    # start-up short
     assert _loaded_after("suspvdp.cli", (
-        "suspvdp.modrank", "suspvdp.identities", "suspvdp.randgen",
-        "multiprocessing", "concurrent.futures", "xml",
+        "suspvdp.modrank", "multiprocessing", "concurrent.futures", "xml",
         "urllib.request")) == []
 
 

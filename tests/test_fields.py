@@ -1,13 +1,12 @@
 import random
 
-from suspvdp.fields import (DiffForm, VectorField, divergence,
-                            exterior_derivative, interior_product,
-                            lie_bracket, lie_derivative,
-                            lie_derivative_direct, pair_to_form,
-                            sort_with_sign, volume_form, wedge)
+from forms import (DiffForm, coordinate_field, exterior_derivative,
+                   interior_product, lie_derivative, lie_derivative_direct,
+                   pair_to_form, sort_with_sign, volume_form, wedge)
+from randgen import (rand_divergence_free_field, rand_field, rand_form,
+                     rand_poly)
+from suspvdp.fields import VectorField, divergence, lie_bracket
 from suspvdp.poly import PolyRing
-from suspvdp.randgen import (rand_divergence_free_field, rand_field,
-                             rand_form, rand_poly)
 
 R = PolyRing(("u", "v", "z1", "z2"))
 VOL = volume_form(R)
@@ -54,9 +53,9 @@ def test_bracket_jacobi_fuzz():
 
 def test_interior_product_contracts_first_slot():
     du_dv = DiffForm(R, 2, {(0, 1): R.one()})
-    d_u = VectorField.coordinate(R, "u")
+    d_u = coordinate_field(R, "u")
     assert interior_product(d_u, du_dv) == DiffForm(R, 1, {(1,): R.one()})
-    d_v = VectorField.coordinate(R, "v")
+    d_v = coordinate_field(R, "v")
     assert interior_product(d_v, du_dv) == DiffForm(R, 1, {(0,): -R.one()})
 
 
@@ -165,8 +164,8 @@ def test_field_to_closed_form_closed_fuzz():
 
 def test_pair_to_form_example():
     ring3 = PolyRing(("u", "v", "z1"))
-    nu = VectorField.coordinate(ring3, "u")
-    mu = VectorField.coordinate(ring3, "v")
+    nu = coordinate_field(ring3, "u")
+    mu = coordinate_field(ring3, "v")
     got = pair_to_form(nu, mu)
     assert got == DiffForm(ring3, 1, {(2,): -ring3.one()})
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from randgen import rand_divergence_free_field, rand_poly
 from suspvdp import lifts
 from suspvdp.fields import VectorField, divergence
 from suspvdp.lifts import (BasepointError, LiftError, LiftedFlowMap,
@@ -15,7 +16,6 @@ from suspvdp.lifts import (BasepointError, LiftError, LiftedFlowMap,
                            shown_complete, spanning_family, twist_field)
 from suspvdp.linalg import ExactMatrix, exact_rank, solve_columns
 from suspvdp.poly import PolyError, PolyRing
-from suspvdp.randgen import rand_divergence_free_field, rand_poly
 from suspvdp.scalars import ONE, ZERO, gr
 from suspvdp.surface import (SamplingSpec, SuspensionError,
                              divergence_on_suspension, is_tangent,

@@ -17,6 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randgen import COEFF_POOL, rand_divergence_free_field, rand_poly
 from suspvdp import modrank, surface
 from suspvdp.certify import spanning_rank
 from suspvdp.cli import main
@@ -25,8 +26,6 @@ from suspvdp.lifts import spanning_plan
 from suspvdp.modrank import (RankScreen, Undecided, minor_determinant,
                              pivot_rows, residue)
 from suspvdp.poly import Domain, PolyRing, compile_values
-from suspvdp.randgen import (COEFF_POOL, rand_divergence_free_field,
-                             rand_poly)
 from suspvdp.scalars import gr
 from suspvdp.surface import (SamplingError, SamplingSpec, basepoint_search,
                              make_suspension)

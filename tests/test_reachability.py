@@ -2,12 +2,12 @@
 benchmark, not from tests alone.
 
 The guard walks `src/suspvdp` with `ast` and collects each module-level
-or class-level `def` and `class` that is not a dunder and not registered
-by a decorator of its own module (the `identities` trial bodies are
-reached through `ALL_CHECKS`).  Each such name must be used somewhere in
-`src/` or `bench/` other than its own definition: as a name, an
-attribute, an imported name, or a whole word of a string that is not a
-docstring (`bench/layers.py` names its spans in strings).
+or class-level `def` and `class` that is not a dunder.  Each such name
+must be used somewhere in `src/` or `bench/` other than its own
+definition: as a name, an attribute or an imported name, or, in `bench/`
+only, a whole word of a string that is not a docstring
+(`bench/layers.py` names its spans in strings).  Words of the package's
+own strings, such as its error messages, do not count.
 
 Names are matched by whole word, not resolved to their definition: a
 method that shares its name with another routine, such as `at`, counts as
@@ -28,8 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "suspvdp"
-SEARCHED = sorted([*(ROOT / "src").rglob("*.py"),
-                   *(ROOT / "bench").rglob("*.py")])
+BENCH = ROOT / "bench"
+SEARCHED = sorted([*(ROOT / "src").rglob("*.py"), *BENCH.rglob("*.py")])
 
 # documented in the README: the way to print a parsed scenario, and the
 # quick start's way to write a field from coefficient texts
@@ -50,7 +50,7 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return out
 
 
-def _used_words(tree: ast.Module) -> set[str]:
+def _used_words(tree: ast.Module, strings: bool) -> set[str]:
     skip = _docstrings(tree)
     words = set()
     for node in ast.walk(tree):
@@ -60,8 +60,8 @@ def _used_words(tree: ast.Module) -> set[str]:
             words.add(node.attr)
         elif isinstance(node, ast.alias):
             words.add(node.name.rpartition(".")[2])
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in skip):
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and id(node) not in skip):
             words.update(re.findall(r"\w+", node.value))
     return words
 
@@ -70,28 +70,22 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _registered(node, local: set[str]) -> bool:
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-               and d.func.id in local for d in node.decorator_list)
-
-
 def _definitions(path: Path, tree: ast.Module):
     """(qualified name, name) of each module- and class-level definition
-    that is not a dunder and not registered by a local decorator."""
-    local = {n.name for n in tree.body if isinstance(n, _DEFINITIONS)}
+    that is not a dunder."""
     scopes = [(path.stem, tree.body)]
     scopes += [(f"{path.stem}.{n.name}", n.body) for n in tree.body
                if isinstance(n, ast.ClassDef)]
     for prefix, body in scopes:
         for node in body:
-            if (isinstance(node, _DEFINITIONS) and not _is_dunder(node.name)
-                    and not _registered(node, local)):
+            if isinstance(node, _DEFINITIONS) and not _is_dunder(node.name):
                 yield f"{prefix}.{node.name}", node.name
 
 
 def test_every_definition_is_reached_outside_the_tests():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SEARCHED}
-    used = set().union(*map(_used_words, trees.values()))
+    used = set().union(*(_used_words(tree, strings=BENCH in path.parents)
+                         for path, tree in trees.items()))
     unreached = [qualified
                  for path, tree in trees.items() if path.parent == PACKAGE
                  for qualified, name in _definitions(path, tree)

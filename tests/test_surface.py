@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from randgen import rand_poly
 from suspvdp import surface
 from suspvdp.fields import VectorField
 from suspvdp.poly import EXACT, PolyRing
-from suspvdp.randgen import rand_poly
 from suspvdp.scalars import gr, ZERO
 from suspvdp.scenario import bundled_names, load_scenario
 from suspvdp.surface import (NotTangentError, SamplingError, SamplingSpec,
