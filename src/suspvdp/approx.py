@@ -17,8 +17,8 @@ deterministic for redundant dictionaries.
 
 f is a polynomial.  The audits integrate compiled fields with
 `lifts.rk4_flow`.  The flow audit's checks run through `map_on_cpus`; the
-volume audit's chart Jacobian (`lifts.chart_jacobian`, as the flow
-subcommand's) and Simpson path run in one forked worker beside the fit.
+volume audit's chart Jacobian (`lifts.chart_jacobian`) and Simpson path
+run in one forked worker beside the fit, its determinant in the parent.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy
 
 from .certify import LiftedPair, monomial_closure
 from .fields import VectorField, lie_bracket
-from .lifts import (chart_determinant, chart_jacobian, forked_blocks,
-                    map_on_cpus, rk4_flow, twist_field)
+from .lifts import (chart_jacobian, chart_jacobian_determinant,
+                    forked_blocks, map_on_cpus, rk4_flow, twist_field)
 from .poly import COMPLEX, compile_complex_sum, compile_values
 from .surface import (SurfacePoint, SuspensionContext,
                       divergence_on_suspension, is_tangent)
@@ -313,7 +313,7 @@ def volume_audit(theta: VectorField, ctx: SuspensionContext,
 
     def parts(_) -> list:
         columns = chart_jacobian(ctx, 0, coords0, lambda ambient: rk4_flow(
-            theta.evaluate_complex, ambient, t, steps), on_cpus=False)
+            theta.evaluate_complex, ambient, t, steps))
         # Simpson integral of the divergence along the trajectory; the
         # path takes the same steps dt = t/steps as one full pass, so its
         # last point is the flow's end point
@@ -329,7 +329,7 @@ def volume_audit(theta: VectorField, ctx: SuspensionContext,
 
     def wait() -> dict:
         columns, end_u, expected = collect()[0]
-        weighted = chart_determinant(columns) * coords0[0] / end_u
+        weighted = chart_jacobian_determinant(columns) * coords0[0] / end_u
         return {"weighted_determinant": weighted, "expected": expected,
                 "error": abs(weighted - expected)}
 

@@ -1,7 +1,7 @@
 """Command line: scenarios in, reports out.
 
 Three subcommands: `criterion` runs the full volume-density criterion,
-`flow` audits closed-form against numeric integration of lifted flows,
+`flow` audits lifted flows against RK4, one point per job on every CPU,
 and `approx` fits targets against the bracket dictionary and draws the
 residual curve.
 
@@ -33,8 +33,8 @@ from pathlib import Path
 from .approx import (AUDIT_CHECKPOINTS, ApproxError, flow_deviation_audit,
                      residual_curve, volume_audit)
 from .certify import Assumptions, CertifyError, lift_pair, run_vdp_criterion
-from .lifts import (chart_jacobian_determinant, cpu_blocks, lifted_flow,
-                    rk4_flow)
+from .lifts import (chart_jacobian_determinant, cpu_blocks,
+                    flow_chart_jacobian, lifted_flow, map_on_cpus, rk4_flow)
 from .poly import ParseError
 from .report import (format_complex, render_curve_figure, render_flow_figure,
                      render_rank_figure, write_delimited, write_json)
@@ -141,11 +141,10 @@ def main(argv=None) -> int:
         return 2
 
 
-def _cpu_split(jobs: int, on_cpus: bool = True) -> dict:
+def _cpu_split(jobs: int) -> dict:
     """For the timings sidecar: how `lifts.map_on_cpus` splits `jobs`
-    jobs over processes, the parent first (one process where a map runs
-    in-process)."""
-    blocks = cpu_blocks(jobs) if on_cpus else [jobs]
+    jobs over processes, the parent first."""
+    blocks = cpu_blocks(jobs)
     return {"jobs": jobs, "workers": len(blocks), "jobs_per_worker": blocks}
 
 
@@ -221,34 +220,41 @@ def _cmd_flow(args) -> int:
             if abs(complex(p.complex_coords()[0])) >= 0.25
             and abs(complex(p.complex_coords()[1])) >= 0.25]
 
-    reference = flow_map.lifted
-
-    def audit(p) -> dict:
-        end = flow_map.apply(p, t)
-        end_coords = [complex(c) for c in end.complex_coords()]
-        check = rk4_flow(reference.evaluate_complex,
-                         list(p.complex_coords()), complex(t), steps)
-        deviation = max(abs(a - b) for a, b in zip(end_coords, check))
-        det = chart_jacobian_determinant(flow_map, p, t)
-        det_error = abs(det - 1.0)
-        residual = abs(ctx.defining.evaluate_complex(end_coords))
-        ok = deviation <= tol and det_error <= det_tol and residual <= 1e-8
-        return {"point": str(p), "deviation": deviation,
-                "det_error": det_error, "surface_residual": residual,
-                "ok": ok}
-
-    t0 = time.perf_counter()
-    rows = []
-    for p in kept:
+    def audit(p) -> list | str:
+        """A point's job of `map_on_cpus`: its deviation from RK4, chart
+        Jacobian and surface residual, or its failed row's error text."""
         try:
-            rows.append(audit(p))
+            end = flow_map.apply(p, t).complex_coords()
+            check = rk4_flow(flow_map.lifted.evaluate_complex,
+                             list(p.complex_coords()), complex(t), steps)
+            deviation = max(abs(a - b) for a, b in zip(end, check))
+            columns = flow_chart_jacobian(flow_map, p, t)
+            residual = abs(ctx.defining.evaluate_complex(end))
         except (SuspensionError, ArithmeticError) as exc:
             # a long flow can overflow or leave the surface: a failed row
-            rows.append({"point": str(p), "deviation": math.nan,
-                         "det_error": math.nan, "surface_residual": math.nan,
-                         "ok": False,
-                         "error": f"{type(exc).__name__}: {exc}"})
+            return f"{type(exc).__name__}: {exc}"
+        return [deviation, columns, residual]
 
+    def row(p, audited: list | str) -> dict:
+        """The point's report row, its determinant taken in the parent."""
+        if not isinstance(audited, str):
+            deviation, columns, residual = audited
+            try:
+                det_error = abs(chart_jacobian_determinant(columns) - 1.0)
+            except ArithmeticError as exc:
+                audited = f"{type(exc).__name__}: {exc}"
+            else:
+                return {"point": str(p), "deviation": deviation,
+                        "det_error": det_error, "surface_residual": residual,
+                        "ok": deviation <= tol and det_error <= det_tol
+                        and residual <= 1e-8}
+        return {"point": str(p), "deviation": math.nan,
+                "det_error": math.nan, "surface_residual": math.nan,
+                "ok": False, "error": audited}
+
+    t0 = time.perf_counter()
+    rows = [row(p, audited)
+            for p, audited in zip(kept, map_on_cpus(audit, kept))]
     elapsed = time.perf_counter() - t0
 
     ok = bool(rows) and all(r["ok"] for r in rows)
@@ -265,9 +271,9 @@ def _cmd_flow(args) -> int:
     out = _out_dir(args)
     write_json(out / "flow.json", payload)
     write_json(out / "timings.json", {
-        "total": elapsed, "chart_determinants": len(rows),
-        "chart_probes": _cpu_split(2 * (ctx.n + 1),
-                                   on_cpus=not flow_map.symbolic)})
+        "total": elapsed, "chart_determinants": sum(
+            "error" not in r for r in rows),
+        "audits": _cpu_split(len(kept))})
     write_delimited(out / "flow_errors.csv",
                     ["point", "deviation", "det_error", "surface_residual",
                      "ok"],
@@ -355,9 +361,7 @@ def _cmd_approx(args) -> int:
     write_json(out / "approx.json", payload)
     write_json(out / "timings.json", {
         "total": marks[-1] - marks[0], "stages": stages,
-        "flow_audit": _cpu_split(AUDIT_CHECKPOINTS * len(audits)),
-        "volume_audit": _cpu_split(2 * (ctx.n + 1), on_cpus=False)
-        if volume else None})
+        "flow_audit": _cpu_split(AUDIT_CHECKPOINTS * len(audits))})
     write_delimited(out / "residuals.csv",
                     ["degree", "entries", "sup_residual"],
                     [(r["degree"], r["entries"], r["sup_residual"])

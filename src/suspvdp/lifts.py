@@ -22,8 +22,8 @@ not terminate within the guard falls back to numeric integration, and the
 returned map is flagged accordingly.  The same series on the base ring
 is the criterion's completeness witness (`shown_complete`).
 
-Independent numeric jobs, such as the probes of a chart determinant, run
-on every CPU of the affinity mask through `map_on_cpus`.
+Independent numeric jobs, such as the audited points of a flow, run on
+every CPU of the affinity mask through `map_on_cpus`.
 """
 
 from __future__ import annotations
@@ -422,36 +422,31 @@ def shear_pullback(mu: VectorField, theta: VectorField, g: Poly,
         mu.evaluate_exact(coords), theta.evaluate_exact(coords))]
 
 
-def chart_jacobian_determinant(flow_map: LiftedFlowMap, point: SurfacePoint,
-                               t) -> complex:
-    """Determinant of the time-t map in the chart adapted to the flow's
-    side: a side-u flow keeps v fixed and is audited in coordinates (v, z)
-    on v != 0, a side-v flow in (u, z) on u != 0.  Volume preservation
-    makes this exactly 1; `chart_determinant` reports it numerically.
-    A closed-form probe costs one polynomial evaluation, less than a
-    fork, so only the numeric fallback's probes are spread over CPUs."""
+def flow_chart_jacobian(flow_map: LiftedFlowMap, point: SurfacePoint,
+                        t) -> list[list[complex]]:
+    """`chart_jacobian` of the time-t map in the chart adapted to the
+    flow's side: a side-u flow keeps v fixed and is audited in coordinates
+    (v, z) on v != 0, a side-v flow in (u, z) on u != 0.  Volume
+    preservation makes its determinant exactly 1."""
     ctx = flow_map.ctx
-    fiber = 1 if flow_map.side == "u" else 0
-    coords0 = point.complex_coords()
-    if abs(coords0[fiber]) < 1e-12:
-        raise LiftError("the adapted chart needs a nonzero fiber coordinate")
-    return chart_determinant(chart_jacobian(
-        ctx, fiber, coords0, lambda ambient: flow_map.apply(
-            surface_point(ctx, ambient, tol=1e-6), t).complex_coords(),
-        on_cpus=not flow_map.symbolic))
+    return chart_jacobian(
+        ctx, 1 if flow_map.side == "u" else 0, point.complex_coords(),
+        lambda ambient: flow_map.apply(
+            surface_point(ctx, ambient, tol=1e-6), t).complex_coords())
 
 
 def chart_jacobian(ctx: SuspensionContext, fiber: int,
                    coords0: Sequence[complex],
-                   move: Callable[[list[complex]], Sequence[complex]],
-                   on_cpus: bool = True) -> list[list[complex]]:
+                   move: Callable[[list[complex]], Sequence[complex]]
+                   ) -> list[list[complex]]:
     """Columns of the Jacobian at `coords0` of a map of the surface, in the
     chart (x_fiber, z) on x_fiber != 0: a chart point is embedded with the
     other fiber coordinate set to f(z)/x_fiber, `move` maps its ambient
     coordinates, and the image is read back in the chart.  Each column is
-    a central difference of step 1e-6.  With `on_cpus` the 2m probes run
-    through `map_on_cpus`, so `move` must return complex numbers and stay
-    off numpy; without it they run in this process, in pure Python."""
+    a central difference of step 1e-6.  The 2m probes run in this
+    process, in pure Python, so a forked job may take a whole Jacobian."""
+    if abs(coords0[fiber]) < 1e-12:
+        raise LiftError("the adapted chart needs a nonzero fiber coordinate")
     h = 1e-6
     other = 1 - fiber
     chart0 = [coords0[fiber]] + list(coords0[2:])
@@ -465,22 +460,20 @@ def chart_jacobian(ctx: SuspensionContext, fiber: int,
         out = move(ambient)
         return [out[fiber]] + list(out[2:])
 
-    m = len(chart0)
-    probes = []                  # per column, the + and the - probe
-    for j in range(m):
+    columns = []
+    for j in range(len(chart0)):
         bumped = list(chart0)
         bumped[j] += h
-        probes.append(list(bumped))
+        plus = chart_map(bumped)
         bumped[j] -= 2 * h
-        probes.append(bumped)
-    images = (map_on_cpus(chart_map, probes) if on_cpus
-              else [chart_map(probe) for probe in probes])
-    return [[(p - q) / (2 * h) for p, q in zip(plus, minus)]
-            for plus, minus in zip(images[::2], images[1::2])]
+        columns.append([(p - q) / (2 * h)
+                        for p, q in zip(plus, chart_map(bumped))])
+    return columns
 
 
-def chart_determinant(columns: Sequence[Sequence[complex]]) -> complex:
-    """The determinant of the matrix of these columns (`chart_jacobian`)."""
+def chart_jacobian_determinant(columns: Sequence[Sequence[complex]]) -> complex:
+    """The determinant of the matrix of these columns (`chart_jacobian`),
+    with numpy, so in the parent process only (`map_on_cpus`)."""
     import numpy
     return complex(numpy.linalg.det(numpy.array(columns, dtype=complex).T))
 

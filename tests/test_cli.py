@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import suspvdp
-from suspvdp import cli
+from suspvdp import cli, lifts
 from suspvdp.approx import ApproxError
 from suspvdp.cli import main
 
@@ -107,11 +107,42 @@ def test_flow_numeric_fallback(tmp_path):
     assert code == 0
     doc = json.loads((out / "flow.json").read_text())
     assert doc["symbolic"] is False
+    # one audit job per point, split over the processes of `map_on_cpus`
     timings = json.loads((out / "timings.json").read_text())
     assert timings["chart_determinants"] == doc["points_audited"]
-    probes = timings["chart_probes"]
-    assert probes["jobs"] == 6 and sum(probes["jobs_per_worker"]) == 6
-    assert probes["workers"] == len(probes["jobs_per_worker"])
+    audits = timings["audits"]
+    assert audits["jobs"] == doc["points_audited"]
+    assert sum(audits["jobs_per_worker"]) == audits["jobs"]
+    assert audits["workers"] == len(audits["jobs_per_worker"])
+
+
+def _flow_reports(out: Path) -> dict:
+    return {name: (out / name).read_bytes()
+            for name in ("flow.json", "flow_errors.csv")}
+
+
+def _in_process(monkeypatch):
+    """Every map of the run in one block and a fork that fails the run,
+    so every job runs in this process."""
+    def no_fork():
+        raise AssertionError("a map forked")
+
+    monkeypatch.setattr(lifts, "cpu_blocks", lambda count: [count])
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.mark.parametrize("args", [["hyperbola"], ["circle", "--samples", "4"]],
+                         ids=["closed-form", "numeric-fallback"])
+def test_flow_reports_are_the_same_in_process(tmp_path, monkeypatch, args):
+    # a point's audit comes back from a worker through marshal: the
+    # forked run and the in-process one must write the same bytes
+    command = ["flow", "--scenario", *args, "--no-figures", "--out"]
+    assert run(command + [str(tmp_path / "forked")]) == 0
+    _in_process(monkeypatch)
+    assert run(command + [str(tmp_path / "serial")]) == 0
+    assert _flow_reports(tmp_path / "serial") == \
+        _flow_reports(tmp_path / "forked")
+    assert_no_child_left()
 
 
 def test_approx_plane_with_figures(tmp_path):
@@ -129,11 +160,9 @@ def test_approx_plane_with_figures(tmp_path):
     assert (out / "flow_audit.csv").exists()
     # the sidecar records how the audits' jobs were split over processes
     timings = json.loads((out / "timings.json").read_text())
-    for name, jobs in (("flow_audit", 20), ("volume_audit", 6)):
-        split = timings[name]
-        assert split["jobs"] == jobs
-        assert sum(split["jobs_per_worker"]) == jobs
-        assert split["workers"] == len(split["jobs_per_worker"])
+    split = timings["flow_audit"]
+    assert split["jobs"] == 20 and sum(split["jobs_per_worker"]) == 20
+    assert split["workers"] == len(split["jobs_per_worker"])
 
 
 def test_approx_timings_record_the_stages(tmp_path):
@@ -306,7 +335,8 @@ def test_wide_float_region_gives_a_verdict(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("time_text", ["1000", "2000"])
-def test_diverging_numeric_flow_is_a_failed_row(tmp_path, capsys, time_text):
+def test_diverging_numeric_flow_is_a_failed_row(tmp_path, capsys, monkeypatch,
+                                                time_text):
     # the rotation field's RK4 flow blows up at long times: overflow on
     # the way, or a NaN end point off the surface
     scn = tmp_path / "long.scn"
@@ -327,6 +357,15 @@ def test_diverging_numeric_flow_is_a_failed_row(tmp_path, capsys, time_text):
         "OverflowError", "SuspensionError"}
     assert failed[0]["deviation"] == "nan"
     assert len((out / "flow_errors.csv").read_text().splitlines()) == 3
+    # at 4 points a second CPU's block holds failed rows: the error text
+    # its worker sends back is the text of an in-process run
+    command = ["flow", "--scenario", str(scn), "--samples", "4",
+               "--no-figures", "--out"]
+    assert run(command + [str(tmp_path / "forked")]) == 1
+    _in_process(monkeypatch)
+    assert run(command + [str(tmp_path / "serial")]) == 1
+    assert _flow_reports(tmp_path / "serial") == \
+        _flow_reports(tmp_path / "forked")
 
 
 def test_internal_fault_leaves_a_traceback(tmp_path, capsys, monkeypatch):

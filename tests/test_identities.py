@@ -22,16 +22,19 @@ from suspvdp.scalars import gr
 from suspvdp.surface import divergence_on_suspension, is_tangent, make_suspension
 
 GENERIC_RING = PolyRing(("x1", "x2", "x3"))
-_VOLUME = volume_form(GENERIC_RING)
+# the form and field suites draw their ring: the generic one, or the
+# ambient ring of a suspension over C^2
+_RINGS = (GENERIC_RING, PolyRing(("u", "v", "z1", "z2")))
 _SUSPENSIONS = [make_suspension(2, f) for f in ("z1", "z1^2", "z1*z2 - 1")]
 _F_RING = PolyRing(("z1", "z2"))          # wedge-decomposition draws f here
 
 
 def cartan(rng):
     """Contract-then-differentiate formula against the slot-by-slot
-    definition of the Lie derivative."""
-    theta = rand_field(GENERIC_RING, rng)
-    a = rand_form(GENERIC_RING, rng, rng.randint(0, 2))
+    definition of the Lie derivative, on forms of every degree."""
+    ring = rng.choice(_RINGS)
+    theta = rand_field(ring, rng)
+    a = rand_form(ring, rng, rng.randint(0, ring.nvars))
     diff = lie_derivative(theta, a) + \
         lie_derivative_direct(theta, a).scale(gr(-1))
     if not diff.is_zero:
@@ -40,7 +43,7 @@ def cartan(rng):
 
 
 def dd_zero(rng):
-    a = rand_form(GENERIC_RING, rng, rng.randint(0, 2))
+    a = rand_form(rng.choice(_RINGS), rng, rng.randint(0, 2))
     if not exterior_derivative(exterior_derivative(a)).is_zero:
         return f"d(d a) != 0 on degree {a.degree}"
     return None
@@ -59,9 +62,10 @@ def antiderivation(rng):
 
 
 def jacobi(rng):
-    x = rand_field(GENERIC_RING, rng, max_degree=3)
-    y = rand_field(GENERIC_RING, rng, max_degree=3)
-    z = rand_field(GENERIC_RING, rng, max_degree=3)
+    ring = rng.choice(_RINGS)
+    x = rand_field(ring, rng, max_degree=3)
+    y = rand_field(ring, rng, max_degree=3)
+    z = rand_field(ring, rng, max_degree=3)
     total = lie_bracket(x, lie_bracket(y, z)) + \
         lie_bracket(y, lie_bracket(z, x)) + \
         lie_bracket(z, lie_bracket(x, y))
@@ -72,9 +76,10 @@ def jacobi(rng):
 
 def divergence_leibniz(rng):
     """Divergence against Cartan's formula, then its product rule."""
-    theta = rand_field(GENERIC_RING, rng)
-    h = rand_poly(GENERIC_RING, rng)
-    cartan = lie_derivative(theta, _VOLUME) - _VOLUME.scale(divergence(theta))
+    ring = rng.choice(_RINGS)
+    theta, h = rand_field(ring, rng), rand_poly(ring, rng)
+    volume = volume_form(ring)
+    cartan = lie_derivative(theta, volume) - volume.scale(divergence(theta))
     if not cartan.is_zero:
         return "L_field(volume) != div(field) * volume"
     lhs = divergence(theta.scale(h))
@@ -87,9 +92,10 @@ def divergence_leibniz(rng):
 def bracket_form(rng):
     """For divergence-free fields, contracting the bracket into the volume
     form is the exterior derivative of the double contraction."""
-    nu = rand_divergence_free_field(GENERIC_RING, rng, max_degree=3)
-    mu = rand_divergence_free_field(GENERIC_RING, rng, max_degree=3)
-    lhs = interior_product(lie_bracket(nu, mu), _VOLUME)
+    ring = rng.choice(_RINGS)
+    nu = rand_divergence_free_field(ring, rng, max_degree=3)
+    mu = rand_divergence_free_field(ring, rng, max_degree=3)
+    lhs = interior_product(lie_bracket(nu, mu), volume_form(ring))
     rhs = exterior_derivative(pair_to_form(nu, mu))
     if not (lhs + rhs.scale(gr(-1))).is_zero:
         return "bracket contraction disagrees with d of the pair form"

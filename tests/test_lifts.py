@@ -9,9 +9,8 @@ from randgen import rand_divergence_free_field, rand_poly
 from suspvdp import lifts
 from suspvdp.fields import VectorField, divergence
 from suspvdp.lifts import (BasepointError, LiftError, LiftedFlowMap,
-                           chart_determinant, chart_jacobian,
-                           chart_jacobian_determinant, cpu_blocks,
-                           exponential_flow, extend_trivially, lift,
+                           chart_jacobian_determinant, exponential_flow,
+                           extend_trivially, flow_chart_jacobian, lift,
                            lifted_flow, rk4_flow, shear_pullback,
                            shown_complete, spanning_family, twist_field)
 from suspvdp.linalg import ExactMatrix, exact_rank, solve_columns
@@ -380,7 +379,7 @@ def test_chart_jacobian_is_one():
     for side in ("u", "v"):
         fl = lifted_flow(theta, ctx, side)
         for p in points:
-            det = chart_jacobian_determinant(fl, p, 1.0)
+            det = chart_jacobian_determinant(flow_chart_jacobian(fl, p, 1.0))
             assert abs(det - 1) < 1e-8
 
 
@@ -392,35 +391,15 @@ def test_chart_jacobian_needs_a_nonzero_fiber_coordinate():
                          ("v", [0.0, 1.0, 1.0, 1.0])):
         p = surface_point(ctx, [complex(c) for c in coords])
         with pytest.raises(LiftError, match="nonzero fiber coordinate"):
-            chart_jacobian_determinant(lifted_flow(theta, ctx, side), p, 1.0)
+            flow_chart_jacobian(lifted_flow(theta, ctx, side), p, 1.0)
 
 
 def test_chart_jacobian_numeric_fallback():
     ctx = make_suspension(2, "z1^2 + z2^2 - 1")
     fl = lifted_flow(base_field(ctx, "z2", "-z1"), ctx, "u")
     p = surface_point(ctx, [1.0 + 0j, -0.5 + 0j, 0.5 + 0j, 0.5 + 0j])
-    det = chart_jacobian_determinant(fl, p, 0.5)
+    det = chart_jacobian_determinant(flow_chart_jacobian(fl, p, 0.5))
     assert abs(det - 1) < 1e-6
-
-
-def test_numeric_chart_probes_run_in_workers():
-    # the parent moves only its own block of probes; a worker whose
-    # images marshal could not send would have its block moved here too
-    ctx = make_suspension(2, "z1^2 + z2^2 - 1")
-    fl = lifted_flow(base_field(ctx, "z2", "-z1"), ctx, "u")
-    p = surface_point(ctx, [1.0 + 0j, -0.5 + 0j, 0.5 + 0j, 0.5 + 0j])
-    moved = []
-
-    def move(ambient):
-        moved.append(ambient)
-        return fl.apply(surface_point(ctx, ambient, tol=1e-6),
-                        0.5).complex_coords()
-
-    det = chart_determinant(chart_jacobian(ctx, 1, p.complex_coords(), move))
-    assert len(moved) == cpu_blocks(6)[0]
-    assert det == chart_determinant(chart_jacobian(
-        ctx, 1, p.complex_coords(), move, on_cpus=False))
-    assert det == chart_jacobian_determinant(fl, p, 0.5)
 
 
 def spanning_setup():
