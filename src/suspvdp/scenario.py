@@ -90,8 +90,7 @@ def scenario_to_text(s: Scenario) -> str:
     lines += ["[sampling]",
               f"count = {s.sampling.count}",
               f"seed = {s.sampling.seed}",
-              f"region = {s.sampling.region[0]} .. {s.sampling.region[1]}",
-              f"exactness = {s.sampling.exactness}", ""]
+              f"region = {s.sampling.region[0]} .. {s.sampling.region[1]}", ""]
     lines += ["[options]",
               f"degree_bound = {s.degree_bound}",
               f"assume_cohomology = {_bool_text(s.assume_cohomology)}", ""]
@@ -114,7 +113,7 @@ _SECTIONS = ("pair", "sampling", "options", "approx", "flow")
 _KEYS = {
     None: {"n", "f"},
     "pair": {"alpha", "beta", "kernel_alpha", "kernel_beta", "ideal"},
-    "sampling": {"count", "seed", "region", "exactness"},
+    "sampling": {"count", "seed", "region"},
     "options": {"degree_bound", "assume_cohomology"},
     "approx": {"target", "curve_degrees"},
     "flow": {"field", "side", "time"},
@@ -253,7 +252,7 @@ def _build_sampling(body) -> SamplingSpec:
     spec = SamplingSpec()
     for key, (raw, line, _) in body.items():
         value = (_region_bounds(raw, line) if key == "region" else
-                 raw if key == "exactness" else _int_value(raw, line, key))
+                 _int_value(raw, line, key))
         try:
             spec = replace(spec, **{key: value})
         except SamplingError as exc:
@@ -297,10 +296,13 @@ def _build_pair(body, ctx, header_line) -> PairSpec:
         return tuple(_parse_poly(t, ctx.base_ring, line, col)
                      for t, col in _items(raw, ";", off) if t)
 
+    ideal = polys("ideal")
+    if ideal and all(h.is_zero for h in ideal):
+        raise ScenarioError("the proposed ideal has no nonzero generator",
+                            body["ideal"][1])
     return PairSpec(alpha=field("alpha"), beta=field("beta"),
                     kernel_alpha=polys("kernel_alpha"),
-                    kernel_beta=polys("kernel_beta"),
-                    ideal=polys("ideal"))
+                    kernel_beta=polys("kernel_beta"), ideal=ideal)
 
 
 def _build_approx(body, ctx) -> ApproxScenario:

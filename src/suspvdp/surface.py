@@ -235,12 +235,11 @@ MAX_REJECTIONS = 10000       # rejected draws per sampling run or search
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    """Seeded draws of complex scalars, both parts from `region`."""
+    """Seeded draws of exact complex scalars, both parts from `region`."""
 
     count: int = 20
     seed: int = 0
     region: tuple[Fraction, Fraction] = (Fraction(-2), Fraction(2))
-    exactness: str = "exact"            # "exact" | "float"
 
     def __post_init__(self):
         lo, hi = self.region
@@ -252,9 +251,6 @@ class SamplingSpec:
         if math.ceil(lo) > math.floor(hi):
             # a denominator-1 exact draw would have no value to take
             raise SamplingError("sampling region must contain an integer")
-        if self.exactness not in ("exact", "float"):
-            raise SamplingError(f"exactness must be 'exact' or 'float', "
-                                f"got {self.exactness!r}")
 
 
 def _exact_scalar_draw(rng: random.Random, spec: SamplingSpec):
@@ -277,12 +273,6 @@ def _exact_scalar_draw(rng: random.Random, spec: SamplingSpec):
     return draw
 
 
-def _rand_float_scalar(rng: random.Random, spec: SamplingSpec) -> complex:
-    lo, hi = float(spec.region[0]), float(spec.region[1])
-    im = rng.uniform(lo, hi)                 # drawn before the real part
-    return complex(rng.uniform(lo, hi), im)
-
-
 def _draw_exact(ctx: SuspensionContext, scalar) -> SurfacePoint | None:
     """One exact draw on the chart u != 0, each scalar from `scalar`
     (see `_exact_scalar_draw`): z, then u, then v = f(z)/u; None where u
@@ -296,34 +286,13 @@ def _draw_exact(ctx: SuspensionContext, scalar) -> SurfacePoint | None:
 
 
 def sample_points(ctx: SuspensionContext, spec: SamplingSpec) -> list[SurfacePoint]:
-    """Seeded draws on the chart u != 0: pick z and u, then v = f(z)/u
-    (in float mode only |u| >= 1/4 is kept); `MAX_REJECTIONS` rejected
-    draws end the run, however many points were kept.
+    """`spec.count` seeded exact draws on the chart u != 0: pick z and u,
+    then v = f(z)/u, admitting every draw with u != 0 (see `_draws`).
 
-    Points satisfy the surface equation exactly in exact mode and to
-    floating accuracy otherwise, by construction, so neither kind is
-    checked again; sampling is pure given the seed.
+    Points satisfy the surface equation exactly by construction, so they
+    are not checked again; sampling is pure given the seed.
     """
-    rng = random.Random(spec.seed)
-    scalar = _exact_scalar_draw(rng, spec)
-    out: list[SurfacePoint] = []
-    rejected = 0
-    while len(out) < spec.count:
-        if rejected == MAX_REJECTIONS:
-            raise SamplingError(f"sampling stopped after {MAX_REJECTIONS} "
-                                f"rejected draws (u too close to 0)")
-        if spec.exactness == "exact":
-            point = _draw_exact(ctx, scalar)
-        else:
-            z = [_rand_float_scalar(rng, spec) for _ in range(ctx.n)]
-            u = _rand_float_scalar(rng, spec)
-            point = None if abs(u) < 0.25 else SurfacePoint(
-                (u, ctx.f_base.evaluate_complex(z) / u, *z), False)
-        if point is None:
-            rejected += 1
-        else:
-            out.append(point)
-    return out
+    return _draws(ctx, spec, lambda point: [], "sampling")[0]
 
 
 def sample_zero_fiber(ctx: SuspensionContext,
@@ -469,27 +438,32 @@ def basepoint_check(ctx: SuspensionContext,
 def basepoint_search(ctx: SuspensionContext, spec: SamplingSpec,
                      ideals: Sequence[Sequence[Poly]] = ()
                      ) -> tuple[list[SurfacePoint], RejectionReport]:
-    """Rejection-sample `spec.count` exact points at which
-    `basepoint_check` finds nothing.  Each rejection is recorded under
-    the first condition that failed; `MAX_REJECTIONS` of them end the
-    search, however many points were admitted."""
+    """`spec.count` seeded exact draws at which `basepoint_check` finds
+    nothing (see `_draws`); from the same seed they are the draws of
+    `sample_points` that pass the check."""
+    return _draws(ctx, spec, basepoint_check(ctx, ideals), "basepoint search")
+
+
+def _draws(ctx: SuspensionContext, spec: SamplingSpec, failures_at,
+           what: str) -> tuple[list[SurfacePoint], RejectionReport]:
+    """The one seeded sampling loop: exact draws (`_draw_exact`) until
+    `spec.count` are admitted.  A draw with u = 0 is rejected under
+    `u_nonzero`, any other under the first condition `failures_at` lists
+    for it; `MAX_REJECTIONS` rejections end the run, however many points
+    were admitted."""
     scalar = _exact_scalar_draw(random.Random(spec.seed), spec)
-    failures_at = basepoint_check(ctx, ideals)
     report = RejectionReport()
     found: list[SurfacePoint] = []
     while len(found) < spec.count:
         if report.attempts - len(found) == MAX_REJECTIONS:
             raise SamplingError(
-                f"basepoint search stopped after {MAX_REJECTIONS} rejected "
-                f"draws; rejections: {report.rejected}", report)
+                f"{what} stopped after {MAX_REJECTIONS} rejected draws; "
+                f"rejections: {report.rejected}", report)
         report.attempts += 1
         point = _draw_exact(ctx, scalar)
-        if point is None:
-            report.reject("u_nonzero")
-            continue
-        failures = failures_at(point)
+        failures = ["u_nonzero"] if point is None else failures_at(point)
         if failures:
             report.reject(failures[0])
-            continue
-        found.append(point)
+        else:
+            found.append(point)
     return found, report

@@ -270,6 +270,26 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o" / "fault.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["criterion", "flow", "approx"])
+@pytest.mark.parametrize("old, new, message", [
+    # every sampled point is exact: there is no sampling mode to choose
+    ("region = -2 .. 2", "region = -2 .. 2\nexactness = exact",
+     "line 19: unknown key 'exactness' at section [sampling]"),
+    ("ideal = 1", "ideal = 0; 0",
+     "line 13: the proposed ideal has no nonzero generator"),
+], ids=["exactness-key", "zero-ideal"])
+def test_a_rejected_scenario_line_exits_two(tmp_path, capsys, command, old,
+                                            new, message):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(_bundled_text("plane", old, new))
+    out = tmp_path / "o"
+    code = run([command, "--scenario", str(scn), "--out", str(out),
+                "--no-figures"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "fault.txt").exists()
+
+
 UNANNIHILATED_KERNEL = """
 n = 2
 f = z1
@@ -297,7 +317,8 @@ region = 0 .. 1/10
 @pytest.mark.parametrize("command, text, message", [
     ("approx", UNANNIHILATED_KERNEL, "not annihilated by the field: z1"),
     ("approx", BAD_PAIR, "dictionary entry has divergence"),
-    ("flow", EMPTY_CHART, "stopped after 10000 rejected draws"),
+    ("flow", EMPTY_CHART,
+     "stopped after 10000 rejected draws; rejections: {'u_nonzero': 10000}"),
 ], ids=["kernel-not-annihilated", "base-field-not-divergence-free",
         "no-sample-off-u-zero"])
 def test_unusable_input_is_an_error_not_a_fault(tmp_path, capsys, command,
@@ -319,13 +340,12 @@ def _bundled_text(name: str, old: str, new: str) -> str:
 
 
 @pytest.mark.parametrize("command", ["approx", "flow"])
-def test_wide_float_region_gives_a_verdict(tmp_path, capsys, command):
-    # float draws over a wide region have residuals above 1e-12 only by
-    # rounding; they are built on the surface and not checked again
+def test_wide_region_gives_a_verdict(tmp_path, capsys, command):
+    # exact draws over a wide region give large coordinates; the run
+    # still ends with a verdict, not a fault
     scn = tmp_path / "wide.scn"
     scn.write_text(_bundled_text(
-        "hyperbola", "region = -2 .. 2\nexactness = exact",
-        "region = -1000 .. 1000\nexactness = float"))
+        "hyperbola", "region = -2 .. 2", "region = -1000 .. 1000"))
     out = tmp_path / "o"
     code = run([command, "--scenario", str(scn), "--samples", "3",
                 "--out", str(out), "--no-figures"])
@@ -466,9 +486,9 @@ OPTIONS = {
     "criterion": {"--scenario", "--degree-bound", "--samples", "--seed",
                   "--out", "--no-figures"},
     "flow": {"--scenario", "--samples", "--seed", "--tol", "--out",
-             "--no-figures", "--exact", "--float"},
+             "--no-figures"},
     "approx": {"--scenario", "--degree-bound", "--samples", "--seed", "--tol",
-               "--out", "--no-figures", "--exact", "--float"},
+               "--out", "--no-figures"},
 }
 
 
@@ -484,16 +504,17 @@ def test_each_subcommand_offers_exactly_the_options_it_reads():
     offered = {name: {s for a in p._actions for s in a.option_strings}
                - {"-h", "--help"} for name, p in subparsers.items()}
     assert offered == OPTIONS
-    # --exact and --float set one value: 21 settable values in all
+    # one settable value per option
     values = {name: {a.dest for a in p._actions} - {"help"}
               for name, p in subparsers.items()}
-    assert sum(map(len, values.values())) == 21
+    assert sum(map(len, values.values())) == 19
 
 
 @pytest.mark.parametrize("command, flag", [
     ("criterion", ["--tol", "1e-3"]), ("criterion", ["--exact"]),
     ("criterion", ["--float"]),
-    ("flow", ["--degree-bound", "3"]),
+    ("flow", ["--degree-bound", "3"]), ("flow", ["--float"]),
+    ("approx", ["--exact"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
         tmp_path, capsys, command, flag):

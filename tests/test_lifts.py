@@ -305,8 +305,8 @@ def test_numeric_flow_matches_closed_form():
     theta = base_field(ctx, "z2", "0")
     closed = lifted_flow(theta, ctx, "u")
     forced = LiftedFlowMap(ctx, "u", lift(theta, ctx, "u"))
-    points = sample_points(ctx, SamplingSpec(count=5, seed=4,
-                                             exactness="float"))
+    points = [surface_point(ctx, p.complex_coords())
+              for p in sample_points(ctx, SamplingSpec(count=5, seed=4))]
     for p in points:
         a = closed.apply(p, 1.0).complex_coords()
         b = forced.apply(p, 1.0).complex_coords()
@@ -372,9 +372,9 @@ def test_rk4_flow_rejects_bad_steps_and_field_lengths():
 def test_chart_jacobian_is_one():
     ctx = make_suspension(2, "z1*z2 - 1")
     theta = base_field(ctx, "z2", "0")
-    points = [p for p in sample_points(ctx, SamplingSpec(count=12, seed=9,
-                                                         exactness="float"))
-              if abs(p.complex_coords()[1]) > 0.3][:4]
+    floats = [surface_point(ctx, p.complex_coords())
+              for p in sample_points(ctx, SamplingSpec(count=12, seed=9))]
+    points = [p for p in floats if abs(p.complex_coords()[1]) > 0.3][:4]
     assert points
     for side in ("u", "v"):
         fl = lifted_flow(theta, ctx, side)

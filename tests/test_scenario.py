@@ -45,7 +45,6 @@ def test_minimal_defaults():
     assert s.ctx.n == 2 and str(s.ctx.f_base) == "z1"
     assert s.sampling.count == 20 and s.sampling.seed == 0
     assert s.sampling.region == (Fraction(-2), Fraction(2))
-    assert s.sampling.exactness == "exact"
     assert s.degree_bound == 3 and s.assume_cohomology is None
     assert s.approx == ApproxScenario("twist", _twist(s.ctx), (0, 1, 2))
     # flow falls back to the first pair's alpha on side u at time 1, and
@@ -89,9 +88,8 @@ def test_pairs_and_sampling_overrides():
     assert got.sampling == SamplingSpec(count=7, seed=99)
     assert got.degree_bound == s.degree_bound
     got = _scenario(parser.parse_args(
-        ["approx", "--scenario", "plane", "--float",
-         "--degree-bound", "5"]))
-    assert got.sampling == SamplingSpec(count=50, exactness="float")
+        ["approx", "--scenario", "plane", "--degree-bound", "5"]))
+    assert got.sampling == SamplingSpec(count=50)
     assert got.degree_bound == 5
     assert _scenario(parser.parse_args(
         ["criterion", "--scenario", "plane"])) == s
@@ -130,7 +128,9 @@ def test_parse_errors_carry_positions():
         (MINIMAL + "[pair]\nalpha = [1]\nbeta = [0, 1]\n", "2 coefficients"),
         (MINIMAL + "[sampling]\nregion = 1 .. 1\n", "lo < hi"),
         (MINIMAL + "[sampling]\nregion = 1/10 .. 2/10\n", "an integer"),
-        (MINIMAL + "[sampling]\nexactness = maybe\n", "exactness"),
+        (MINIMAL + "[sampling]\nexactness = exact\n",
+         "unknown key 'exactness' at section [sampling]"),
+        (MINIMAL + "ideal = 0\n", "no nonzero generator"),
         (MINIMAL + "[sampling]\ncount = -2\n", "positive"),
         (MINIMAL + "[options]\nassume_cohomology = yes\n", "unknown"),
         (MINIMAL + "[approx]\ntarget = [u, 0, 0, 0]\n", "not tangent"),
@@ -168,8 +168,7 @@ def test_scenario_value_round_trip_from_constructed():
         pairs=(PairSpec(alpha=one, beta=one,
                         ideal=(ctx.base_ring.parse("z1"),)),),
         sampling=SamplingSpec(count=5, seed=11,
-                              region=(Fraction(-1, 2), Fraction(3)),
-                              exactness="float"),
+                              region=(Fraction(-1, 2), Fraction(3))),
         degree_bound=2, assume_cohomology=False,
         approx=ApproxScenario("twist", _twist(ctx)),
         flow=FlowScenario(one, side="v", time=Fraction(2, 3)))

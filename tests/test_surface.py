@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -184,21 +185,27 @@ def test_sampling_deterministic_and_on_surface():
         assert ctx.defining.evaluate_exact(p.coords).is_zero
 
 
-def test_sampling_float_mode():
-    ctx = CTX
-    spec = SamplingSpec(count=10, seed=3, exactness="float")
-    pts = sample_points(ctx, spec)
-    assert all(not p.exact for p in pts)
-    for p in pts:
-        assert abs(ctx.defining.evaluate_complex(p.coords)) <= 1e-12
-
-
-@pytest.mark.parametrize("exactness", ["exact", "float"])
-def test_sampling_cap_counts_only_rejected_draws(monkeypatch, exactness):
+def test_sampling_cap_counts_only_rejected_draws(monkeypatch):
     # more points than the cap: admitted draws do not use it up
     monkeypatch.setattr(surface, "MAX_REJECTIONS", 50)
-    spec = SamplingSpec(count=60, seed=0, exactness=exactness)
+    spec = SamplingSpec(count=60, seed=0)
     assert len(sample_points(CTX, spec)) == 60
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_basepoint_search_and_sampling_share_one_stream(name):
+    # one seeded loop: the basepoint search admits, in order, the draws
+    # with u != 0 that pass its check, and those are the sampled points
+    scenario = load_scenario(name)
+    ideals = [p.ideal_or_unit(scenario.ctx.base_ring) for p in scenario.pairs]
+    for seed in range(4):
+        spec = replace(scenario.sampling, seed=seed)
+        found, report = basepoint_search(scenario.ctx, spec, ideals)
+        drawn = report.attempts - report.rejected.get("u_nonzero", 0)
+        samples = iter(sample_points(scenario.ctx,
+                                     replace(spec, count=drawn)))
+        assert all(any(s.coords == p.coords for s in samples)
+                   for p in found), (name, seed)
 
 
 def test_basepoint_cap_counts_only_rejected_draws(monkeypatch):
@@ -369,7 +376,6 @@ def test_constructed_points_are_on_the_surface(name, ctx, spec, ideals):
     ({"count": -3}, "count must be positive"),
     ({"region": (Fraction(1), Fraction(1))}, "lo < hi"),
     ({"region": (Fraction(1, 10), Fraction(2, 10))}, "contain an integer"),
-    ({"exactness": "maybe"}, "exactness"),
 ])
 def test_sampling_spec_checks_its_fields(fields, message):
     # a library-built spec gets the checks scenario files get
