@@ -119,12 +119,13 @@ class SemiCompatCertificate:
         for target, coeffs in zip(self.targets, self.witnesses):
             if coeffs is None:
                 continue
-            ring = target.ring
-            total = ring.zero()
+            total: dict = {}        # one accumulator, not a sum per product
             for c, (_, _, prod) in zip(coeffs, self.products):
                 if not c.is_zero:
-                    total = total + prod.scale(c)
-            if total != target:
+                    for e, k in prod.terms.items():
+                        total[e] = total.get(e, ZERO) + k * c
+            nonzero = {e: k for e, k in total.items() if not k.is_zero}
+            if nonzero != target.terms:
                 return False
         return True
 
@@ -423,30 +424,33 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
         ideal = spec.ideal_or_unit(ctx.base_ring)
         entry["ideal"] = [str(h) for h in ideal]
         certs = []
-        for orientation in ("uv", "vu"):
-            lifted = lift_pair(spec.alpha, spec.beta, spec.kernel_alpha,
-                               spec.kernel_beta, ideal, ctx, orientation,
-                               ideal_bound=degree_bound)
-            lifted_div_ok = all(
-                is_tangent(f, ctx).is_zero
-                and divergence_on_suspension(f, ctx).is_zero
-                for f in (lifted.nu, lifted.mu))
-            if not lifted_div_ok:
-                problems.append(
-                    f"pair {k} ({orientation}): lifted fields fail the "
-                    "divergence check")
-            cert, verified = _certificate_search(lifted, ctx, degree_bound)
-            cert["lifted_divergence_free"] = lifted_div_ok
-            certs.append(cert)
-            if not verified:
-                problems.append(
-                    f"pair {k} ({orientation}): certificate re-expansion "
-                    "does not reproduce its witnesses")
-            if not cert["success"]:
-                problems.append(
-                    f"pair {k} ({orientation}): no certificate up to degree "
-                    f"{degree_bound}; first unreachable: "
-                    f"{cert['unreachable'][:1]}")
+        try:
+            for orientation in ("uv", "vu"):
+                lifted = lift_pair(spec.alpha, spec.beta, spec.kernel_alpha,
+                                   spec.kernel_beta, ideal, ctx, orientation,
+                                   ideal_bound=degree_bound)
+                lifted_div_ok = all(
+                    is_tangent(f, ctx).is_zero
+                    and divergence_on_suspension(f, ctx).is_zero
+                    for f in (lifted.nu, lifted.mu))
+                if not lifted_div_ok:
+                    problems.append(
+                        f"pair {k} ({orientation}): lifted fields fail the "
+                        "divergence check")
+                cert, verified = _certificate_search(lifted, ctx, degree_bound)
+                cert["lifted_divergence_free"] = lifted_div_ok
+                certs.append(cert)
+                if not verified:
+                    problems.append(
+                        f"pair {k} ({orientation}): certificate re-expansion "
+                        "does not reproduce its witnesses")
+                if not cert["success"]:
+                    problems.append(
+                        f"pair {k} ({orientation}): no certificate up to "
+                        f"degree {degree_bound}; first unreachable: "
+                        f"{cert['unreachable'][:1]}")
+        except CertifyError as err:  # e.g. an ideal of zeros only
+            problems.append(f"pair {k}: {err}")
         entry["certificates"] = certs
         pair_reports.append(entry)
     timings["pairs"] = time.perf_counter() - t0

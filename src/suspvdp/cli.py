@@ -322,7 +322,12 @@ def _cmd_approx(args) -> int:
     stages = dict(zip(("residual_curve", "flow_audit", "volume_wait"),
                       [b - a for a, b in zip(marks, marks[1:])]))
 
-    curve_ok = all(b["sup_residual"] <= a["sup_residual"] + CURVE_SLACK
+    # the sup residuals are rounding of fits whose right-hand sides, in
+    # orthonormal tangent frames, are bounded by the target's values
+    slack = CURVE_SLACK * max([1.0] + [
+        abs(c) for p in samples
+        for c in target.evaluate_complex(p.complex_coords())])
+    curve_ok = all(b["sup_residual"] <= a["sup_residual"] + slack
                    for a, b in zip(curve, curve[1:]))
     audit_ok = all(a["ok"] for a in audits)
     volume_tol = VOLUME_TOL if args.tol is None else args.tol

@@ -18,6 +18,7 @@ Printing is canonical and `parse(str(p))` recovers `p` exactly.
 from __future__ import annotations
 
 import cmath
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -489,29 +490,6 @@ def compile_complex_sum(ring: PolyRing, weights: Sequence[complex],
 # printing
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)
-
-
-def _format_coeff(c: GaussianRational) -> tuple[str, bool]:
-    """Render a coefficient; the flag says whether the string needs
-    parentheses when attached to a monomial with '*'."""
-    if c.im == 0:
-        return _format_rational(c.re), False
-    if c.re == 0:
-        if c.im == 1:
-            return "i", False
-        if c.im == -1:
-            return "-i", False
-        return f"{_format_rational(c.im)}i", False
-    im = c.im
-    if im > 0:
-        imag = "i" if im == 1 else f"{_format_rational(im)}i"
-        return f"{_format_rational(c.re)} + {imag}", True
-    imag = "i" if im == -1 else f"{_format_rational(-im)}i"
-    return f"{_format_rational(c.re)} - {imag}", True
-
-
 def _format_monomial(ring: PolyRing, e: tuple[int, ...]) -> str:
     parts = []
     for name, k in zip(ring.variables, e):
@@ -530,11 +508,9 @@ def format_poly(p: Poly) -> str:
     for e in sorted(p.terms, key=lambda e: (-sum(e), tuple(-k for k in e))):
         c = p.terms[e]
         mono = _format_monomial(p.ring, e)
-        cs, needs_paren = _format_coeff(c)
+        cs = f"({c})" if c.re and c.im else str(c)
         if not mono:
-            pieces.append(f"({cs})" if needs_paren else cs)
-        elif needs_paren:
-            pieces.append(f"({cs})*{mono}")
+            pieces.append(cs)
         elif cs == "1":
             pieces.append(mono)
         elif cs == "-1":
@@ -554,7 +530,16 @@ def format_poly(p: Poly) -> str:
 # parsing
 
 
-_OPS = set("+-*^()")
+# One match per token or run of blanks, in order.  `name` also takes a word
+# that starts with a numeric character that is no decimal digit (`²`, `½`,
+# `Ⅷ`); such a word is refused as an unexpected character.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[^\S\n]+)
+  | (?P<num>(?P<top>\d+)(?:/(?P<den>\d+))?(?P<imag>i(?!\w))?)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<op>[-+*^()−])
+  | (?P<bad>.)""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass
@@ -569,63 +554,26 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch == "−":  # unicode minus
-            tokens.append(_Token("op", "-", None, False, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, None, False, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            den = 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                den = int(text[j + 1:k])
-                j = k
-                if den == 0:
-                    raise ParseError("zero denominator", line, start_col)
-            imag = False
-            if j < n and text[j] == "i" and not (j + 1 < n and (text[j + 1].isalnum() or text[j + 1] == "_")):
-                imag = True
-                j += 1
-            tokens.append(_Token("num", text[i:j], Fraction(num, den), imag, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], None, False, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", "", None, False, line, col))
+    line, line_start = 1, 0         # columns count characters from 1
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "num":
+            den = int(m["den"] or 1)
+            if den == 0:
+                raise ParseError("zero denominator", line, col)
+            tokens.append(_Token("num", m[0], Fraction(int(m["top"]), den),
+                                 bool(m["imag"]), line, col))
+        elif kind == "name" and (m[0][0].isalpha() or m[0][0] == "_"):
+            tokens.append(_Token("name", m[0], None, False, line, col))
+        elif kind == "op":
+            tokens.append(_Token("op", m[0].replace("−", "-"), None, False,
+                                 line, col))
+        elif kind != "space":
+            raise ParseError(f"unexpected character {m[0][0]!r}", line, col)
+    tokens.append(_Token("end", "", None, False, line,
+                         len(text) - line_start + 1))
     return tokens
 
 

@@ -14,6 +14,7 @@ from suspvdp.lifts import (BasepointError, SpanningFamily, SpanningPair, lift,
                            spanning_family)
 from suspvdp.poly import PolyRing
 from suspvdp.scalars import ZERO, gr
+from suspvdp.scenario import load_scenario
 from suspvdp.surface import (NotTangentError, SamplingSpec, make_suspension,
                              surface_point)
 
@@ -289,6 +290,19 @@ def test_run_vdp_criterion_leaves_an_unshown_complete_field_undecided():
     # tool cannot show it complete, and that refutes nothing
     report = n3_report(["z1*z3", "-z2*z3", "0"], ["z3", "z1*z2"])
     assert_completeness_undecided(report, "pair 0: alpha = [z1*z3, -z2*z3, 0]")
+
+
+def test_run_vdp_criterion_records_an_all_zero_ideal():
+    # scenario files refuse such an ideal; a library caller's is a problem
+    # of its pair, recorded like every other sub-check failure
+    s = load_scenario("plane")
+    zero = s.ctx.base_ring.zero()
+    report = run_vdp_criterion(s.ctx, [replace(s.pairs[0], ideal=(zero,))],
+                               Assumptions(), s.sampling, 2)
+    assert report.verdict == "failed"
+    assert report.problems[0] == (
+        "pair 0: the proposed ideal has no nonzero generator")
+    assert report.pairs[0]["certificates"] == []
 
 
 def test_run_vdp_criterion_empty_pairs_fails():

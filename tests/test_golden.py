@@ -1,7 +1,8 @@
 """Golden reports: SHA-256 digests of the deterministic reports of three
 subcommands at the default seed, `criterion` on all four bundled
-scenarios, `approx` on plane and danielewski, and `flow` on both the
-closed-form path (plane, danielewski, hyperbola) and the numeric one.
+scenarios (hyperbola also at degree bound 6), `approx` on plane and
+danielewski, and `flow` on both the closed-form path (plane, danielewski,
+hyperbola) and the numeric one.
 
 The other report tests compare two runs of the same code with each other;
 these pin the bytes themselves, so a change that moves a float digit or a
@@ -25,6 +26,13 @@ GOLDEN = [
     (["criterion", "--scenario", "hyperbola"], 1, {
         "criterion.json":
             "b704ab3e0123281bc52a460d1d5051bcda36199fe94890474884318c45358d81",
+        "ranks.csv":
+            "c396f99eb413790ae8b7eeab74820118316ba6ec17be13991ebe1b809c083b16",
+    }),
+    # the benchmark's certify-deep workload: the exact core at degree 6
+    (["criterion", "--scenario", "hyperbola", "--degree-bound", "6"], 1, {
+        "criterion.json":
+            "db3d9b3069433a8ba05ea4d84a4afa91c53c5e984518fb3d429a721c759b841e",
         "ranks.csv":
             "c396f99eb413790ae8b7eeab74820118316ba6ec17be13991ebe1b809c083b16",
     }),
@@ -87,7 +95,8 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("args, code, digests", GOLDEN, ids=[
-    "criterion-plane", "criterion-hyperbola", "criterion-circle",
+    "criterion-plane", "criterion-hyperbola", "criterion-hyperbola-6",
+    "criterion-circle",
     "criterion-danielewski", "approx-plane", "approx-danielewski",
     "flow-plane", "flow-danielewski", "flow-hyperbola", "flow-circle-6"])
 def test_reports_match_golden_digests(tmp_path, args, code, digests):
