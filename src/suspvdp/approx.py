@@ -17,24 +17,23 @@ deterministic for redundant dictionaries.
 
 f is a polynomial.  The audits integrate compiled fields with
 `lifts.rk4_flow`.  The flow audit's checks run through `map_on_cpus`; the
-volume audit's chart Jacobian (`lifts.chart_jacobian`) and Simpson path
-run in one forked worker beside the fit, its determinant in the parent.
+volume audit is a pure Python job that `cli` maps beside the residual
+curve, and `volume_result` takes its determinant in the parent.
 """
 
 from __future__ import annotations
 
 import cmath
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy
 
 from .certify import LiftedPair, monomial_closure
 from .fields import VectorField, lie_bracket
-from .lifts import (chart_jacobian, chart_jacobian_determinant,
-                    forked_blocks, map_on_cpus, rk4_flow, twist_field)
+from .lifts import (chart_jacobian, chart_jacobian_determinant, map_on_cpus,
+                    rk4_flow, twist_field)
 from .poly import COMPLEX, compile_complex_sum, compile_values
 from .surface import (SurfacePoint, SuspensionContext,
                       divergence_on_suspension, is_tangent)
@@ -294,44 +293,41 @@ def flow_deviation_audit(target: VectorField, dictionary: Dictionary,
     return audits
 
 
-@contextmanager
 def volume_audit(theta: VectorField, ctx: SuspensionContext,
-                 point: SurfacePoint) -> Iterator[Callable[[], dict]]:
+                 point: SurfacePoint) -> list:
     """Numeric witness of the divergence transfer formula: the chart
     determinant of the time-t flow, weighted by the chart density of the
     induced volume, must match exp of the integral of the surface
     divergence along the trajectory; t = 0.25 in 512 RK4 steps, with
     central differences of step 1e-6.
     Chart: (u, z) on u != 0, where the density is proportional to 1/u.
-    A worker (`forked_blocks`, reaped on exit) computes the probes and the
-    path in pure Python; the yielded function waits for it, then takes the
-    determinant."""
+    Pure Python, so a forked job may run it: `[columns, end_u, expected]`,
+    the chart Jacobian's columns, the flow's end u and the exponential,
+    which `volume_result` turns into the report."""
     t, steps = 0.25, 512
     coords0 = point.complex_coords()
     if abs(coords0[0]) < 1e-9:
         raise ApproxError("the audit chart needs u != 0")
+    columns = chart_jacobian(ctx, 0, coords0, lambda ambient: rk4_flow(
+        theta.evaluate_complex, ambient, t, steps))
+    # Simpson integral of the divergence along the trajectory; the path
+    # takes the same steps dt = t/steps as one full pass, so its last
+    # point is the flow's end point
+    div = divergence_on_suspension(theta, ctx)
+    dt, path = t / steps, [list(coords0)]
+    for _ in range(steps):
+        path.append(rk4_flow(theta.evaluate_complex, path[-1], dt, 1))
+    values = [div.evaluate_complex(c) for c in path]
+    integral = 0j
+    for a, b, c in zip(values[::2], values[1::2], values[2::2]):
+        integral += (a + 4 * b + c) * dt / 3
+    return [columns, path[-1][0], cmath.exp(integral)]
 
-    def parts(_) -> list:
-        columns = chart_jacobian(ctx, 0, coords0, lambda ambient: rk4_flow(
-            theta.evaluate_complex, ambient, t, steps))
-        # Simpson integral of the divergence along the trajectory; the
-        # path takes the same steps dt = t/steps as one full pass, so its
-        # last point is the flow's end point
-        div = divergence_on_suspension(theta, ctx)
-        dt, path = t / steps, [list(coords0)]
-        for _ in range(steps):
-            path.append(rk4_flow(theta.evaluate_complex, path[-1], dt, 1))
-        values = [div.evaluate_complex(c) for c in path]
-        integral = 0j
-        for a, b, c in zip(values[::2], values[1::2], values[2::2]):
-            integral += (a + 4 * b + c) * dt / 3
-        return [columns, path[-1][0], cmath.exp(integral)]
 
-    def wait() -> dict:
-        columns, end_u, expected = collect()[0]
-        weighted = chart_jacobian_determinant(columns) * coords0[0] / end_u
-        return {"weighted_determinant": weighted, "expected": expected,
-                "error": abs(weighted - expected)}
-
-    with forked_blocks(parts, [[None]]) as collect:
-        yield wait
+def volume_result(parts: Sequence, point: SurfacePoint) -> dict:
+    """The report from `volume_audit`'s parts; numpy takes the determinant."""
+    columns, end_u, expected = parts
+    weighted = (chart_jacobian_determinant(columns)
+                * point.complex_coords()[0] / end_u)
+    return {"weighted_determinant": weighted, "expected": expected,
+            "error": abs(weighted - expected)}

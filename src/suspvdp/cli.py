@@ -26,12 +26,12 @@ import argparse
 import math
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .approx import (AUDIT_CHECKPOINTS, ApproxError, flow_deviation_audit,
-                     residual_curve, volume_audit)
+                     residual_curve, volume_audit, volume_result)
 from .certify import Assumptions, CertifyError, lift_pair, run_vdp_criterion
 from .lifts import (chart_jacobian_determinant, cpu_blocks,
                     flow_chart_jacobian, lifted_flow, map_on_cpus, rk4_flow)
@@ -309,17 +309,16 @@ def _cmd_approx(args) -> int:
     chart_point = next((p for p in samples
                         if abs(complex(p.complex_coords()[0])) >= 0.25), None)
 
-    marks = [time.perf_counter()]     # the volume audit runs beside the fit
-    with (nullcontext() if chart_point is None else
-          volume_audit(target, ctx, chart_point)) as volume_wait:
-        curve, dictionary, fit = residual_curve(target, ctx, pairs, samples,
-                                                degrees)
-        marks.append(time.perf_counter())
-        audits = flow_deviation_audit(target, dictionary, fit, samples[:5])
-        marks.append(time.perf_counter())
-        volume = volume_wait() if volume_wait else None
-        marks.append(time.perf_counter())
-    stages = dict(zip(("residual_curve", "flow_audit", "volume_wait"),
+    jobs = [partial(residual_curve, target, ctx, pairs, samples, degrees)]
+    if chart_point is not None:     # the volume audit runs beside the fit
+        jobs.append(partial(volume_audit, target, ctx, chart_point))
+    marks = [time.perf_counter()]
+    (curve, dictionary, fit), *parts = map_on_cpus(lambda job: job(), jobs)
+    volume = volume_result(parts[0], chart_point) if parts else None
+    marks.append(time.perf_counter())
+    audits = flow_deviation_audit(target, dictionary, fit, samples[:5])
+    marks.append(time.perf_counter())
+    stages = dict(zip(("residual_curve", "flow_audit"),
                       [b - a for a, b in zip(marks, marks[1:])]))
 
     # the sup residuals are rounding of fits whose right-hand sides, in

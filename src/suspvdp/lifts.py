@@ -31,7 +31,6 @@ from __future__ import annotations
 import marshal
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -297,44 +296,31 @@ def map_on_cpus(fn: Callable[[_Job], _Result],
     """`[fn(j) for j in jobs]`, in job order, over the blocks of
     `cpu_blocks`.  The parent runs the first block while one forked
     worker per other block runs its own and sends the results back
-    through a pipe with `marshal`; they must be marshal-able (numbers,
-    strings, lists, dicts).  `fn` and the jobs reach a worker through the
-    fork, so nothing is pickled.  The parent runs again the block of any
-    worker that fails, whether by an exception, a signal or a short
-    reply, so a job's exception is raised here with its own traceback.
-    Every worker is reaped before this returns or raises.  A map costs a
-    few milliseconds (a fork, a reply, a reap and copy-on-write faults on
-    both sides), so it pays only for jobs that total well above that.
+    through a pipe with `marshal`; only theirs must be marshal-able
+    (numbers, strings, lists, dicts), since the parent's never cross a
+    pipe.  `fn` and the jobs reach a worker through the fork, so nothing
+    is pickled.  The parent runs again the block of any worker that fails,
+    whether by an exception, a signal or a short reply, so a job's
+    exception is raised here with its own traceback.  Every worker is
+    reaped before this returns or raises.  A map costs a few milliseconds
+    (a fork, a reply, a reap and copy-on-write faults on both sides), so
+    it pays only for jobs that total well above that.
 
     A forked worker has only the thread that forked it: `fn` must not
     call native code that keeps a thread pool, such as numpy's BLAS."""
     bounds = list(accumulate(cpu_blocks(len(jobs)), initial=0))
     blocks = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
-    with forked_blocks(fn, blocks[1:]) as collect:
-        return [fn(j) for j in blocks[0]] + collect()
-
-
-@contextmanager
-def forked_blocks(fn: Callable[[_Job], _Result],
-                  blocks: Sequence[Sequence[_Job]]):
-    """`map_on_cpus` in two halves, under its rules: entering forks one
-    worker per block (none if `cpu_blocks` allows one process) and yields
-    `collect()`, all blocks' results in order; leaving reaps the rest."""
     workers: list[tuple[int, int] | None] = [None] * len(blocks)
     try:
-        for k, block in enumerate(blocks if len(cpu_blocks(2)) > 1 else ()):
-            workers[k] = _fork_worker(fn, block)
-
-        def collect() -> list[_Result]:
-            results: list = []
-            for k, block in enumerate(blocks):
-                # taken out first: reading the reply reaps it, failed or not
-                worker, workers[k] = workers[k], None
-                got = _worker_results(worker, len(block))
-                results += [fn(j) for j in block] if got is None else got
-            return results
-
-        yield collect
+        for k in range(1, len(blocks)):
+            workers[k] = _fork_worker(fn, blocks[k])
+        results = [fn(j) for j in blocks[0]]
+        for k in range(1, len(blocks)):
+            # taken out first: reading the reply reaps it, failed or not
+            worker, workers[k] = workers[k], None
+            got = _worker_results(worker, len(blocks[k]))
+            results += [fn(j) for j in blocks[k]] if got is None else got
+        return results
     finally:
         for worker in workers:
             _worker_results(worker, 0)

@@ -339,7 +339,9 @@ class Poly(Evaluated):
 # prefix K*p*... or a polynomial (terms in the same order) that recurs is
 # computed once.  A weighted sum of COMPLEX values is 0j + w1*v1 + ....
 # Over COMPLEX this fixes every float operation and its order, so term
-# order is float semantics.
+# order is float semantics.  The values v of a weighted sum start at their
+# first term: 0j + v differs from v only in the sign of a zero part, so w*v
+# does at most, which the sum (from 0j, so never -0.0) cannot show.
 #
 # The body is its own function `field(x0, ..., x{m-1})` of converted
 # arguments, exposed as the evaluator's `field` attribute, which
@@ -369,9 +371,10 @@ class _Source:
     output; `uses` counts the product prefixes K*p*... of them all."""
 
     def __init__(self, ring: PolyRing, polys: Sequence[Poly],
-                 domain: Domain = COMPLEX):
+                 domain: Domain = COMPLEX, lead: bool = True):
         self.nvars = ring.nvars
         self.domain = domain
+        self.lead = lead            # whether the values' sums start at Z
         self.namespace: dict = {"PolyError": PolyError, "ZERO": ZERO,
                                 "_as_scalar": _as_scalar}
         self.coeffs: dict[GaussianRational, str] = {}
@@ -421,17 +424,21 @@ class _Source:
         name = self.values.get(key)
         if name is None:
             name = self.values[key] = self.assign_sum(
-                f"t{len(self.values)}", self.terms(p))
+                f"t{len(self.values)}", self.terms(p), self.lead)
         return name
 
-    def assign_sum(self, target: str, summands: list[str]) -> str:
-        """target = Z + s1 + s2 + ..., added left to right; long sums
-        continue on further lines, which keeps the order."""
-        lead = self.domain.zero
-        for i in range(0, max(len(summands), 1), _SUMMANDS_PER_LINE):
+    def assign_sum(self, target: str, summands: list[str],
+                   lead: bool = True) -> str:
+        """target = Z + s1 + s2 + ..., without Z where `lead` is false and
+        there are summands, added left to right; long sums continue on
+        further lines, which keeps the order."""
+        if lead or not summands:
+            summands = [self.domain.zero, *summands]
+        head: list[str] = []
+        for i in range(0, len(summands), _SUMMANDS_PER_LINE):
             chunk = summands[i:i + _SUMMANDS_PER_LINE]
-            self.lines.append(f"{target} = " + " + ".join([lead, *chunk]))
-            lead = target
+            self.lines.append(f"{target} = " + " + ".join([*head, *chunk]))
+            head = [target]
         return target
 
     def build(self, outputs: list[str]):
@@ -470,8 +477,11 @@ def compile_complex_sum(ring: PolyRing, weights: Sequence[complex],
     lists of `rows` (each one polynomial per variable of `ring`): output i
     is 0j + w1*rows[0][i](x) + w2*rows[1][i](x) + ..., bit-identical to
     accumulating the interpreted values in that order.  Its `field`
-    attribute is as for `compile_values`."""
-    src = _Source(ring, [p for row in rows for p in row])
+    attribute is as for `compile_values`.  Each value rows[k][i](x) is
+    summed from its first term: 0j + t differs from t only in the sign of
+    a zero part, so w*t does at most, and adding a signed zero to the
+    output sum, which starts at 0j and so is never -0.0, changes no bit."""
+    src = _Source(ring, [p for row in rows for p in row], lead=False)
     names = [src.bind(complex(w)) for w in weights]
     outputs = []
     for i in range(ring.nvars):
@@ -560,10 +570,14 @@ def _tokenize(text: str) -> list[_Token]:
         if kind == "newline":
             line, line_start = line + 1, m.end()
         elif kind == "num":
-            den = int(m["den"] or 1)
+            try:
+                top, den = int(m["top"]), int(m["den"] or 1)
+            except ValueError:      # past int's limit on decimal digits
+                raise ParseError("number literal has too many digits",
+                                 line, col) from None
             if den == 0:
                 raise ParseError("zero denominator", line, col)
-            tokens.append(_Token("num", m[0], Fraction(int(m["top"]), den),
+            tokens.append(_Token("num", m[0], Fraction(top, den),
                                  bool(m["imag"]), line, col))
         elif kind == "name" and (m[0][0].isalpha() or m[0][0] == "_"):
             tokens.append(_Token("name", m[0], None, False, line, col))

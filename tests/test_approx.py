@@ -14,7 +14,7 @@ from suspvdp import approx
 from suspvdp.approx import (AUDIT_CHECKPOINTS, ApproxError, Dictionary,
                             build_dictionary, fit_field, fitted_evaluator,
                             flow_deviation_audit, residual_curve,
-                            volume_audit)
+                            volume_audit, volume_result)
 from suspvdp.certify import lift_pair
 from suspvdp.fields import VectorField
 from suspvdp.lifts import twist_field
@@ -333,8 +333,7 @@ def test_volume_audit_matches_divergence_integral():
     sf = VectorField(ctx.ring, (
         ctx.ring.parse("u"), ctx.ring.zero(), ctx.ring.parse("z1")))
     point = surface_point(ctx, [1.0, 0.5, 0.5], tol=1e-9)
-    with volume_audit(sf, ctx, point) as wait:
-        out = wait()
+    out = volume_result(volume_audit(sf, ctx, point), point)
     assert out["error"] <= 1e-6
     assert abs(out["weighted_determinant"] - cmath.exp(0.25)) <= 1e-6
     assert abs(out["expected"] - cmath.exp(0.25)) <= 1e-9
@@ -344,6 +343,6 @@ def test_volume_audit_needs_chart():
     ctx = make_suspension(1, "z1")
     sf = twist_target(ctx)
     point = surface_point(ctx, [0.0, 7.0, 0.0], tol=1e-9)
-    with pytest.raises(ApproxError), volume_audit(sf, ctx, point):
-        pass
+    with pytest.raises(ApproxError):
+        volume_audit(sf, ctx, point)
 

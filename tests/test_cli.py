@@ -171,7 +171,8 @@ def test_approx_timings_record_the_stages(tmp_path):
                 "--out", str(out), "--no-figures"]) == 0
     timings = json.loads((out / "timings.json").read_text())
     stages = timings["stages"]
-    assert set(stages) == {"residual_curve", "flow_audit", "volume_wait"}
+    # the residual curve's stage is its two-job map with the volume audit
+    assert set(stages) == {"residual_curve", "flow_audit"}
     assert all(s >= 0 for s in stages.values())
     assert timings["total"] == pytest.approx(sum(stages.values()))
 
@@ -279,7 +280,10 @@ def test_parse_error_exits_two(tmp_path, capsys):
      "line 13: the proposed ideal has no nonzero generator"),
     # a superscript digit is no decimal digit: no token starts with it
     ("f = z1", "f = z1 + 2²", "line 6, column 11: unexpected character '²'"),
-], ids=["exactness-key", "zero-ideal", "superscript-digit"])
+    # past int's 4,300-digit limit on converting decimal text
+    ("f = z1", "f = z1 + " + "1" * 5000,
+     "line 6, column 10: number literal has too many digits"),
+], ids=["exactness-key", "zero-ideal", "superscript-digit", "long-literal"])
 def test_a_rejected_scenario_line_exits_two(tmp_path, capsys, command, old,
                                             new, message):
     scn = tmp_path / "bad.scn"

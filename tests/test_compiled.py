@@ -4,7 +4,9 @@ interpreted reference loops.
 The compiled complex functions promise the same floating-point
 operations in the same order as the loops below, so results are compared
 bit for bit (hex of both parts), and a loop that raises must raise the
-same error type.  The exact ones must return the loop's exact values.
+same error type.  `compile_complex_sum` promises the same results bit for
+bit with fewer operations: it sums each weighted value from its first
+term, not from 0j.  The exact ones must return the loop's exact values.
 """
 
 import copy
@@ -148,6 +150,22 @@ def test_exact_evaluator_matches_loop(polys, coords):
 @given(st.lists(st.tuples(WEIGHTS, st.lists(POLYS, min_size=R.nvars,
                                             max_size=R.nvars)),
                 max_size=4), COORDS)
+# values summed without the 0j lead: u is -0.0 in its real part and v in
+# its imaginary part here, under finite, infinite and NaN weights
+@example([(1 + 0j, [R.parse("u"), R.parse("v"), R.parse("u*v"), R.zero()]),
+          (-0.5 + 2j, [R.parse("v"), R.parse("u"), R.parse("-u"),
+                       R.parse("u + v")])],
+         [complex(-0.0, 0.0), complex(-1.0, -0.0), 1, 2])
+@example([(complex(INF, 0.0), [R.parse("u"), R.parse("v"), R.zero(),
+                               R.parse("u*v")]),
+          (complex(-0.0, -INF), [R.parse("v"), R.parse("u"), R.parse("u"),
+                                 R.parse("-v")])],
+         [complex(-0.0, 0.0), complex(-1.0, -0.0), 1, 2])
+@example([(complex(NAN, 1.0), [R.parse("u"), R.parse("v"), R.parse("u"),
+                               R.parse("v")]),
+          (complex(0.0, NAN), [R.parse("v"), R.zero(), R.parse("u*v"),
+                               R.parse("u")])],
+         [complex(-0.0, 0.0), complex(-1.0, -0.0), 1, 2])
 def test_compiled_weighted_sum_matches_loop_bit_for_bit(weighted, coords):
     weights = [w for w, _ in weighted]
     rows = [row for _, row in weighted]
@@ -195,16 +213,23 @@ def test_plane_fitted_field_computes_each_product_prefix_once():
         sc.approx.curve_degrees)
     fitted = fitted_evaluator(dictionary, fit.coefficients)
     # 333 multiplications when every term repeated its shared prefixes
-    assert float_operations(fitted.field) == {"*": 213, "+": 204, "**": 10}
+    # 204 additions when every value was summed from 0j
+    assert float_operations(fitted.field) == {"*": 213, "+": 120, "**": 10}
 
 
 def test_long_sums_split_across_lines_keep_their_order():
     p = poly(R, {(k, 0, 0, 0): gr(Fraction(1, k + 1), k % 3 - 1)
                  for k in range(100)})
+    # p is an output of compile_values and a value summed without the 0j
+    # lead in compile_complex_sum, each over several lines
+    rows = [[p, R.zero(), R.zero(), R.zero()], [R.one(), p, p, R.zero()]]
+    weights = [0.5 - 2j, complex(-1.0, INF)]
     for x in (0.5 - 0.25j, -1.0 + 0.0j, complex(0.0, -0.0)):
         coords = [x, 1, 2, 3]
         assert bits(lambda: compile_values(R, [p], COMPLEX)(coords)) == \
             bits(lambda: [reference_value(p, coords)])
+        assert bits(lambda: compile_complex_sum(R, weights, rows)(coords)) \
+            == bits(lambda: reference_sum(weights, rows, coords))
 
 
 def test_fitted_evaluator_matches_loop_and_drops_zero_weights():

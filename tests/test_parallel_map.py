@@ -86,6 +86,23 @@ def test_results_marshal_cannot_send_are_computed_by_the_parent():
     assert_no_child_left()
 
 
+def test_the_parents_block_comes_back_as_the_objects_it_computed():
+    made = []
+
+    def job(j):
+        # a worker's result must cross the pipe; the parent's never does
+        if os.getpid() != parent:
+            return j
+        made.append(object())
+        return made[-1]
+
+    parent = os.getpid()
+    got = map_on_cpus(job, [0, 1])
+    assert got[0] is made[0]
+    assert got[1:] == ([1] if len(cpu_blocks(2)) > 1 else [made[1]])
+    assert_no_child_left()
+
+
 def test_a_map_inside_a_worker_runs_serially():
     got = map_on_cpus(lambda j: cpu_blocks(4), list(range(4)))
     blocks = cpu_blocks(4)

@@ -177,6 +177,18 @@ def test_a_non_decimal_digit_is_a_parse_error(text, message, column):
         message, 1, column)
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("z1 + " + "1" * 5000, 1, 6),
+    ("z1 +\n 2/" + "3" * 5000 + "i", 2, 2),
+])
+def test_a_literal_past_the_digit_limit_is_a_parse_error(text, line, column):
+    # int() refuses decimal text of more than 4,300 digits by default
+    with pytest.raises(ParseError) as err:
+        R.parse(text)
+    assert (err.value.message, err.value.line, err.value.column) == (
+        "number literal has too many digits", line, column)
+
+
 def rand_rational(rng):
     return Fraction(rng.choice([0, 0, 1, -1, rng.randint(-99, 99)]),
                     rng.choice([1, 1, 2, 3, rng.randint(1, 99)]))
