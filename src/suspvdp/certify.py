@@ -106,7 +106,7 @@ class SemiCompatCertificate:
     success: bool
     products: list[tuple[Poly, Poly, Poly]]   # (a, b, reduced product)
     targets: list[Poly]
-    witnesses: list[list[GaussianRational] | None]
+    witnesses: list[dict[int, GaussianRational] | None]  # by product index
     unreachable: list[str]
 
     def re_verify(self, ctx: SuspensionContext | None = None) -> bool:
@@ -120,10 +120,9 @@ class SemiCompatCertificate:
             if coeffs is None:
                 continue
             total: dict = {}        # one accumulator, not a sum per product
-            for c, (_, _, prod) in zip(coeffs, self.products):
-                if not c.is_zero:
-                    for e, k in prod.terms.items():
-                        total[e] = total.get(e, ZERO) + k * c
+            for j, c in coeffs.items():
+                for e, k in self.products[j][2].terms.items():
+                    total[e] = total.get(e, ZERO) + k * c
             nonzero = {e: k for e, k in total.items() if not k.is_zero}
             if nonzero != target.terms:
                 return False
@@ -239,23 +238,20 @@ def lift_ideal(ideal: Sequence[Poly], ctx: SuspensionContext,
 
 @dataclass(frozen=True)
 class LiftedPair:
-    """Opposite-side lifts of a base pair with their kernels and ideal."""
+    """Opposite-side lifts of a base pair with their kernels."""
 
     orientation: str               # "uv": (alpha_u, beta_v); "vu": mirrored
     nu: VectorField
     mu: VectorField
     kernel_nu: tuple[Poly, ...]
     kernel_mu: tuple[Poly, ...]
-    ideal: tuple[Poly, ...]
 
 
 def lift_pair(alpha: VectorField, beta: VectorField,
               kernel_alpha: Sequence[Poly], kernel_beta: Sequence[Poly],
-              ideal: Sequence[Poly], ctx: SuspensionContext,
-              orientation: str = "uv", *, ideal_bound: int) -> LiftedPair:
+              ctx: SuspensionContext, orientation: str = "uv") -> LiftedPair:
     """Lift a base pair to opposite sides; the fiber coordinate of the
-    opposite side joins each kernel, and the ideal is closed under
-    multiplication by powers of u and v (normal-formed)."""
+    opposite side joins each kernel."""
     if orientation not in ("uv", "vu"):
         raise CertifyError(f"orientation must be 'uv' or 'vu', not {orientation!r}")
     side_a, side_b = ("u", "v") if orientation == "uv" else ("v", "u")
@@ -268,8 +264,7 @@ def lift_pair(alpha: VectorField, beta: VectorField,
     return LiftedPair(
         orientation=orientation, nu=nu, mu=mu,
         kernel_nu=verify_kernel(nu, gens_nu),
-        kernel_mu=verify_kernel(mu, gens_mu),
-        ideal=tuple(lift_ideal(ideal, ctx, ideal_bound)))
+        kernel_mu=verify_kernel(mu, gens_mu))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +339,8 @@ class CriterionReport:
         return out
 
 
-def _certificate_search(pair: LiftedPair, ctx: SuspensionContext,
+def _certificate_search(pair: LiftedPair, ideal: Sequence[Poly],
+                        ctx: SuspensionContext,
                         degree_bound: int) -> tuple[dict, bool]:
     """Certificate at the requested bound, plus the smallest bound that
     also succeeds.  The claim made is the one at the requested bound;
@@ -355,7 +351,7 @@ def _certificate_search(pair: LiftedPair, ctx: SuspensionContext,
     Returns the report entry and whether every reported certificate
     re-expanded (`SemiCompatCertificate.re_verify`) to its witnesses."""
     cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
-                                  pair.ideal, degree_bound, ctx=ctx)
+                                  ideal, degree_bound, ctx=ctx)
     verified = cert.re_verify(ctx)
     entry = {"orientation": pair.orientation, "success": cert.success,
              "degree": degree_bound, "mode": cert.mode,
@@ -366,7 +362,7 @@ def _certificate_search(pair: LiftedPair, ctx: SuspensionContext,
     entry["smallest_success_degree"] = degree_bound
     for d in range(degree_bound):
         small = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
-                                       pair.ideal, d, ctx=ctx)
+                                       ideal, d, ctx=ctx)
         if small.success:
             entry["smallest_success_degree"] = d
             verified = verified and small.re_verify(ctx)
@@ -425,10 +421,10 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
         entry["ideal"] = [str(h) for h in ideal]
         certs = []
         try:
+            lifted_ideal = lift_ideal(ideal, ctx, degree_bound)
             for orientation in ("uv", "vu"):
                 lifted = lift_pair(spec.alpha, spec.beta, spec.kernel_alpha,
-                                   spec.kernel_beta, ideal, ctx, orientation,
-                                   ideal_bound=degree_bound)
+                                   spec.kernel_beta, ctx, orientation)
                 lifted_div_ok = all(
                     is_tangent(f, ctx).is_zero
                     and divergence_on_suspension(f, ctx).is_zero
@@ -437,7 +433,8 @@ def run_vdp_criterion(ctx: SuspensionContext, pairs: Sequence[PairSpec],
                     problems.append(
                         f"pair {k} ({orientation}): lifted fields fail the "
                         "divergence check")
-                cert, verified = _certificate_search(lifted, ctx, degree_bound)
+                cert, verified = _certificate_search(lifted, lifted_ideal, ctx,
+                                                     degree_bound)
                 cert["lifted_divergence_free"] = lifted_div_ok
                 certs.append(cert)
                 if not verified:

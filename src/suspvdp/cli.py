@@ -301,8 +301,7 @@ def _cmd_approx(args) -> int:
     top_degree = max(degrees)
 
     pairs = [lift_pair(spec.alpha, spec.beta, spec.kernel_alpha,
-                       spec.kernel_beta, spec.ideal_or_unit(ctx.base_ring),
-                       ctx, ideal_bound=scenario.degree_bound)
+                       spec.kernel_beta, ctx)
              for spec in scenario.pairs]
     target = scenario.approx.field
     samples = sample_points(ctx, scenario.sampling)

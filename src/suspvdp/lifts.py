@@ -31,6 +31,7 @@ from __future__ import annotations
 import marshal
 import math
 import os
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -302,9 +303,10 @@ def map_on_cpus(fn: Callable[[_Job], _Result],
     is pickled.  The parent runs again the block of any worker that fails,
     whether by an exception, a signal or a short reply, so a job's
     exception is raised here with its own traceback.  Every worker is
-    reaped before this returns or raises.  A map costs a few milliseconds
-    (a fork, a reply, a reap and copy-on-write faults on both sides), so
-    it pays only for jobs that total well above that.
+    reaped before this returns or raises, and killed first where the
+    parent raises.  A map costs a few milliseconds (a fork, a reply, a
+    reap and copy-on-write faults on both sides), so it pays only for
+    jobs that total well above that.
 
     A forked worker has only the thread that forked it: `fn` must not
     call native code that keeps a thread pool, such as numpy's BLAS."""
@@ -322,7 +324,8 @@ def map_on_cpus(fn: Callable[[_Job], _Result],
             results += [fn(j) for j in blocks[k]] if got is None else got
         return results
     finally:
-        for worker in workers:
+        for worker in filter(None, workers):    # left by an exception
+            os.kill(worker[0], signal.SIGKILL)
             _worker_results(worker, 0)
 
 

@@ -1,10 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Exact Gauss-Jordan elimination over Q(i) with the leftmost-nonzero pivot
-rule; row operations touch only the nonzero columns of the pivot row, so
-sparse systems cost little more than their nonzeros.  There are no
-numerical heuristics anywhere: rank and solving are exact, which is what
-makes the downstream certificates trustworthy.
+One Gauss-Jordan elimination over Q(i) serves rank and solving.  It works
+on sparse rows, `{column: nonzero entry}` dicts: pivot columns are taken
+leftmost first, each on the sparsest unused row holding it (Markowitz),
+and a row update touches only the pivot row's stored entries.  The reduced
+row echelon form is unique, so no result depends on the pivot choice.
+Solutions are `{column: coefficient}` maps.  Everything is exact, which is
+what makes the downstream certificates trustworthy.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from .scalars import GaussianRational, ONE, ZERO
 
 Vector = list[GaussianRational]
+Row = dict[int, GaussianRational]
 
 
 @dataclass
@@ -35,87 +38,83 @@ class ExactMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix([list(row) for row in self.entries])
-
     @staticmethod
     def from_rows(rows) -> "ExactMatrix":
         return ExactMatrix([list(row) for row in rows])
 
 
-def _eliminate(m: ExactMatrix, pivot_cols: int) -> list[tuple[int, int]]:
-    """Reduce `m` in place to reduced row echelon form, choosing pivots
-    only among the first `pivot_cols` columns.  Returns (row, col) pivots."""
-    rows, cols = m.nrows, m.ncols
-    e = m.entries
+def _sparse(values) -> Row:
+    """The nonzero entries of `values` by index; the shared `ZERO` fill is
+    skipped by identity before the exact test."""
+    return {j: x for j, x in enumerate(values)
+            if x is not ZERO and not x.is_zero}
+
+
+def _eliminate(rows: list[Row], pivot_cols: int) -> list[tuple[int, int]]:
+    """Reduce the sparse `rows` in place to reduced row echelon form,
+    choosing pivots only among the columns below `pivot_cols`, with no
+    row swaps.  Returns the (row, col) pivots in column order."""
+    unused = set(range(len(rows)))
     pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(min(pivot_cols, cols)):
-        pivot_row = None
-        for i in range(r, rows):
-            if not e[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for c in range(pivot_cols):
+        holders = [i for i, row in enumerate(rows) if c in row]
+        r = min((i for i in holders if i in unused), default=None,
+                key=lambda i: len(rows[i]))
+        if r is None:
             continue
-        e[r], e[pivot_row] = e[pivot_row], e[r]
-        row = e[r]
-        inv = ONE / row[c]
-        support = [j for j, x in enumerate(row) if not x.is_zero]
-        for j in support:
-            row[j] = row[j] * inv
-        for i in range(rows):
-            if i != r and not e[i][c].is_zero:
-                other = e[i]
-                factor = other[c]
-                for j in support:
-                    other[j] = other[j] - factor * row[j]
+        unused.remove(r)
+        inv = ONE / rows[r][c]
+        row = rows[r] = {j: x * inv for j, x in rows[r].items()}
+        for other in (rows[i] for i in holders if i != r):
+            factor = other[c]
+            for j, x in row.items():
+                y = other.get(j, ZERO) - factor * x
+                if y.is_zero:
+                    del other[j]
+                else:
+                    other[j] = y
         pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
     return pivots
 
 
 def exact_rank(m: ExactMatrix) -> int:
-    out = m.copy()
-    return len(_eliminate(out, out.ncols))
+    return len(_eliminate([_sparse(row) for row in m.entries], m.ncols))
 
 
-def solve_columns(a: ExactMatrix, targets: list[Vector]) -> list[Vector | None]:
+def solve_columns(a: ExactMatrix, targets: list[Vector]) -> list[Row | None]:
     """Solve a*x = t for each target column t, exactly.
 
-    Returns one solution per target (free variables set to zero) or None
-    where the system is inconsistent.  One elimination serves all targets.
+    Returns one solution per target (free variables set to zero) as a
+    `{column: coefficient}` map of its nonzero entries, keys ascending,
+    or None where the system is inconsistent.  One elimination serves all
+    targets, which sit to the right of `a`.
     """
     if any(len(t) != a.nrows for t in targets):
         raise ValueError("target length must equal the row count")
     ncols = a.ncols
-    aug = ExactMatrix([list(row) + [t[i] for t in targets]
-                       for i, row in enumerate(a.entries)])
-    pivots = _eliminate(aug, ncols)
+    rows = [_sparse(row) for row in a.entries]
+    for k, t in enumerate(targets, ncols):
+        for i, x in _sparse(t).items():
+            rows[i][k] = x
+    pivots = _eliminate(rows, ncols)
+    out: list[Row | None] = [{} for _ in targets]
+    for r, c in pivots:
+        for j, x in rows[r].items():
+            if j >= ncols:
+                out[j - ncols][c] = x
     pivot_rows = {r for r, _ in pivots}
-    out: list[Vector | None] = []
-    for j in range(len(targets)):
-        col = ncols + j
-        consistent = all(
-            aug.entries[i][col].is_zero
-            for i in range(aug.nrows) if i not in pivot_rows)
-        if not consistent:
-            out.append(None)
-            continue
-        x = [ZERO] * ncols
-        for r, c in pivots:
-            x[c] = aug.entries[r][col]
-        out.append(x)
+    for i, row in enumerate(rows):
+        if i not in pivot_rows:     # a leftover row holds targets only
+            for j in row:
+                out[j - ncols] = None
     return out
 
 
-def span_solve(columns, targets) -> list[Vector | None]:
+def span_solve(columns, targets) -> list[Row | None]:
     """Write each target polynomial as a combination of the column
     polynomials: one row per monomial of their joint support, in sorted
-    order, then `solve_columns`.  Returns one coefficient vector per target
-    (None where the target is outside the span)."""
+    order, then `solve_columns`.  Returns one `{column: coefficient}` map
+    per target (None where the target is outside the span)."""
     # where every polynomial is zero, one zero row keeps the matrix's width
     support = sorted({e for p in (*columns, *targets) for e in p.terms}) or [()]
     row_of = {e: i for i, e in enumerate(support)}

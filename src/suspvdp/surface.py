@@ -377,9 +377,9 @@ def smoothness_certificate(ctx: SuspensionContext, degree_bound: int) -> dict | 
     if sol is None:
         return None
     cofactors = [ring.zero() for _ in factors]
-    for (fi, e), c in zip(labels, sol):
-        if not c.is_zero:
-            cofactors[fi] = cofactors[fi] + ring.monomial(e, c)
+    for j, c in sol.items():
+        fi, e = labels[j]
+        cofactors[fi] = cofactors[fi] + ring.monomial(e, c)
     return {"f": cofactors[0],
             "partials": cofactors[1:],
             "degree_bound": degree_bound}

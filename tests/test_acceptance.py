@@ -14,7 +14,7 @@ from fractions import Fraction
 from randgen import rand_divergence_free_field
 from suspvdp.approx import (build_dictionary, fit_field, projected_system,
                             residual_curve)
-from suspvdp.certify import (Assumptions, PairSpec, lift_pair,
+from suspvdp.certify import (Assumptions, PairSpec, lift_ideal, lift_pair,
                              run_vdp_criterion, semicompat_certificate)
 from suspvdp.cli import main as cli_main
 from suspvdp.fields import VectorField
@@ -23,7 +23,7 @@ from suspvdp.lifts import (chart_jacobian_determinant, flow_chart_jacobian,
                            spanning_family)
 from suspvdp.linalg import ExactMatrix, exact_rank, solve_columns
 from suspvdp.poly import PolyRing
-from suspvdp.scalars import gr
+from suspvdp.scalars import ZERO, gr
 from suspvdp.scenario import bundled_names, load_scenario
 from suspvdp.surface import (SamplingSpec, divergence_on_suspension, is_tangent,
                              make_suspension, sample_points, surface_point,
@@ -122,8 +122,7 @@ def test_criterion_4_lifted_kernels_and_certificate():
     ctx = make_suspension(2, "z1")
     alpha, beta = coordinate_pair(ctx)
     pair = lift_pair(alpha, beta, [ctx.base_ring.parse("z2")],
-                     [ctx.base_ring.parse("z1")], [ctx.base_ring.one()],
-                     ctx, "uv", ideal_bound=3)
+                     [ctx.base_ring.parse("z1")], ctx, "uv")
 
     # membership has to be exact annihilation, not numerical smallness
     for field, kernel in ((pair.nu, pair.kernel_nu),
@@ -133,7 +132,8 @@ def test_criterion_4_lifted_kernels_and_certificate():
             assert field.apply(k).is_zero, str(k)
 
     cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu,
-                                  pair.ideal, 3, ctx=ctx)
+                                  lift_ideal([ctx.base_ring.one()], ctx, 3),
+                                  3, ctx=ctx)
     assert cert.success, cert.unreachable
     assert cert.re_verify(ctx)
     announce(4, "lifted kernel memberships exact; pair certificate at "
@@ -149,7 +149,8 @@ def tangent_wedge_rank(ctx, p, family):
     for pair in family.pairs:
         sols = solve_columns(cols, [list(pair.a), list(pair.b)])
         assert sols[0] is not None and sols[1] is not None, pair.label
-        a, b = sols
+        a, b = ([sol.get(i, ZERO) for i in range(len(basis))]
+                for sol in sols)
         coords = []
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
@@ -212,8 +213,7 @@ def test_criterion_7_approx_recovery_and_residual_curves():
     ctx = make_suspension(2, "z1")
     alpha, beta = coordinate_pair(ctx)
     pair = lift_pair(alpha, beta, (ctx.base_ring.parse("z2"),),
-                     (ctx.base_ring.parse("z1"),), (ctx.base_ring.one(),),
-                     ctx, ideal_bound=4)
+                     (ctx.base_ring.parse("z1"),), ctx)
     d = build_dictionary(ctx, [pair], 2)
     samples = sample_points(ctx, SamplingSpec(count=12, seed=5))
     rng = random.Random(7)
@@ -237,9 +237,7 @@ def test_criterion_7_approx_recovery_and_residual_curves():
         sc = load_scenario(name)
         sctx = sc.ctx
         pairs = [lift_pair(ps.alpha, ps.beta, ps.kernel_alpha,
-                           ps.kernel_beta,
-                           ps.ideal_or_unit(sctx.base_ring), sctx,
-                           ideal_bound=sc.degree_bound)
+                           ps.kernel_beta, sctx)
                  for ps in sc.pairs]
         pts = sample_points(sctx, replace(sc.sampling, count=10))
         curve, _, _ = residual_curve(sc.approx.field, sctx,

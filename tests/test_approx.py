@@ -33,8 +33,7 @@ def plane_pair(ctx):
     alpha = coordinate_field(ctx.base_ring, "z1")
     beta = coordinate_field(ctx.base_ring, "z2")
     return lift_pair(alpha, beta, (ctx.base_ring.parse("z2"),),
-                     (ctx.base_ring.parse("z1"),), (ctx.base_ring.one(),), ctx,
-                     ideal_bound=4)
+                     (ctx.base_ring.parse("z1"),), ctx)
 
 
 def plane_samples(ctx, count=12, seed=3):
@@ -183,9 +182,8 @@ def bundled_setup(name):
     samples, target and curve degrees."""
     sc = load_scenario(name)
     ctx = sc.ctx
-    pairs = [lift_pair(s.alpha, s.beta, s.kernel_alpha, s.kernel_beta,
-                       s.ideal_or_unit(ctx.base_ring), ctx,
-                       ideal_bound=sc.degree_bound) for s in sc.pairs]
+    pairs = [lift_pair(s.alpha, s.beta, s.kernel_alpha, s.kernel_beta, ctx)
+             for s in sc.pairs]
     return (ctx, pairs, sample_points(ctx, sc.sampling), sc.approx.field,
             sc.approx.curve_degrees)
 

@@ -115,9 +115,9 @@ def test_semicompat_lifted_pair_plain():
     pair = lift_pair(VectorField.from_texts(ctx.base_ring, ["1", "0"]),
                      VectorField.from_texts(ctx.base_ring, ["0", "1"]),
                      [ctx.base_ring.parse("z2")],
-                     [ctx.base_ring.parse("z1")],
-                     [ctx.base_ring.one()], ctx, "uv", ideal_bound=3)
-    cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu, pair.ideal,
+                     [ctx.base_ring.parse("z1")], ctx, "uv")
+    ideal = lift_ideal([ctx.base_ring.one()], ctx, 3)
+    cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu, ideal,
                                   3, ctx=ctx)
     assert cert.success and cert.mode == "plain"
     assert cert.re_verify(ctx)
@@ -129,14 +129,14 @@ def test_semicompat_quotient_fallback():
     # z1 and the certificate must pass to the quotient
     ctx = make_suspension(1, "z1")
     alpha = VectorField.from_texts(ctx.base_ring, ["1"])
-    pair = lift_pair(alpha, alpha, [], [], [ctx.base_ring.one()], ctx,
-                     "uv", ideal_bound=2)
-    cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu, pair.ideal,
+    pair = lift_pair(alpha, alpha, [], [], ctx, "uv")
+    ideal = lift_ideal([ctx.base_ring.one()], ctx, 2)
+    cert = semicompat_certificate(pair.kernel_nu, pair.kernel_mu, ideal,
                                   2, ctx=ctx)
     assert cert.success and cert.mode == "quotient"
     assert cert.re_verify(ctx)
     forced = _certificate_in_mode(pair.kernel_nu, pair.kernel_mu,
-                                  pair.ideal, 2, ctx, "plain")
+                                  ideal, 2, ctx, "plain")
     assert not forced.success
 
 
@@ -345,7 +345,8 @@ def test_run_vdp_criterion_reports_failed_re_expansion(monkeypatch):
         witnesses = real(columns, targets)
         if not corrupted:
             k = next(k for k, w in enumerate(witnesses) if w is not None)
-            witnesses[k] = [witnesses[k][0] + 1] + witnesses[k][1:]
+            witnesses[k] = {**witnesses[k],
+                            0: witnesses[k].get(0, ZERO) + 1}
             corrupted.append(k)
         return witnesses
 

@@ -205,9 +205,8 @@ def test_plane_fitted_field_computes_each_product_prefix_once():
     # scenario's own samples and curve degrees (top degree 2)
     sc = load_scenario("plane")
     ctx = sc.ctx
-    pairs = [lift_pair(s.alpha, s.beta, s.kernel_alpha, s.kernel_beta,
-                       s.ideal_or_unit(ctx.base_ring), ctx,
-                       ideal_bound=sc.degree_bound) for s in sc.pairs]
+    pairs = [lift_pair(s.alpha, s.beta, s.kernel_alpha, s.kernel_beta, ctx)
+             for s in sc.pairs]
     _, dictionary, fit = residual_curve(
         sc.approx.field, ctx, pairs, sample_points(ctx, sc.sampling),
         sc.approx.curve_degrees)

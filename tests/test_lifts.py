@@ -498,7 +498,8 @@ def wedge_rank(ctx, p, family):
     for pair in family.pairs:
         sols = solve_columns(cols, [list(pair.a), list(pair.b)])
         assert sols[0] is not None and sols[1] is not None, pair.label
-        a, b = sols
+        a, b = ([sol.get(i, ZERO) for i in range(len(basis))]
+                for sol in sols)
         coords = []
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):

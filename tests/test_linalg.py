@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 from suspvdp.linalg import ExactMatrix, _eliminate, exact_rank, solve_columns
 from suspvdp.scalars import GaussianRational, gr, I, ONE, ZERO
@@ -63,25 +64,27 @@ def test_rank_invariant_under_row_permutation_and_scaling():
 
 
 def test_rref_pivots_are_leftmost():
-    m = ExactMatrix.from_rows([
-        [ZERO, ONE, gr(2)],
-        [ZERO, gr(2), gr(4)],
-        [ONE, ZERO, ONE],
-    ])
-    reduced = m.copy()
-    pivots = _eliminate(reduced, reduced.ncols)
-    assert [c for _, c in pivots] == [0, 1]
-    # pivot entries normalized to one, columns cleared
-    assert reduced.entries[0] == [ONE, ZERO, ONE]
-    assert reduced.entries[1] == [ZERO, ONE, gr(2)]
-    assert reduced.entries[2] == [ZERO, ZERO, ZERO]
+    rows = [{1: ONE, 2: gr(2)}, {1: gr(2), 2: gr(4)}, {0: ONE, 2: ONE}]
+    pivots = _eliminate(rows, 3)
+    assert pivots == [(2, 0), (0, 1)]
+    # pivot entries normalized to one, columns cleared, no rows swapped
+    assert rows[2] == {0: ONE, 2: ONE}
+    assert rows[0] == {1: ONE, 2: gr(2)}
+    assert rows[1] == {}
+
+
+def test_each_pivot_goes_on_the_sparsest_row_holding_its_column():
+    rows = [{0: ONE, 1: ONE, 2: ONE}, {0: gr(2)}, {1: I}]
+    pivots = _eliminate(rows, 3)
+    assert pivots == [(1, 0), (2, 1), (0, 2)]
+    assert rows == [{2: ONE}, {0: ONE}, {1: ONE}]
 
 
 def test_solve_columns_consistency():
     a = ExactMatrix.from_rows([[ONE, gr(2)], [gr(3), gr(6)]])
     sol, bad = solve_columns(a, [[gr(5), gr(15)], [ONE, ZERO]])
-    assert sol is not None
-    x, y = sol
+    assert sol == {0: gr(5)}       # the free variable y is set to zero
+    x, y = sol.get(0, ZERO), sol.get(1, ZERO)
     assert x + gr(2) * y == gr(5)
     assert gr(3) * x + gr(6) * y == gr(15)
     assert bad is None
@@ -99,6 +102,34 @@ def test_solve_columns_fuzz_against_construction():
                   for row in a.entries]
         sol = solve_columns(a, [target])[0]
         assert sol is not None
-        rebuilt = [sum((row[j] * sol[j] for j in range(cols)), gr(0))
+        rebuilt = [sum((row[j] * c for j, c in sol.items()), gr(0))
                    for row in a.entries]
         assert rebuilt == target
+
+
+def test_solve_columns_is_invariant_under_row_permutation():
+    """The reduced row echelon form is unique, so permuting the rows of
+    `a` and of the targets together changes no returned map; every map
+    holds nonzero entries only, with its keys ascending."""
+    rng = random.Random(47)
+    # gr(0) is a zero that is not the shared ZERO object
+    pool = [ZERO, gr(0), ONE, -ONE, I, gr(2), gr(1, -1), gr(Fraction(1, 3))]
+    for _ in range(80):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = rand_matrix(rng, rows, cols, pool)
+        targets = [[rng.choice(pool) for _ in range(rows)]
+                   for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:      # one target inside the span
+            coeffs = [rng.choice(pool) for _ in range(cols)]
+            targets.append([sum((row[j] * coeffs[j] for j in range(cols)),
+                                ZERO) for row in a.entries])
+        want = solve_columns(a, targets)
+        for sol in want:
+            if sol is not None:
+                assert all(not c.is_zero for c in sol.values())
+                assert list(sol) == sorted(sol)
+        order = list(range(rows))
+        rng.shuffle(order)
+        shuffled = ExactMatrix([a.entries[i] for i in order])
+        assert solve_columns(shuffled, [[t[i] for i in order]
+                                        for t in targets]) == want

@@ -110,7 +110,8 @@ def test_span_solve_is_the_reduced_row_echelon_solution(system):
             continue
         want = solution.subs({tau: 0 for tau in params})
         assert mine is not None
-        assert [to_sympy_scalar(c) for c in mine] == \
+        dense = [mine.get(j, ZERO) for j in range(len(columns))]
+        assert [to_sympy_scalar(c) for c in dense] == \
             [sympy.expand(w) for w in want]
 
 

@@ -2,6 +2,7 @@
 from the parent and forked workers, with every worker reaped."""
 
 import os
+import time
 
 import pytest
 
@@ -64,6 +65,20 @@ def test_a_job_raising_in_the_parent_reaps_the_workers():
 
     with pytest.raises(KeyError, match="first"):
         map_on_cpus(fails_first, list(range(6)))
+    assert_no_child_left()
+
+
+def test_a_job_raising_in_the_parent_does_not_wait_for_the_workers():
+    def fails_at_once(j):
+        if j == 0:
+            raise KeyError("first")
+        time.sleep(1)
+        return j
+
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="first"):
+        map_on_cpus(fails_at_once, [0, 1])     # two jobs: one worker at most
+    assert time.perf_counter() - start < 0.5
     assert_no_child_left()
 
 
